@@ -53,6 +53,8 @@ _SUB_KEYS = {
     "regvar-check": set(),
 }
 
+_MEMORY_CAP = 2 << 30  # bytes a waring report may plan to hold
+
 _DEFAULTS = {
     "format": "text", "threads": 1, "seed": 0, "check": False,
     "epsilon": expsum.EPSILON,
@@ -141,6 +143,14 @@ def _validate(cfg: dict) -> None:
                 raise ValueError(f"{key} grid must be non-empty ascending")
     if cfg.get("format") not in {"text", "json"}:
         raise ValueError("format must be text or json")
+    if cfg["subcommand"] == "waring":
+        hs, lams = _waring_inputs(cfg)
+        waring.check_lambda(hs, min(lams))
+        need = waring.memory_estimate(hs, max(lams))
+        if need > _MEMORY_CAP:
+            raise ValueError(f"lambda={max(lams)} needs about "
+                             f"{need / 2 ** 30:.1f} GiB, over the "
+                             f"{_MEMORY_CAP / 2 ** 30:g} GiB cap")
 
 
 # -- report emission ---------------------------------------------------------
@@ -268,15 +278,20 @@ def _oracle_triple_loop(hs, lmax: int) -> np.ndarray:
     return r
 
 
-def _run_waring(cfg: dict):
+def _waring_inputs(cfg: dict):
     cs = (cfg.get("c1", 1.01), cfg.get("c2", 1.01), cfg.get("c3", 1.01))
-    lams = cfg.get("lam", [100, 200])
-    hs = [pure_power(c) for c in cs]
+    return [pure_power(c) for c in cs], cfg.get("lam", [100, 200])
+
+
+def _run_waring(cfg: dict):
+    hs, lams = _waring_inputs(cfg)
     config = waring.WaringConfig(*hs, lambda_max=max(lams))
     primes.primes_upto(
         int(InverseHandle(hs[0]).value(max(lams) + 1.0)) + 2,
         threads=cfg["threads"])
-    report = waring.count_report(config, lams, epsilon=cfg["epsilon"])
+    work = []
+    report = waring.count_report(config, lams, epsilon=cfg["epsilon"],
+                                 work=work)
     columns = ["lambda", "r", "R", "main_term", "ratio_r", "normalized_gap"]
     rows = [[rc.lam, rc.r, rc.R, rc.main_term, rc.ratio_r, rc.normalized_gap]
             for rc in report]
@@ -296,8 +311,11 @@ def _run_waring(cfg: dict):
                 if rc.lam >= 1000 and not 0.5 <= rc.ratio_r <= 2.0:
                     failures.append(f"ratio r/main at lambda={rc.lam} "
                                     f"outside [0.5, 2]: {rc.ratio_r:.4f}")
+    r_work, R_work = work
     notes = [f"admissible={config.admissible()}",
-             f"gammas=({', '.join(f'{g:.6f}' for g in config.gammas)})"]
+             f"gammas=({', '.join(f'{g:.6f}' for g in config.gammas)})",
+             f"work: transform_length={r_work.length} limbs={r_work.limbs} "
+             f"r_bound={r_work.bound:.3e} R_bound={R_work.bound:.3e}"]
     return columns, rows, notes, failures
 
 

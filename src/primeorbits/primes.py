@@ -287,7 +287,7 @@ _VERSION = 1
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Primes of a half-open range plus the range's Lambda support."""
+    """Primes of a half-open range."""
 
     lo: int
     hi: int
@@ -298,23 +298,6 @@ class PrimeTable:
 
     def count(self) -> int:
         return int(self.primes.size)
-
-    def lambda_support(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n, Lambda(n)) for every prime power n in [lo, hi)."""
-        ns = [self.primes]
-        ws = [np.log(self.primes.astype(np.float64))]
-        for p in _simple_sieve(math.isqrt(max(self.hi - 1, 1))):
-            p = int(p)
-            pw = p * p
-            while pw < self.hi:
-                if pw >= self.lo:
-                    ns.append(np.array([pw], dtype=np.int64))
-                    ws.append(np.array([math.log(p)]))
-                pw *= p
-        n = np.concatenate(ns)
-        w = np.concatenate(ws)
-        order = np.argsort(n, kind="stable")
-        return n[order], w[order]
 
 
 def build_table(lo: int, hi: int, threads: int = 1) -> PrimeTable:

@@ -88,29 +88,6 @@ class RegVarFunction:
             t = -(1.0 / q[-1]) * s / x
         return t.item() if scalar else t
 
-    def theta_d2(self, x):
-        x, scalar = _as_array(x)
-        x = np.maximum(x, self.x0)
-        L = np.log(x)
-        if self.kind == "pure":
-            t = np.zeros_like(x)
-        elif self.kind == "logpow":
-            t = self.a * (L + 2.0) / (x * x * L ** 3)
-        elif self.kind == "explog":
-            t = (self.a * self.b * (self.b - 1.0)
-                 * L ** (self.b - 3.0) * ((self.b - 2.0) - L) / (x * x))
-        else:
-            q = self._logprod(x)
-            s = sum(1.0 / qi for qi in q)
-            # running prefix sums T_i = sum_{j<=i} 1/Q_j
-            t_i = 0.0
-            extra = np.zeros_like(x)
-            for qi in q:
-                t_i = t_i + 1.0 / qi
-                extra = extra + t_i / qi
-            t = (1.0 / q[-1]) * (s * s + s + extra) / (x * x)
-        return t.item() if scalar else t
-
     def _logprod(self, x: np.ndarray) -> list[np.ndarray]:
         """Cumulative products Q_j = L_1*...*L_j of iterated logarithms."""
         out = []
@@ -154,18 +131,6 @@ class RegVarFunction:
         ct = self.c + self.theta(xx)
         g = ct * (ct - 1.0) + xx * self.theta_d1(xx)
         d = self.value(xx) * g / (xx * xx)
-        return d.item() if scalar else d
-
-    def d3(self, x):
-        x, scalar = _as_array(x)
-        xx = np.maximum(x, self.x0)
-        th = self.theta(xx)
-        th1 = self.theta_d1(xx)
-        th2 = self.theta_d2(xx)
-        ct = self.c + th
-        g = ct * (ct - 1.0) + xx * th1
-        gp = 2.0 * ct * th1 + xx * th2
-        d = self.value(xx) * (g * (ct - 2.0) + xx * gp) / (xx ** 3)
         return d.item() if scalar else d
 
     def index(self, x):

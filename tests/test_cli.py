@@ -108,6 +108,22 @@ def test_waring_check_oracle_mode(tmp_path):
                      "--lam", "100,200", "--check", "--out", str(out)])
     assert code == 0
     assert "check: pass" in out.read_text()
+    # the transform work sits in the header and the mirror, not in the rows
+    work = [ln for ln in out.read_text().splitlines()
+            if ln.startswith("# work:")]
+    assert len(work) == 1 and "transform_length=512 limbs=1" in work[0]
+    mirror = json.loads((tmp_path / "w.txt.json").read_text())
+    assert work[0][2:] in mirror["notes"]
+
+
+@pytest.mark.parametrize("lam", ["0,100", "100,100000000"])
+def test_waring_refuses_lambda_before_work(tmp_path, lam):
+    # lambda below h(x0) and a grid whose transforms would not fit in
+    # memory are both refused while parsing, before any sieve or histogram
+    out = tmp_path / "w.txt"
+    assert cli.main(["waring", "--lam", lam, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert not (tmp_path / "w.txt.json").exists()
 
 
 def test_explicit_check_passes(tmp_path):

@@ -172,8 +172,11 @@ def test_triple_counts_match_exhaustive(cs, lmax):
 def test_prime_triple_counts_match_exhaustive(cs, lmax):
     ws = [prime_weighted_histogram(pure_power(c), lmax) for c in cs]
     got = triple_counts_all(*ws, lmax)
-    np.testing.assert_allclose(got, oracle_prime_triple(*cs, lmax),
-                               rtol=1e-10, atol=1e-10)
+    want = oracle_prime_triple(*cs, lmax)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+    # the FFT leaves no +-1e-15 noise where R(lambda) is exactly zero
+    assert (want == 0.0).any()
+    assert np.array_equal(got == 0.0, want == 0.0)
 
 
 @settings(max_examples=15, deadline=None)
@@ -201,6 +204,54 @@ def test_permutation_symmetry():
         else:
             assert g_vals == base_g
             np.testing.assert_allclose(w_vals, base_w, rtol=1e-12)
+
+
+def convolve_oracle(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                    lmax: int) -> np.ndarray:
+    """Direct threefold convolution, int64 or float64 as the inputs are."""
+    n = lmax + 1
+    return np.convolve(np.convolve(a[:n], b[:n])[:n], c[:n])[:n]
+
+
+@pytest.mark.parametrize("cs", [(1.01, 1.01, 1.01), (1.05, 1.1, 1.15)])
+def test_fft_counts_match_direct_convolution(cs):
+    lmax = 20000
+    gs = [floor_image_histogram(pure_power(c), lmax) for c in cs]
+    work = []
+    got = triple_counts_all(*gs, lmax, work=work)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, convolve_oracle(*gs, lmax))
+    assert work[0].limbs == 1 and work[0].bound < 0.25
+    assert work[0].length == 2 ** 16
+
+
+def test_fft_limb_split_is_exact():
+    # entries near 2^31 push the unsplit bound past 1/4; 16-bit limbs of
+    # the larger operand bring every product back under it
+    rng = np.random.default_rng(7)
+    big = rng.integers(2 ** 30, 2 ** 31, size=3000)
+    small = rng.integers(0, 8, size=(2, 3000))
+    work = []
+    got = triple_counts_all(big, small[0], small[1], 2999, work=work)
+    assert work[0].limbs > 1 and work[0].bound < 0.25
+    assert np.array_equal(got, convolve_oracle(big, small[0], small[1], 2999))
+    with pytest.raises(OverflowError, match="16-bit limb"):
+        # both operands large: one split side is not enough
+        triple_counts_all(rng.integers(0, 2 ** 23, size=100000),
+                          np.ones(1, dtype=np.int64),
+                          rng.integers(0, 2 ** 23, size=100000), 99999)
+
+
+def test_fft_weighted_counts_within_bound():
+    lmax = 10000
+    cs = (1.01, 1.05, 1.1)
+    ws = [prime_weighted_histogram(pure_power(c), lmax) for c in cs]
+    work = []
+    got = triple_counts_all(*ws, lmax, work=work)
+    err = np.abs(got - convolve_oracle(*ws, lmax)).max()
+    assert 0.0 < work[0].bound < math.log(2) ** 3 / 2
+    assert err <= work[0].bound
+    assert (got >= 0.0).all()
 
 
 def test_convolution_overflow_guard():
@@ -286,6 +337,15 @@ def test_count_report_field_consistency():
         damp = math.exp(-math.log(row.lam) ** (1.0 / 3.0 - waring.EPSILON))
         assert row.normalized_gap == pytest.approx(
             abs(row.R - row.r) / (phis * damp), rel=1e-12)
+
+
+def test_count_report_rejects_lambda_below_domain(monkeypatch):
+    # refused before any histogram is built
+    h = pure_power(1.2)
+    cfg = WaringConfig(h, h, h, 100)
+    monkeypatch.setattr(waring, "floor_image_histogram", None)
+    with pytest.raises(ValueError, match="below h"):
+        count_report(cfg, [0, 100])
 
 
 def test_count_report_rejects_lambda_beyond_config():
