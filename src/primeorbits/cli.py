@@ -53,7 +53,7 @@ _SUB_KEYS = {
     "regvar-check": set(),
 }
 
-_MEMORY_CAP = 2 << 30  # bytes a waring report may plan to hold
+_MEMORY_CAP = 2 << 30  # bytes a waring report or phi' table may plan to hold
 
 _DEFAULTS = {
     "format": "text", "threads": 1, "seed": 0, "check": False,
@@ -143,6 +143,13 @@ def _validate(cfg: dict) -> None:
                 raise ValueError(f"{key} grid must be non-empty ascending")
     if cfg.get("format") not in {"text", "json"}:
         raise ValueError("format must be text or json")
+    if cfg["subcommand"] == "expsum":
+        h, n_grid = _expsum_inputs(cfg)
+        need = 8.0 * h.value(float(max(n_grid)))  # 8 bytes per phi' entry
+        if need > _MEMORY_CAP:
+            raise ValueError(f"N={max(n_grid)} needs a phi' table of about "
+                             f"{need / 2 ** 30:.3g} GiB, over the "
+                             f"{_MEMORY_CAP / 2 ** 30:g} GiB cap")
     if cfg["subcommand"] == "waring":
         hs, lams = _waring_inputs(cfg)
         waring.check_lambda(hs, min(lams))
@@ -225,9 +232,12 @@ def _resolve_xi(token: str, n: float, theta1: float) -> float:
     return float(token)
 
 
+def _expsum_inputs(cfg: dict):
+    return _function_from(cfg), cfg.get("N", [10 ** 4, 10 ** 5])
+
+
 def _run_expsum(cfg: dict):
-    h = _function_from(cfg)
-    n_grid = cfg.get("N", [10 ** 4, 10 ** 5])
+    h, n_grid = _expsum_inputs(cfg)
     theta1 = cfg.get("theta1", expsum.theta1_default(h.c))
     tokens = cfg.get("xi", ["zero", "halfcut", "cut"])
     eps = cfg["epsilon"]
@@ -286,9 +296,8 @@ def _waring_inputs(cfg: dict):
 def _run_waring(cfg: dict):
     hs, lams = _waring_inputs(cfg)
     config = waring.WaringConfig(*hs, lambda_max=max(lams))
-    primes.primes_upto(
-        int(InverseHandle(hs[0]).value(max(lams) + 1.0)) + 2,
-        threads=cfg["threads"])
+    primes.primes_upto(max(waring.arg_cutoff(h, max(lams)) for h in hs),
+                       threads=cfg["threads"])
     work = []
     report = waring.count_report(config, lams, epsilon=cfg["epsilon"],
                                  work=work)

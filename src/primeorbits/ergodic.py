@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .accum import kahan_sum, pairwise_sum
-from .expsum import guarded_floor
+from .expsum import prime_floors
 from .primes import primes_upto, theta_pi_prefix
 from .regvar import RegVarFunction
 
@@ -34,12 +34,10 @@ def golden_surrogate() -> Fraction:
 
 
 def orbit_indices(h: RegVarFunction, N: int) -> np.ndarray:
-    """floor(h(p)) over primes p <= N, guarded-floor rule shared with expsum."""
+    """floor(h(p)) over primes p <= N, read-only, from expsum's table."""
     if N < 2:
         raise ValueError("need N >= 2")
-    p = primes_upto(N)
-    floors, _ = guarded_floor(h, p.astype(np.float64))
-    return floors
+    return prime_floors(h, N)[1]
 
 
 def rotation_points(alpha: Fraction, x: float, indices: np.ndarray) -> np.ndarray:

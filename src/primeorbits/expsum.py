@@ -10,16 +10,24 @@ with e(x) = exp(2*pi*i*x) and phi the compositional inverse of h.
 
 Floors are guarded: a double evaluation is accepted only when its
 fractional part is inside (1e-9, 1 - 1e-9); the few values outside the
-band are recomputed at 40 significant digits before flooring.  Phases
-reduce floor(h(p)) * xi modulo 1 in double-double arithmetic, and every
-accumulation uses the fixed-shape pairwise tree from accum, so results
-are reproducible bit for bit and conjugate-symmetric in xi.
+band are recomputed at 40 significant digits before flooring.  Every
+phase, including the non-integer ones of the oscillatory integral, is
+accum.phase: the argument is reduced modulo 1 in double-double
+arithmetic.  Every accumulation uses the fixed-shape pairwise tree from
+accum, so results are reproducible bit for bit and conjugate-symmetric
+in xi.
+
+Two tables are kept per function h: floor(h(p)) over the primes of
+primes.primes_upto, and phi'(1..lam).  prime_floors and phi_prime hand
+out read-only prefix views; a longer request computes only the missing
+tail.  The tables of the four most recently used functions are kept.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -32,6 +40,7 @@ EPSILON = 1.0 / 12.0  # default subpolynomial-decay parameter
 GUARD = 1.0e-9
 
 _CHUNK = 1 << 20
+_KEEP = 4  # functions whose tables are kept, least recently used out first
 
 
 def theta1_default(c: float) -> float:
@@ -68,11 +77,6 @@ class ExpSumResult:
     N: float
     xi: float
     kind: str
-    flagged: int = 0
-
-    @property
-    def abs(self) -> float:
-        return abs(self.value)
 
 
 def _mp_floor(v: mpmath.mpf) -> int:
@@ -102,31 +106,70 @@ def guarded_floor(h: RegVarFunction, n: np.ndarray) -> tuple[np.ndarray, int]:
     return out, int(bad.size)
 
 
-_floor_cache: dict = {}
+# -- per-function tables ------------------------------------------------------
+
+_tables: OrderedDict = OrderedDict()  # h -> {table name: array}
 
 
-def _floors_upto(h: RegVarFunction, N: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(primes <= N, their floors, flagged count), cached per (h, N)."""
-    key = (h, int(N))
-    if key in _floor_cache:
-        return _floor_cache[key]
+def _frozen(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _table(h: RegVarFunction, name: str, dtype, n: int, fill) -> np.ndarray:
+    """First n entries of h's table `name`, grown on demand.
+
+    Growth writes the old prefix and then fill(lo, hi), entries lo..hi-1
+    of the missing tail, chunk by chunk into one new array.
+    """
+    tables = _tables.pop(h, {})
+    _tables[h] = tables
+    if len(_tables) > _KEEP:
+        _tables.popitem(last=False)
+    old = tables.get(name, np.empty(0, dtype))
+    if n > old.size:
+        new = np.empty(n, dtype)
+        new[:old.size] = old
+        for lo in range(old.size, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            new[lo:hi] = fill(lo, hi)
+        tables[name] = old = new
+    return _frozen(old[:n])
+
+
+def prime_floors(h: RegVarFunction, N: float) -> tuple[np.ndarray, np.ndarray]:
+    """(primes p <= N, floor(h(p))), both read-only."""
     p = primes.primes_upto(int(N))
-    fl, flagged = guarded_floor(h, p)
-    if len(_floor_cache) > 3:
-        _floor_cache.clear()
-    _floor_cache[key] = (p, fl, flagged)
-    return _floor_cache[key]
+    fl = _table(h, "floors", np.int64, p.size,
+                lambda lo, hi: guarded_floor(h, p[lo:hi])[0])
+    return _frozen(p), fl
+
+
+def phi_prime(h: RegVarFunction, lam: int) -> np.ndarray:
+    """phi'(n) for n = 1..lam, read-only."""
+    inv = InverseHandle(h)
+    return _table(h, "phi", np.float64, lam, lambda lo, hi: inv.d1(
+        np.arange(lo + 1, hi + 1, dtype=np.float64)))
+
+
+# -- sums ---------------------------------------------------------------------
+
+
+def _phase_sum(w: np.ndarray, n: np.ndarray | None, xi: float) -> complex:
+    """Sum of w[i] e(n[i] xi) in fixed chunks; n=None stands for 1, 2, ..."""
+    parts = []
+    for lo, hi in chunked(w.size, _CHUNK):
+        m = np.arange(lo + 1, hi + 1) if n is None else n[lo:hi]
+        parts.append(pairwise_sum(w[lo:hi] * phase(m.astype(np.float64), xi)))
+    return complex(reduce_parts(parts))
 
 
 def prime_floor_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
     """Log-weighted exponential sum over primes up to N."""
-    p, fl, flagged = _floors_upto(h, int(N))
-    w = np.log(p.astype(np.float64))
-    parts = []
-    for lo, hi in chunked(p.size, _CHUNK):
-        parts.append(pairwise_sum(w[lo:hi] * phase(fl[lo:hi].astype(np.float64), xi)))
-    return ExpSumResult(reduce_parts(parts), int(p.size), float(N), float(xi),
-                        "prime", flagged)
+    p, fl = prime_floors(h, N)
+    value = _phase_sum(np.log(p.astype(np.float64)), fl, xi)
+    return ExpSumResult(value, int(p.size), float(N), float(xi), "prime")
 
 
 def von_mangoldt_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
@@ -134,33 +177,9 @@ def von_mangoldt_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
     N = int(N)
     lam = primes.von_mangoldt_range(0, N + 1)
     n = np.flatnonzero(lam)
-    if n.size == 0:
-        return ExpSumResult(0j, 0, float(N), float(xi), "vonmangoldt", 0)
-    fl, flagged = guarded_floor(h, n)
-    w = lam[n]
-    parts = []
-    for lo, hi in chunked(n.size, _CHUNK):
-        parts.append(pairwise_sum(w[lo:hi] * phase(fl[lo:hi].astype(np.float64), xi)))
-    return ExpSumResult(reduce_parts(parts), int(n.size), float(N), float(xi),
-                        "vonmangoldt", flagged)
-
-
-_phiprime_cache: dict = {}
-
-
-def _phi_prime_table(h: RegVarFunction, lam: int) -> np.ndarray:
-    """phi'(n) for n = 1..lam, chunked Newton inversion, cached."""
-    key = (h, int(lam))
-    if key in _phiprime_cache:
-        return _phiprime_cache[key]
-    inv = InverseHandle(h)
-    out = np.empty(lam, dtype=np.float64)
-    for lo, hi in chunked(lam, _CHUNK):
-        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        out[lo:hi] = inv.d1(n)
-    _phiprime_cache.clear()  # tables are large; keep only the latest
-    _phiprime_cache[key] = out
-    return out
+    fl, _ = guarded_floor(h, n)
+    return ExpSumResult(_phase_sum(lam[n], fl, xi), int(n.size), float(N),
+                        float(xi), "vonmangoldt")
 
 
 def approximant_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
@@ -169,15 +188,8 @@ def approximant_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
     lam = int(math.floor(hN))
     if abs(hN - round(hN)) <= GUARD:
         lam = _mp_floor(h.eval_mp(float(N)))
-    if lam < 1:
-        return ExpSumResult(0j, 0, float(N), float(xi), "approximant", 0)
-    w = _phi_prime_table(h, lam)
-    parts = []
-    for lo, hi in chunked(lam, _CHUNK):
-        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        parts.append(pairwise_sum(w[lo:hi] * phase(n, xi)))
-    return ExpSumResult(reduce_parts(parts), lam, float(N), float(xi),
-                        "approximant", 0)
+    value = _phase_sum(phi_prime(h, lam), None, xi)
+    return ExpSumResult(value, lam, float(N), float(xi), "approximant")
 
 
 @dataclass(frozen=True)
@@ -276,6 +288,7 @@ def minor_arc_scan(h: RegVarFunction, n_grid, theta1: float | None = None,
 # -- oscillatory integral ----------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_PANELS = 1 << 12
 
 
 def osc_integral(h: RegVarFunction, a: float, b: float, xi: float,
@@ -305,10 +318,13 @@ def osc_integral(h: RegVarFunction, a: float, b: float, xi: float,
     edges[0], edges[-1] = a, b
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    s = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    hv = h.value(s.ravel()).reshape(s.shape)
-    ph = np.exp((2j * math.pi) * (hv * xi - np.floor(hv * xi)))
-    vals = (ph * _GL_WEIGHTS[None, :]).sum(axis=1) * half
+    vals = np.empty(n_panels, dtype=np.complex128)
+    # panels go in blocks: a panel's value does not depend on the blocking,
+    # and the phase's double-double temporaries stay cache-sized
+    for lo, hi in chunked(n_panels, _PANELS):
+        s = mid[lo:hi, None] + half[lo:hi, None] * _GL_NODES[None, :]
+        ph = phase(h.value(s), xi)
+        vals[lo:hi] = (ph * _GL_WEIGHTS[None, :]).sum(axis=1) * half[lo:hi]
     return complex(pairwise_sum(vals))
 
 
@@ -333,10 +349,7 @@ def dyadic_block_check(h: RegVarFunction, t: float, xi: float,
     lam = primes.von_mangoldt_range(lo + 1, hi + 1)
     n = np.flatnonzero(lam) + lo + 1
     w = lam[n - lo - 1]
-    hv = h.value(n.astype(np.float64))
-    arg = hv * xi
-    ph = np.exp((2j * math.pi) * (arg - np.floor(arg)))
-    block = complex(pairwise_sum(w * ph))
+    block = _phase_sum(w, h.value(n.astype(np.float64)), xi)
     integral = osc_integral(h, t / 2.0, t, xi)
     err = abs(block - integral)
     norm = normalizer(t, epsilon)

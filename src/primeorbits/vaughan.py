@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import primes
-from .accum import kahan_sum, pairwise_sum, reduce_parts
+from .accum import kahan_sum, pairwise_sum, phase, reduce_parts
 from .regvar import RegVarFunction
 
 
@@ -106,10 +106,7 @@ class VaughanSplit:
 
 def _phase_weighted(h: RegVarFunction, idx: np.ndarray, freq: float,
                     weights: np.ndarray) -> complex:
-    hv = h.value(idx.astype(np.float64))
-    arg = hv * freq
-    ph = np.exp((2j * math.pi) * (arg - np.floor(arg)))
-    return pairwise_sum(weights * ph)
+    return pairwise_sum(weights * phase(h.value(idx.astype(np.float64)), freq))
 
 
 def exp_sum_split(h: RegVarFunction, P: float, P1: float, xi: float, m: int,

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expsum import EPSILON, guarded_floor
-from .primes import primes_upto
+from .expsum import EPSILON, guarded_floor, prime_floors
 from .regvar import InverseHandle, RegVarFunction
 
 _INT64_CAP = 2 ** 62  # headroom under the signed 64-bit limit
@@ -84,7 +83,8 @@ class WaringCount:
             raise ValueError("negative count")
 
 
-def _arg_cutoff(h: RegVarFunction, lambda_max: int) -> int:
+def arg_cutoff(h: RegVarFunction, lambda_max: int) -> int:
+    """Largest argument m the histograms up to lambda_max evaluate."""
     # floor(h(m)) <= lambda_max forces m < phi(lambda_max + 1); one spare
     # index absorbs inverse roundoff, the floor mask does the exact cut
     inv = InverseHandle(h)
@@ -93,7 +93,7 @@ def _arg_cutoff(h: RegVarFunction, lambda_max: int) -> int:
 
 def memory_estimate(functions, lambda_max: int) -> int:
     """Bytes a count_report up to lambda_max is expected to hold at peak."""
-    m_max = max(_arg_cutoff(f, lambda_max) for f in functions)
+    m_max = max(arg_cutoff(f, lambda_max) for f in functions)
     return (_BYTES_PER_ARG * m_max + _BYTES_PER_LAMBDA * (lambda_max + 1)
             + _BYTES_PER_SLOT * _transform_length(2 * lambda_max + 1))
 
@@ -102,7 +102,7 @@ def floor_image_histogram(h: RegVarFunction, lambda_max: int) -> np.ndarray:
     """g[s] = #{m >= 1 : floor(h(m)) = s} for 0 <= s <= lambda_max."""
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
-    m_max = _arg_cutoff(h, lambda_max)
+    m_max = arg_cutoff(h, lambda_max)
     m = np.arange(1, m_max + 1, dtype=np.float64)
     floors, _ = guarded_floor(h, m)
     keep = floors <= lambda_max
@@ -113,14 +113,10 @@ def prime_weighted_histogram(h: RegVarFunction, lambda_max: int) -> np.ndarray:
     """w[s] = sum of log p over primes p with floor(h(p)) = s."""
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
-    m_max = _arg_cutoff(h, lambda_max)
-    p = primes_upto(m_max).astype(np.float64)
-    if p.size == 0:
-        return np.zeros(lambda_max + 1)
-    floors, _ = guarded_floor(h, p)
+    p, floors = prime_floors(h, arg_cutoff(h, lambda_max))
     keep = floors <= lambda_max
-    return np.bincount(floors[keep], weights=np.log(p[keep]),
-                       minlength=lambda_max + 1)
+    logs = np.log(p[keep].astype(np.float64))
+    return np.bincount(floors[keep], weights=logs, minlength=lambda_max + 1)
 
 
 @dataclass(frozen=True)

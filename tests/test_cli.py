@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from primeorbits import cli, zeta
+from primeorbits import cli, primes, zeta
 
 
 def write_config(tmp_path, text: str):
@@ -124,6 +124,43 @@ def test_waring_refuses_lambda_before_work(tmp_path, lam):
     assert cli.main(["waring", "--lam", lam, "--out", str(out)]) == 1
     assert not out.exists()
     assert not (tmp_path / "w.txt.json").exists()
+
+
+def _sieve_calls(monkeypatch) -> list:
+    """Record sieve_range calls, starting from an empty prime cache."""
+    calls = []
+    real = primes.sieve_range
+
+    def recording(lo, hi, threads=1):
+        calls.append((lo, hi, threads))
+        return real(lo, hi, threads)
+
+    monkeypatch.setattr(primes, "_cache",
+                        {"hi": 0, "primes": np.empty(0, dtype=np.int64)})
+    monkeypatch.setattr(primes, "sieve_range", recording)
+    return calls
+
+
+def test_waring_presieves_for_every_function(tmp_path, monkeypatch):
+    # c2, c3 < c1 need more primes than the first function; one threaded
+    # sieve from 0 must cover all three histograms
+    calls = _sieve_calls(monkeypatch)
+    code = cli.main(["waring", "--c1", "1.5", "--c2", "1.01", "--c3", "1.01",
+                     "--lam", "1000,100000", "--threads", "2",
+                     "--out", str(tmp_path / "w.txt")])
+    assert code == 0
+    from_zero = [c for c in calls if c[0] == 0]
+    assert len(from_zero) == 1 and from_zero[0][2] == 2
+
+
+def test_expsum_refuses_oversized_table_before_work(tmp_path, monkeypatch):
+    # h(1e7) at c=1.95 is about 4.5e13 phi' entries
+    calls = _sieve_calls(monkeypatch)
+    out = tmp_path / "e.txt"
+    assert cli.main(["expsum", "--c", "1.95", "--N", "1000,10000000",
+                     "--out", str(out)]) == 1
+    assert calls == []
+    assert not out.exists()
 
 
 def test_explicit_check_passes(tmp_path):

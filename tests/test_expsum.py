@@ -1,4 +1,5 @@
 import math
+from collections import OrderedDict
 
 import mpmath
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeorbits import expsum
+from primeorbits import ergodic, expsum, primes, waring
 from primeorbits.primes import chebyshev_psi, chebyshev_theta
-from primeorbits.regvar import log_power, pure_power
+from primeorbits.regvar import exp_log, log_power, pure_power
 
 H12 = pure_power(1.2)
 
@@ -161,6 +162,14 @@ def test_osc_integral_conjugation():
     assert a == np.conj(b)
 
 
+def test_osc_integral_blocks_do_not_change_value(monkeypatch):
+    # panels are evaluated in blocks of _PANELS; blocking must not move a bit
+    h = log_power(1.15, a=0.5)
+    whole = expsum.osc_integral(h, 500.0, 1000.0, 0.37)
+    monkeypatch.setattr(expsum, "_PANELS", 7)
+    assert expsum.osc_integral(h, 500.0, 1000.0, 0.37) == whole
+
+
 def test_osc_integral_budget():
     with pytest.raises(ValueError):
         expsum.osc_integral(H12, 1.0, 1e6, 0.4, max_panels=10)
@@ -228,3 +237,77 @@ def test_dyadic_block_empty():
 def test_dyadic_block_finite_ratio():
     b = expsum.dyadic_block_check(pure_power(1.1), 1e4, 1e4 ** (-0.51))
     assert np.isfinite(b.ratio) and b.ratio >= 0.0
+
+
+# -- per-function tables ------------------------------------------------------
+
+
+def _sums(h, N, xi):
+    return (expsum.prime_floor_sum(h, N, xi).value,
+            expsum.approximant_sum(h, N, xi).value)
+
+
+@pytest.fixture
+def small_store(monkeypatch):
+    # an empty store and a small chunk, so growth starts mid-chunk and
+    # spans several chunks
+    monkeypatch.setattr(expsum, "_tables", OrderedDict())
+    monkeypatch.setattr(expsum, "_CHUNK", 1000)
+
+
+def test_tables_same_sums_cold_grown_and_evicted(small_store):
+    h = log_power(1.15, a=0.5)
+    cold = _sums(h, 5000, 0.0123)
+    cold_big = _sums(h, 20000, -0.271)
+    expsum._tables.clear()
+    assert _sums(h, 5000, 0.0123) == cold
+    # growing from the 5000 tables computes only the tail
+    assert _sums(h, 20000, -0.271) == cold_big
+    assert _sums(h, 5000, 0.0123) == cold
+    for c in (1.3, 1.4, 1.5, 1.6):
+        _sums(pure_power(c), 3000, 0.1)
+    assert h not in expsum._tables
+    assert len(expsum._tables) == expsum._KEEP
+    assert _sums(h, 5000, 0.0123) == cold
+
+
+def test_tables_grow_by_tail_only(small_store, monkeypatch):
+    h = pure_power(1.3)
+    calls = []
+    real = expsum.guarded_floor
+
+    def counting(f, n):
+        calls.append(n.size)
+        return real(f, n)
+
+    monkeypatch.setattr(expsum, "guarded_floor", counting)
+    expsum.prime_floors(h, 5000)
+    expsum.prime_floors(h, 4000)
+    expsum.prime_floors(h, 20000)
+    pi5, pi20 = primes.prime_count(5000), primes.prime_count(20000)
+    # pi(5000) = 669 at once, nothing for the prefix, then the tail in
+    # chunks of 1000
+    assert calls == [pi5, 1000, pi20 - pi5 - 1000]
+
+
+def test_orbit_and_histogram_match_direct_floors(small_store):
+    h = exp_log(1.1, a=0.3, b=0.5)
+    expsum.prime_floors(h, 60000)  # later requests are prefix views
+    p = primes.primes_upto(30000)
+    want, _ = expsum.guarded_floor(h, p)
+    assert np.array_equal(ergodic.orbit_indices(h, 30000), want)
+    lmax = 4000
+    p = primes.primes_upto(waring.arg_cutoff(h, lmax))
+    fl, _ = expsum.guarded_floor(h, p)
+    keep = fl <= lmax
+    want = np.bincount(fl[keep], weights=np.log(p[keep].astype(np.float64)),
+                       minlength=lmax + 1)
+    assert np.array_equal(waring.prime_weighted_histogram(h, lmax), want)
+
+
+def test_tables_are_read_only(small_store):
+    p, fl = expsum.prime_floors(H12, 1000)
+    tables = [p, fl, expsum.phi_prime(H12, 500), ergodic.orbit_indices(H12, 1000)]
+    for t in tables:
+        with pytest.raises(ValueError):
+            t[0] = 1
