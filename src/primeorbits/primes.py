@@ -91,7 +91,8 @@ def primes_upto(n: int, threads: int = 1) -> np.ndarray:
     n = int(n)
     if n >= _cache["hi"]:
         new_hi = max(n + 1, 2 * _cache["hi"], 1 << 16)
-        _cache["primes"] = sieve_range(0, new_hi, threads=threads)
+        tail = sieve_range(_cache["hi"], new_hi, threads=threads)
+        _cache["primes"] = np.concatenate([_cache["primes"], tail])
         _cache["hi"] = new_hi
     k = np.searchsorted(_cache["primes"], n, side="right")
     return _cache["primes"][:k]

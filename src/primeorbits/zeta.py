@@ -10,10 +10,20 @@ height cut.
 The oscillatory sum I(gamma) = int_{t/2}^t s^{beta-1} e(h(s) xi) s^{i gamma} ds
 is evaluated by a Filon scheme in u = log s: the slow factor
 f(u) = e^{beta u} e(xi h(e^u)) is projected on degree-16 Legendre pieces
-over panels sized by the xi*h phase, and the e^{i gamma u} factor is
-integrated exactly against each Legendre mode via spherical Bessel
+over P equal panels sized by the xi*h phase, and the e^{i gamma u} factor
+is integrated exactly against each Legendre mode via spherical Bessel
 moments.  One panel decomposition therefore serves every zero, which is
 what makes height cuts in the tens of thousands affordable.
+
+The panel centers form one arithmetic progression c_j = c0 + s j, used
+by both the Legendre nodes and the carriers e^{i c_j gamma}.  With
+j = a B + b, B = ceil(sqrt P) and A = ceil(P / B), each carrier is the
+product of e^{i (c0 + s B a) gamma} and e^{i s b gamma}, so a zero costs
+A + B complex exponentials instead of P, and the panels x zeros carrier
+matrix is never formed: one matmul sums over b, a batched product over
+a.  The conjugate zero's projection comes from the conjugated
+coefficients in the same product.  Zeros are taken in blocks whose
+product stays under _BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -35,8 +45,11 @@ _GL_U, _GL_W = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
 # P_k(v_j) table reused by every projection
 _LEG_VALS = np.polynomial.legendre.legvander(_GL_U, _NODES_PER_PANEL - 1)
 _PROJ = _GL_W[:, None] * _LEG_VALS * (2.0 * np.arange(_NODES_PER_PANEL) + 1.0) / 2.0
-_K_PARITY = np.where(np.arange(_NODES_PER_PANEL) % 2 == 0, 1.0, -1.0)
-_MOMENT_PHASE = 2.0 * (1j ** np.arange(_NODES_PER_PANEL))
+_K_RANGE = np.arange(_NODES_PER_PANEL)
+_K_PARITY = np.where(_K_RANGE % 2 == 0, 1.0, -1.0)
+_MOMENT_PHASE = 2.0 * (1j ** _K_RANGE)
+# bytes of the (zeros, A, 34) product that one block of zeros may take
+_BLOCK_BYTES = 1 << 22
 
 ZERO_TABLE_ENV = "PRIMEORBITS_ZERO_TABLE"
 
@@ -169,23 +182,33 @@ def zero_power_sum(t: float, T1: float, table: ZetaZeroTable,
 
 
 def _osc_panels(h: RegVarFunction, t: float, xi: float,
-                max_panels: int) -> tuple[np.ndarray, float]:
-    """Equal panels in u = log s, at least 4 per cycle of the xi*h phase."""
+                max_panels: int) -> tuple[float, float, int]:
+    """Equal panels in u = log s, at least 4 per cycle of the xi*h phase.
+
+    Returns (c0, half, n_panels): panel j has half-width `half` and is
+    centred at c0 + 2*half*j.
+    """
     cycles = abs(xi) * (h.value(t) - h.value(t / 2.0))
     n_panels = int(math.ceil(4.0 * cycles)) + 8
     if n_panels > max_panels:
         raise ValueError(f"quadrature budget exceeded: {n_panels} panels "
                          f"for xi={xi:g}, t={t:g} (cap {max_panels})")
     u0, u1 = math.log(t / 2.0), math.log(t)
-    edges = np.linspace(u0, u1, n_panels + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (u1 - u0) / n_panels
-    return centers, half
+    return u0 + half, half, n_panels
+
+
+def _panel_coeffs(h: RegVarFunction, xi: float, beta: float, c0: float,
+                  half: float, n_panels: int) -> np.ndarray:
+    """Degree-16 Legendre coefficients (panels x modes) of
+    f(u) = e^{beta u} e(xi h(e^u)) on the panels of _osc_panels."""
+    u = (c0 + 2.0 * half * np.arange(n_panels))[:, None] + half * _GL_U[None, :]
+    return np.exp(beta * u + 2j * np.pi * xi * h.value(np.exp(u))) @ _PROJ
 
 
 def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
                  table: ZetaZeroTable, epsilon: float = EPSILON,
-                 max_panels: int = 1 << 20, zero_chunk: int = 2048) -> ZeroSumBound:
+                 max_panels: int = 1 << 20) -> ZeroSumBound:
     """Sum over zeros gamma <= T of int_{t/2}^t s^{rho-1} e(h(s) xi) ds,
     including the conjugate zero of each, against the normalizer.
 
@@ -199,33 +222,42 @@ def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
         raise ValueError(f"T={T} beyond table coverage {table.max_gamma:.3f}")
     beta = table.assumed_beta
     g = table.gammas[: table.count_upto(T)]
-    centers, half = _osc_panels(h, t, xi, max_panels)
+    c0, half, n_panels = _osc_panels(h, t, xi, max_panels)
     if g.size == 0:
         return ZeroSumBound(value=0.0 + 0.0j, n_zeros=0, t=t,
                             normalizer=normalizer(t, epsilon),
-                            n_panels=centers.size)
+                            n_panels=n_panels)
 
-    # degree-16 Legendre coefficients of f(u) = e^{beta u} e(xi h(e^u))
-    u_nodes = centers[:, None] + half * _GL_U[None, :]
-    f_nodes = np.exp(beta * u_nodes
-                     + 2j * np.pi * xi * h.value(np.exp(u_nodes)))
-    coeffs = f_nodes @ _PROJ  # panels x modes
+    K = _NODES_PER_PANEL
+    # panel j = a*B + b is centred at c0 + 2*half*j, so its carrier
+    # e^{i c_j gamma} is E2[a] * E1[b] with E2 = e^{i (c0 + 2 half B a) gamma}
+    # and E1 = e^{i 2 half b gamma}: A + B exponentials per zero, not P
+    B = math.isqrt(n_panels - 1) + 1
+    A = -(-n_panels // B)
+    b_phase = 2.0 * half * np.arange(B)
+    a_phase = c0 + 2.0 * half * B * np.arange(A)
+    # modes of rho = beta+ig in columns :K, conjugates for beta-ig in K:,
+    # zero rows past the last panel; row b of cb holds panels a*B + b
+    coeffs = np.zeros((A * B, 2 * K), dtype=np.complex128)
+    coeffs[:n_panels, :K] = _panel_coeffs(h, xi, beta, c0, half, n_panels)
+    coeffs[:n_panels, K:] = np.conj(coeffs[:n_panels, :K])
+    cb = coeffs.reshape(A, B, 2 * K).transpose(1, 0, 2).reshape(B, A * 2 * K)
 
     # moments: int_{-1}^{1} P_k(v) e^{i omega v} dv = 2 i^k j_k(omega)
+    block = max(1, _BLOCK_BYTES // (A * 2 * K * 16))
     parts = []
-    for lo in range(0, g.size, zero_chunk):
-        gs = g[lo:lo + zero_chunk]
-        omega = gs * half
-        moments = np.empty((_NODES_PER_PANEL, gs.size), dtype=np.complex128)
-        for k in range(_NODES_PER_PANEL):
-            moments[k] = _MOMENT_PHASE[k] * spherical_jn(k, omega)
-        carriers = np.exp(1j * np.outer(centers, gs))
-        proj_pos = coeffs.T @ carriers            # modes x zeros, rho = beta+ig
-        proj_neg = coeffs.T @ np.conj(carriers)   # conjugate zero beta-ig
-        vals = half * ((proj_pos * moments).sum(axis=0)
-                       + (proj_neg * moments * _K_PARITY[:, None]).sum(axis=0))
+    for lo in range(0, g.size, block):
+        gs = g[lo:lo + block]
+        moments = _MOMENT_PHASE * spherical_jn(_K_RANGE, gs[:, None] * half)
+        e1 = np.exp(1j * np.outer(gs, b_phase))
+        e2 = np.exp(1j * np.outer(gs, a_phase))
+        # sum over b by one matmul, then over a per zero; the (zeros, A, 2K)
+        # product is a temporary, so no two blocks' products coexist
+        proj = (e2[:, None, :] @ (e1 @ cb).reshape(gs.size, A, 2 * K))[:, 0, :]
+        vals = half * ((proj[:, :K] * moments).sum(axis=1)
+                       + (np.conj(proj[:, K:]) * moments * _K_PARITY).sum(axis=1))
         parts.append(pairwise_sum(vals))
     total = reduce_parts(parts)
     return ZeroSumBound(value=complex(total), n_zeros=int(g.size), t=t,
                         normalizer=normalizer(t, epsilon),
-                        n_panels=centers.size)
+                        n_panels=n_panels)

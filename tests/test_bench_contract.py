@@ -5,9 +5,12 @@ with getattr; a renamed or deleted function would make a traced run
 fail.  The file is loaded by path and only read.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
+
+from primeorbits.zeta import ZeroSumBound
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -27,3 +30,10 @@ def test_tracing_targets_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{modname}.{attr}"
+
+
+def test_zero_sum_result_keeps_traced_fields():
+    # the tracer's zeta.panel_zeros counter is n_panels * n_zeros of the
+    # ZeroSumBound that zero_osc_sum returns
+    names = {f.name for f in dataclasses.fields(ZeroSumBound)}
+    assert {"n_panels", "n_zeros"} <= names

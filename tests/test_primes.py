@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primeorbits import primes
 from primeorbits.primes import (
     build_table,
     chebyshev_psi,
@@ -77,6 +78,24 @@ def test_primes_upto_cache_consistency():
     small = primes_upto(100)
     big = primes_upto(10**5)
     assert np.array_equal(small, big[big <= 100])
+
+
+def test_primes_upto_grows_by_sieving_the_tail(monkeypatch):
+    calls = []
+
+    def recording(lo, hi, threads=1):
+        calls.append((lo, hi))
+        return sieve_range(lo, hi, threads)
+
+    monkeypatch.setattr(primes, "_cache",
+                        {"hi": 0, "primes": np.empty(0, dtype=np.int64)})
+    monkeypatch.setattr(primes, "sieve_range", recording)
+    primes_upto(1000)
+    old_hi = primes._cache["hi"]
+    primes_upto(3 * old_hi)
+    new_hi = primes._cache["hi"]
+    assert calls == [(0, old_hi), (old_hi, new_hi)]
+    assert np.array_equal(primes._cache["primes"], sieve_range(0, new_hi))
 
 
 def test_von_mangoldt_values():

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import spherical_jn
 
 from primeorbits import expsum, zeta
+from primeorbits.accum import pairwise_sum, reduce_parts
 from primeorbits.primes import chebyshev_psi
 from primeorbits.regvar import pure_power
 
@@ -195,3 +198,80 @@ def test_explicit_formula_chain():
             osc = zeta.zero_osc_sum(H11, t, xi, T, TAB)
             rem = t * math.log(t) ** 2 / T * (1.0 + xi * H11.value(t))
             assert b.abs_error <= abs(osc.value) + rem
+
+
+# -- the direct kernel, kept as the oracle of the factored one ---------------
+
+_K = 17
+_U, _W = np.polynomial.legendre.leggauss(_K)
+_PROJ = (_W[:, None] * np.polynomial.legendre.legvander(_U, _K - 1)
+         * (2.0 * np.arange(_K) + 1.0) / 2.0)
+_PARITY = np.where(np.arange(_K) % 2 == 0, 1.0, -1.0)
+
+
+def _direct_osc_sum(h, t, xi, T, table):
+    """The zero sum with one carrier e^{i c_j gamma} per panel and zero."""
+    n = int(math.ceil(4.0 * abs(xi) * (h.value(t) - h.value(t / 2.0)))) + 8
+    u0, u1 = math.log(t / 2.0), math.log(t)
+    edges = np.linspace(u0, u1, n + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (u1 - u0) / n
+    g = table.gammas[: table.count_upto(T)]
+    u = centers[:, None] + half * _U[None, :]
+    coeffs = np.exp(table.assumed_beta * u
+                    + 2j * np.pi * xi * h.value(np.exp(u))) @ _PROJ
+    parts = []
+    for lo in range(0, g.size, 2048):
+        gs = g[lo:lo + 2048]
+        moments = np.array([2.0 * 1j ** k * spherical_jn(k, gs * half)
+                            for k in range(_K)])
+        carriers = np.exp(1j * np.outer(centers, gs))
+        proj_pos = coeffs.T @ carriers
+        proj_neg = coeffs.T @ np.conj(carriers)
+        vals = half * ((proj_pos * moments).sum(axis=0)
+                       + (proj_neg * moments * _PARITY[:, None]).sum(axis=0))
+        parts.append(pairwise_sum(vals))
+    return complex(reduce_parts(parts)), n
+
+
+def _xi_for_panels(h, t, panels):
+    """The frequency at which _osc_panels chooses exactly `panels` panels."""
+    return (panels - 8.5) / (4.0 * (h.value(t) - h.value(t / 2.0)))
+
+
+# every panel count gives A >= 3 rows of 34 complex columns per zero
+_MIN_ZERO_BYTES = 3 * 34 * 16
+
+
+@pytest.mark.parametrize("panels, sign", [(8, 0), (100, 1), (100, -1),
+                                          (101, 1), (101, -1)])
+@pytest.mark.parametrize("T", [15.0, 1e3, 1e4])
+def test_zero_osc_sum_matches_direct_kernel(panels, sign, T):
+    # P = 8 is the fewest panels, 100 a perfect square, 101 a prime; the
+    # cutoffs give 1 zero, 649 zeros and more zeros than one block holds
+    t = 1e4
+    xi = sign * _xi_for_panels(H11, t, panels)
+    r = zeta.zero_osc_sum(H11, t, xi, T, TAB)
+    want, n = _direct_osc_sum(H11, t, xi, T, TAB)
+    assert r.n_panels == n == panels
+    assert r.n_zeros == {15.0: 1, 1e3: 649, 1e4: 10142}[T]
+    if T == 1e4:
+        assert r.n_zeros * _MIN_ZERO_BYTES > zeta._BLOCK_BYTES
+    assert abs(r.value - want) <= 1e-12 * r.normalizer
+    if sign == 0:
+        assert abs(r.value.imag) <= 1e-9 * max(1.0, abs(r.value.real))
+
+
+def test_zero_osc_sum_memory_below_carrier_matrix():
+    # the direct kernel holds a P x Z complex carrier matrix and its
+    # conjugate; the factored one stays under half of one such matrix
+    t, panels = 1e5, 7600
+    xi = _xi_for_panels(H11, t, panels)
+    tracemalloc.start()
+    try:
+        r = zeta.zero_osc_sum(H11, t, xi, 1e3, TAB)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (r.n_panels, r.n_zeros) == (panels, 649)
+    assert peak < panels * 649 * 16 / 2
