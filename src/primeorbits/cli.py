@@ -53,7 +53,8 @@ _SUB_KEYS = {
     "regvar-check": set(),
 }
 
-_MEMORY_CAP = 2 << 30  # bytes a waring report or phi' table may plan to hold
+_MEMORY_CAP = 2 << 30  # bytes a waring report or ergodic orbit may plan to hold
+_TERM_CAP = 1 << 28  # approximant terms h(N) of one expsum row
 
 _DEFAULTS = {
     "format": "text", "threads": 1, "seed": 0, "check": False,
@@ -145,11 +146,25 @@ def _validate(cfg: dict) -> None:
         raise ValueError("format must be text or json")
     if cfg["subcommand"] == "expsum":
         h, n_grid = _expsum_inputs(cfg)
-        need = 8.0 * h.value(float(max(n_grid)))  # 8 bytes per phi' entry
-        if need > _MEMORY_CAP:
-            raise ValueError(f"N={max(n_grid)} needs a phi' table of about "
-                             f"{need / 2 ** 30:.3g} GiB, over the "
+        terms = h.value(float(max(n_grid)))
+        if terms > _TERM_CAP:
+            raise ValueError(f"N={max(n_grid)} needs about {terms:.3g} "
+                             f"approximant terms, over the 2^28 cap")
+    if cfg["subcommand"] == "ergodic":
+        h, jmin, jmax = _ergodic_inputs(cfg)
+        if not 1 <= jmin <= jmax:
+            raise ValueError(f"need 1 <= jmin <= jmax, got {jmin}, {jmax}")
+        # primes, floors and orbit values hold 8 bytes each per prime
+        # p <= 2^jmax, and pi(x) < 1.25506 x / log x (Rosser-Schoenfeld);
+        # log2 of the bytes, so a huge jmax stays finite
+        bits = jmax + math.log2(24.0 * 1.25506 / (jmax * math.log(2.0)))
+        if bits > math.log2(_MEMORY_CAP):
+            raise ValueError(f"jmax={jmax} needs about 2^{bits:.1f} bytes of "
+                             f"orbit arrays, over the "
                              f"{_MEMORY_CAP / 2 ** 30:g} GiB cap")
+        if h.value(2.0 ** jmax) >= 2.0 ** 53:
+            raise ValueError(f"jmax={jmax}: h(2^{jmax}) reaches 2^53, where "
+                             "a double has no fractional bit left")
     if cfg["subcommand"] == "waring":
         hs, lams = _waring_inputs(cfg)
         waring.check_lambda(hs, min(lams))
@@ -328,10 +343,14 @@ def _run_waring(cfg: dict):
     return columns, rows, notes, failures
 
 
-def _run_ergodic(cfg: dict):
+def _ergodic_inputs(cfg: dict):
     h = _function_from(cfg) if "c" in cfg else pure_power(1.1)
+    return h, cfg.get("jmin", 10), cfg.get("jmax", 20)
+
+
+def _run_ergodic(cfg: dict):
+    h, jmin, jmax = _ergodic_inputs(cfg)
     x = cfg.get("start", 0.35)
-    jmin, jmax = cfg.get("jmin", 10), cfg.get("jmax", 20)
     kgrid = cfg.get("kgrid", [10, 100, 1000])
     alpha = ergodic.golden_surrogate()
     primes.primes_upto(2 ** jmax, threads=cfg["threads"])
@@ -339,7 +358,7 @@ def _run_ergodic(cfg: dict):
     grid = [2 ** j for j in range(jmin, jmax + 1)]
     rep = ergodic.convergence_report(system, h, grid, seed=cfg["seed"])
     prime_list = primes.primes_upto(grid[-1])
-    vals = system.orbit_values(h, grid[-1])
+    vals = rep.orbit
     columns = ["N", "A_N", "abs_A_N", "D_N", "running_max_absf", "delta"]
     rows = []
     deltas = np.concatenate([[0.0], rep.deltas])

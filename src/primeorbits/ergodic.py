@@ -13,7 +13,7 @@ statistics of average trajectories along lacunary time grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -230,7 +230,7 @@ class OscillationReport:
     o2_random: np.ndarray
     v2: float
     seed: int
-    boxes: dict | None = field(default=None)
+    orbit: np.ndarray  # orbit values over the primes p <= max(grid)
 
     def trend_violations(self) -> int:
         """How often |values| fails to decrease along the grid."""
@@ -278,7 +278,8 @@ def convergence_report(system, h: RegVarFunction, N_grid,
         grid=grid, values=traj, deltas=np.diff(traj),
         running_max=np.maximum.accumulate(traj_abs),
         i_dyadic=i_dyadic, o2_dyadic=o2_dyadic,
-        o2_random=np.array(o2_random), v2=variation2(traj), seed=seed)
+        o2_random=np.array(o2_random), v2=variation2(traj), seed=seed,
+        orbit=vals)
 
 
 def halfline_observable(y: np.ndarray) -> np.ndarray:

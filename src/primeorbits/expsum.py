@@ -17,10 +17,12 @@ arithmetic.  Every accumulation uses the fixed-shape pairwise tree from
 accum, so results are reproducible bit for bit and conjugate-symmetric
 in xi.
 
-Two tables are kept per function h: floor(h(p)) over the primes of
-primes.primes_upto, and phi'(1..lam).  prime_floors and phi_prime hand
-out read-only prefix views; a longer request computes only the missing
-tail.  The tables of the four most recently used functions are kept.
+One table is kept per function h: floor(h(p)) over the primes of
+primes.primes_upto.  prime_floors hands out read-only prefix views; a
+longer request computes only the missing tail.  The tables of the four
+most recently used functions are kept.  The approximant's weights
+phi'(n) are made one chunk at a time inside the sum and never stored:
+in closed form for pure powers, by Newton on h otherwise.
 """
 
 from __future__ import annotations
@@ -106,9 +108,9 @@ def guarded_floor(h: RegVarFunction, n: np.ndarray) -> tuple[np.ndarray, int]:
     return out, int(bad.size)
 
 
-# -- per-function tables ------------------------------------------------------
+# -- per-function floor tables ------------------------------------------------
 
-_tables: OrderedDict = OrderedDict()  # h -> {table name: array}
+_tables: OrderedDict = OrderedDict()  # h -> floor(h(p)) over cached primes
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -117,58 +119,70 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def _table(h: RegVarFunction, name: str, dtype, n: int, fill) -> np.ndarray:
-    """First n entries of h's table `name`, grown on demand.
+def prime_floors(h: RegVarFunction, N: float) -> tuple[np.ndarray, np.ndarray]:
+    """(primes p <= N, floor(h(p))), both read-only.
 
-    Growth writes the old prefix and then fill(lo, hi), entries lo..hi-1
-    of the missing tail, chunk by chunk into one new array.
+    Growth copies the old prefix and floors the missing tail chunk by
+    chunk into one new array.
     """
-    tables = _tables.pop(h, {})
-    _tables[h] = tables
+    p = primes.primes_upto(int(N))
+    fl = _tables.get(h, np.empty(0, np.int64))
+    if p.size > fl.size:
+        new = np.empty(p.size, np.int64)
+        new[:fl.size] = fl
+        for lo in range(fl.size, p.size, _CHUNK):
+            hi = min(lo + _CHUNK, p.size)
+            new[lo:hi] = guarded_floor(h, p[lo:hi])[0]
+        fl = new
+    _tables[h] = fl
+    _tables.move_to_end(h)
     if len(_tables) > _KEEP:
         _tables.popitem(last=False)
-    old = tables.get(name, np.empty(0, dtype))
-    if n > old.size:
-        new = np.empty(n, dtype)
-        new[:old.size] = old
-        for lo in range(old.size, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            new[lo:hi] = fill(lo, hi)
-        tables[name] = old = new
-    return _frozen(old[:n])
+    return _frozen(p), _frozen(fl[:p.size])
 
 
-def prime_floors(h: RegVarFunction, N: float) -> tuple[np.ndarray, np.ndarray]:
-    """(primes p <= N, floor(h(p))), both read-only."""
-    p = primes.primes_upto(int(N))
-    fl = _table(h, "floors", np.int64, p.size,
-                lambda lo, hi: guarded_floor(h, p[lo:hi])[0])
-    return _frozen(p), fl
+def _phi_d1(h: RegVarFunction):
+    """phi'(y) as a function of a float array y.
 
+    For a pure power coeff * x**c it is gamma * coeff**-gamma * y**(gamma-1),
+    and 1/h'(x0) for y <= h(x0) where InverseHandle clamps phi to x0;
+    every other kind takes InverseHandle(h).d1.
+    """
+    if h.kind != "pure":
+        return InverseHandle(h).d1
+    ylo, low = h.value(h.x0), 1.0 / h.d1(h.x0)
+    scale, power = h.gamma * h.coeff ** -h.gamma, h.gamma - 1.0
 
-def phi_prime(h: RegVarFunction, lam: int) -> np.ndarray:
-    """phi'(n) for n = 1..lam, read-only."""
-    inv = InverseHandle(h)
-    return _table(h, "phi", np.float64, lam, lambda lo, hi: inv.d1(
-        np.arange(lo + 1, hi + 1, dtype=np.float64)))
+    def d1(y: np.ndarray) -> np.ndarray:
+        out = y ** power
+        out *= scale
+        np.putmask(out, y <= ylo, low)
+        return out
+
+    return d1
 
 
 # -- sums ---------------------------------------------------------------------
 
 
-def _phase_sum(w: np.ndarray, n: np.ndarray | None, xi: float) -> complex:
-    """Sum of w[i] e(n[i] xi) in fixed chunks; n=None stands for 1, 2, ..."""
+def _phase_sum(size: int, weight, n: np.ndarray | None, xi: float) -> complex:
+    """Sum of w[i] e(n[i] xi), i < size, in fixed chunks.
+
+    weight(lo, hi) returns w[lo:hi], so weights exist one chunk at a
+    time; n=None stands for 1, 2, ...
+    """
     parts = []
-    for lo, hi in chunked(w.size, _CHUNK):
+    for lo, hi in chunked(size, _CHUNK):
         m = np.arange(lo + 1, hi + 1) if n is None else n[lo:hi]
-        parts.append(pairwise_sum(w[lo:hi] * phase(m.astype(np.float64), xi)))
+        parts.append(pairwise_sum(weight(lo, hi) * phase(m.astype(np.float64), xi)))
     return complex(reduce_parts(parts))
 
 
 def prime_floor_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
     """Log-weighted exponential sum over primes up to N."""
     p, fl = prime_floors(h, N)
-    value = _phase_sum(np.log(p.astype(np.float64)), fl, xi)
+    value = _phase_sum(p.size, lambda lo, hi: np.log(p[lo:hi].astype(np.float64)),
+                       fl, xi)
     return ExpSumResult(value, int(p.size), float(N), float(xi), "prime")
 
 
@@ -178,8 +192,9 @@ def von_mangoldt_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
     lam = primes.von_mangoldt_range(0, N + 1)
     n = np.flatnonzero(lam)
     fl, _ = guarded_floor(h, n)
-    return ExpSumResult(_phase_sum(lam[n], fl, xi), int(n.size), float(N),
-                        float(xi), "vonmangoldt")
+    w = lam[n]
+    return ExpSumResult(_phase_sum(w.size, lambda lo, hi: w[lo:hi], fl, xi),
+                        int(n.size), float(N), float(xi), "vonmangoldt")
 
 
 def approximant_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
@@ -188,7 +203,9 @@ def approximant_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
     lam = int(math.floor(hN))
     if abs(hN - round(hN)) <= GUARD:
         lam = _mp_floor(h.eval_mp(float(N)))
-    value = _phase_sum(phi_prime(h, lam), None, xi)
+    d1 = _phi_d1(h)
+    value = _phase_sum(lam, lambda lo, hi: d1(
+        np.arange(lo + 1, hi + 1, dtype=np.float64)), None, xi)
     return ExpSumResult(value, lam, float(N), float(xi), "approximant")
 
 
@@ -349,7 +366,8 @@ def dyadic_block_check(h: RegVarFunction, t: float, xi: float,
     lam = primes.von_mangoldt_range(lo + 1, hi + 1)
     n = np.flatnonzero(lam) + lo + 1
     w = lam[n - lo - 1]
-    block = _phase_sum(w, h.value(n.astype(np.float64)), xi)
+    block = _phase_sum(w.size, lambda a, b: w[a:b], h.value(n.astype(np.float64)),
+                       xi)
     integral = osc_integral(h, t / 2.0, t, xi)
     err = abs(block - integral)
     norm = normalizer(t, epsilon)

@@ -10,10 +10,7 @@ whatever the worker count.
 from __future__ import annotations
 
 import math
-import struct
-import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -278,55 +275,3 @@ def theta_pi_prefix(kmax: int) -> tuple[np.ndarray, np.ndarray]:
         run = t
         theta[s] = run + comp
     return theta, np.cumsum(ind)
-
-
-# -- stored tables -----------------------------------------------------------
-
-_MAGIC = b"PORB"
-_VERSION = 1
-
-
-@dataclass(frozen=True)
-class PrimeTable:
-    """Primes of a half-open range."""
-
-    lo: int
-    hi: int
-    primes: np.ndarray
-
-    def theta(self) -> float:
-        return float(pairwise_sum(np.log(self.primes.astype(np.float64))))
-
-    def count(self) -> int:
-        return int(self.primes.size)
-
-
-def build_table(lo: int, hi: int, threads: int = 1) -> PrimeTable:
-    return PrimeTable(int(lo), int(hi), sieve_range(lo, hi, threads=threads))
-
-
-def save_table(table: PrimeTable, path: str) -> None:
-    """Binary cache: magic, version, range, count, crc32, raw int64 data."""
-    payload = table.primes.astype("<i8").tobytes()
-    head = struct.pack("<4sIqqqI", _MAGIC, _VERSION, table.lo, table.hi,
-                       table.primes.size, zlib.crc32(payload))
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(payload)
-
-
-def load_table(path: str) -> PrimeTable:
-    with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<4sIqqqI"))
-        magic, ver, lo, hi, count, crc = struct.unpack("<4sIqqqI", head)
-        if magic != _MAGIC:
-            raise ValueError("not a prime table file")
-        if ver != _VERSION:
-            raise ValueError(f"unsupported table version {ver}")
-        payload = fh.read()
-    if zlib.crc32(payload) != crc:
-        raise ValueError("prime table checksum mismatch")
-    primes = np.frombuffer(payload, dtype="<i8").astype(np.int64)
-    if primes.size != count:
-        raise ValueError("prime table length mismatch")
-    return PrimeTable(lo, hi, primes)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from primeorbits import cli, primes, zeta
+from primeorbits import cli, ergodic, primes, zeta
 
 
 def write_config(tmp_path, text: str):
@@ -154,13 +154,55 @@ def test_waring_presieves_for_every_function(tmp_path, monkeypatch):
 
 
 def test_expsum_refuses_oversized_table_before_work(tmp_path, monkeypatch):
-    # h(1e7) at c=1.95 is about 4.5e13 phi' entries
+    # h(1e7) at c=1.95 is about 4.5e13 approximant terms
     calls = _sieve_calls(monkeypatch)
     out = tmp_path / "e.txt"
     assert cli.main(["expsum", "--c", "1.95", "--N", "1000,10000000",
                      "--out", str(out)]) == 1
     assert calls == []
     assert not out.exists()
+
+
+def test_expsum_term_cap_is_h_of_max_N():
+    # h(N) = N**1.5 crosses 2^28 between these two N
+    lo, hi = 416127, 416128
+    assert lo ** 1.5 < 2 ** 28 < hi ** 1.5
+    assert cli.parse_config(["expsum", "--c", "1.5", "--N", str(lo)])["N"] == [lo]
+    with pytest.raises(ValueError, match="approximant terms"):
+        cli.parse_config(["expsum", "--c", "1.5", "--N", f"1000,{hi}"])
+
+
+@pytest.mark.parametrize("args", [
+    ["--c", "1.9", "--jmax", "28"],  # h(2^28) = 2^53.2: no fractional bit
+    ["--jmax", "31"],                # about 2^31.5 bytes of orbit arrays
+    ["--jmin", "12", "--jmax", "11"],
+])
+def test_ergodic_refuses_oversized_jmax_before_work(tmp_path, monkeypatch,
+                                                    args):
+    calls = _sieve_calls(monkeypatch)
+    out = tmp_path / "erg.txt"
+    assert cli.main(["ergodic", *args, "--out", str(out)]) == 1
+    assert calls == []
+    assert not out.exists()
+
+
+def test_ergodic_jmax_caps_admit_their_boundary():
+    assert cli.parse_config(["ergodic", "--c", "1.9", "--jmax", "27"])
+    assert cli.parse_config(["ergodic", "--jmax", "30"])
+
+
+def test_ergodic_builds_the_orbit_once(tmp_path, monkeypatch):
+    calls = []
+    real = ergodic.rotation_points
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ergodic, "rotation_points", counting)
+    assert cli.main(["ergodic", "--jmin", "10", "--jmax", "14",
+                     "--out", str(tmp_path / "erg.txt")]) == 0
+    assert len(calls) == 1
 
 
 def test_explicit_check_passes(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import OrderedDict
 
 import mpmath
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from primeorbits import ergodic, expsum, primes, waring
 from primeorbits.primes import chebyshev_psi, chebyshev_theta
-from primeorbits.regvar import exp_log, log_power, pure_power
+from primeorbits.regvar import InverseHandle, exp_log, log_power, pure_power
 
 H12 = pure_power(1.2)
 
@@ -307,7 +308,52 @@ def test_orbit_and_histogram_match_direct_floors(small_store):
 
 def test_tables_are_read_only(small_store):
     p, fl = expsum.prime_floors(H12, 1000)
-    tables = [p, fl, expsum.phi_prime(H12, 500), ergodic.orbit_indices(H12, 1000)]
+    tables = [p, fl, ergodic.orbit_indices(H12, 1000)]
     for t in tables:
         with pytest.raises(ValueError):
             t[0] = 1
+
+
+# -- streamed approximant -----------------------------------------------------
+
+
+@pytest.mark.parametrize("c", [1.01, 1.2, 1.5, 1.95])
+@pytest.mark.parametrize("coeff", [1.0, 0.5])
+def test_pure_phi_closed_form_matches_newton(c, coeff):
+    h = pure_power(c, coeff=coeff)
+    ylo = h.value(h.x0)
+    y = np.concatenate([[0.5, 1.0, ylo, np.nextafter(ylo, np.inf)],
+                        np.geomspace(ylo, 2.0 ** 28, 4000),
+                        np.arange(1.0, 3000.0)])
+    got = expsum._phi_d1(h)(y)
+    want = InverseHandle(h).d1(y)
+    # at and below h(x0) both are clamped to 1/h'(x0)
+    assert np.array_equal(got[y <= ylo], want[y <= ylo])
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+def test_nonpure_approximant_is_the_chunked_newton_sum(monkeypatch):
+    monkeypatch.setattr(expsum, "_CHUNK", 1000)
+    h = log_power(1.15, a=0.5)
+    N, xi = 3000.0, 0.0123
+    res = expsum.approximant_sum(h, N, xi)
+    w = InverseHandle(h).d1(np.arange(1, res.n_terms + 1, dtype=np.float64))
+    want = expsum._phase_sum(w.size, lambda lo, hi: w[lo:hi], None, xi)
+    assert res.n_terms > 3000
+    assert res.value == want
+
+
+def test_approximant_memory_does_not_grow_with_terms(monkeypatch):
+    monkeypatch.setattr(expsum, "_tables", OrderedDict())
+    monkeypatch.setattr(expsum, "_CHUNK", 1 << 14)
+    h = pure_power(1.2)
+    expsum.approximant_sum(h, 1e3, 0.01)  # first-call allocations
+    tracemalloc.start()
+    try:
+        res = expsum.approximant_sum(h, 1e5, 1e5 ** -expsum.theta1_default(1.2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a stored phi' would alone take 8 bytes per term
+    assert res.n_terms == 10**6 - 1  # 1.2 as a double is just below 6/5
+    assert peak < 2 * res.n_terms

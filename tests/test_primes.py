@@ -7,17 +7,14 @@ from hypothesis import strategies as st
 
 from primeorbits import primes
 from primeorbits.primes import (
-    build_table,
     chebyshev_psi,
     chebyshev_theta,
     divisors,
     factorize,
     is_prime,
-    load_table,
     mobius,
     prime_count,
     primes_upto,
-    save_table,
     sieve_range,
     spf_table,
     theta_pi_prefix,
@@ -205,38 +202,11 @@ def test_theta_pi_prefix():
             assert step == 0.0
 
 
-def test_table_roundtrip(tmp_path):
-    t = build_table(0, 10**4)
-    p = tmp_path / "primes.bin"
-    save_table(t, str(p))
-    back = load_table(str(p))
-    assert back.lo == t.lo and back.hi == t.hi
-    assert np.array_equal(back.primes, t.primes)
-
-
-def test_table_detects_corruption(tmp_path):
-    t = build_table(0, 10**4)
-    p = tmp_path / "primes.bin"
-    save_table(t, str(p))
-    raw = bytearray(p.read_bytes())
-    raw[len(raw) // 2] ^= 0xFF
-    p.write_bytes(bytes(raw))
-    with pytest.raises(ValueError):
-        load_table(str(p))
-
-
-def test_table_rejects_foreign_file(tmp_path):
-    p = tmp_path / "junk.bin"
-    p.write_bytes(b"\x00" * 64)
-    with pytest.raises(ValueError):
-        load_table(str(p))
-
-
-def test_build_table_threads_identical(tmp_path):
-    a = build_table(10**5, 10**6, threads=1)
-    b = build_table(10**5, 10**6, threads=7)
-    assert np.array_equal(a.primes, b.primes)
-    pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
-    save_table(a, str(pa))
-    save_table(b, str(pb))
-    assert pa.read_bytes() == pb.read_bytes()
+def test_build_table_threads_identical():
+    # a range that starts past 0 (criterion 10 only sieves from 0) and
+    # spans three segment jobs, so the thread pool actually runs
+    hi = 10**5 + 5 * primes.SEGMENT
+    a = sieve_range(10**5, hi, threads=1)
+    b = sieve_range(10**5, hi, threads=7)
+    assert a.tobytes() == b.tobytes()
+    assert np.array_equal(a, primes_upto(hi - 1)[primes_upto(10**5 - 1).size:])
