@@ -261,10 +261,11 @@ def _run_expsum(cfg: dict):
                "err_over_N", "norm_ratio"]
     rows, failures = [], []
     by_token: dict[str, list] = {tok: [] for tok in tokens}
+    work = expsum.SumWork()
     for n in n_grid:
         for tok in tokens:
             xi = _resolve_xi(tok, float(n), theta1)
-            res = expsum.approx_error(h, float(n), xi, epsilon=eps)
+            res = expsum.approx_error(h, float(n), xi, epsilon=eps, work=work)
             rows.append([int(n), xi, abs(res.prime_sum),
                          abs(res.approximant), res.abs_error, res.rel_error,
                          res.ratio])
@@ -281,7 +282,7 @@ def _run_expsum(cfg: dict):
                 if series[0].ratio > 0 and res.ratio > cap:
                     failures.append(f"normalized ratio blew past 10x "
                                     f"calibration at xi={tok}")
-    notes = [f"theta1={theta1:.6f}", f"h={h.label()}"]
+    notes = [f"theta1={theta1:.6f}", f"h={h.label()}", work.note()]
     return columns, rows, notes, failures
 
 

@@ -10,12 +10,18 @@ with e(x) = exp(2*pi*i*x) and phi the compositional inverse of h.
 
 Floors are guarded: a double evaluation is accepted only when its
 fractional part is inside (1e-9, 1 - 1e-9); the few values outside the
-band are recomputed at 40 significant digits before flooring.  Every
-phase, including the non-integer ones of the oscillatory integral, is
-accum.phase: the argument is reduced modulo 1 in double-double
-arithmetic.  Every accumulation uses the fixed-shape pairwise tree from
-accum, so results are reproducible bit for bit and conjugate-symmetric
-in xi.
+band are recomputed at 40 significant digits before flooring.
+
+Phases take one of two routes, chosen by the argument's dtype.  Integer
+arguments, the floors of the prime and von Mangoldt sums and the
+approximant's 1, 2, ..., go through accum.DigitPhase: one set of small
+digit tables per sum, sized from its largest argument, and a product of
+table entries per term, within DigitPhase's stated bound of the exact
+phase.  Real arguments, h(n) in dyadic_block_check and the quadrature
+points of osc_integral, go through accum.phase: the argument is reduced
+modulo 1 in double-double arithmetic and exponentiated.  Every
+accumulation uses the fixed-shape pairwise tree from accum, so results
+are reproducible bit for bit and conjugate-symmetric in xi.
 
 One table is kept per function h: floor(h(p)) over the primes of
 primes.primes_upto.  prime_floors hands out read-only prefix views; a
@@ -29,13 +35,14 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 import mpmath
 import numpy as np
 
 from . import primes
-from .accum import chunked, pairwise_sum, phase, reduce_parts
+from .accum import DigitPhase, chunked, pairwise_sum, phase, reduce_parts
 from .regvar import InverseHandle, RegVarFunction
 
 EPSILON = 1.0 / 12.0  # default subpolynomial-decay parameter
@@ -70,6 +77,21 @@ def normalizer(n: float, epsilon: float = EPSILON) -> float:
     if not 0.0 <= epsilon < 1.0 / 3.0:
         raise ValueError("epsilon must lie in [0, 1/3)")
     return float(n) * math.exp(-math.log(n) ** (1.0 / 3.0 - epsilon))
+
+
+@dataclass
+class SumWork:
+    """What the sums of one report did, as counts, for its `# work:` note."""
+    floor_points: int = 0       # floors of h computed, store growth included
+    recomputes: int = 0         # of those, settled at 40 digits
+    approximant_terms: int = 0
+    digit_terms: int = 0        # phase terms through accum.DigitPhase
+    direct_terms: int = 0       # phase terms through accum.phase
+    table_entries: int = 0      # DigitPhase table entries built
+
+    def note(self) -> str:
+        return "work: " + " ".join(f"{f.name}={getattr(self, f.name)}"
+                                   for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -119,7 +141,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def prime_floors(h: RegVarFunction, N: float) -> tuple[np.ndarray, np.ndarray]:
+def prime_floors(h: RegVarFunction, N: float,
+                 work: SumWork | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(primes p <= N, floor(h(p))), both read-only.
 
     Growth copies the old prefix and floors the missing tail chunk by
@@ -132,7 +155,10 @@ def prime_floors(h: RegVarFunction, N: float) -> tuple[np.ndarray, np.ndarray]:
         new[:fl.size] = fl
         for lo in range(fl.size, p.size, _CHUNK):
             hi = min(lo + _CHUNK, p.size)
-            new[lo:hi] = guarded_floor(h, p[lo:hi])[0]
+            new[lo:hi], bad = guarded_floor(h, p[lo:hi])
+            if work is not None:
+                work.floor_points += hi - lo
+                work.recomputes += bad
         fl = new
     _tables[h] = fl
     _tables.move_to_end(h)
@@ -165,24 +191,40 @@ def _phi_d1(h: RegVarFunction):
 # -- sums ---------------------------------------------------------------------
 
 
-def _phase_sum(size: int, weight, n: np.ndarray | None, xi: float) -> complex:
+def _phase_sum(size: int, weight, n: np.ndarray | None, xi: float,
+               work: SumWork | None = None) -> complex:
     """Sum of w[i] e(n[i] xi), i < size, in fixed chunks.
 
     weight(lo, hi) returns w[lo:hi], so weights exist one chunk at a
-    time; n=None stands for 1, 2, ...
+    time; n=None stands for 1, 2, ...  Integer arguments, n=None
+    included, go through one DigitPhase sized from the largest of them;
+    real ones through phase.
     """
+    if n is None or n.dtype.kind in "iu":
+        e = DigitPhase(xi, size if n is None else int(n.max(initial=0)))
+        if work is not None:
+            work.digit_terms += size
+            work.table_entries += e.entries
+    else:
+        e = partial(phase, xi=xi)
+        if work is not None:
+            work.direct_terms += size
     parts = []
     for lo, hi in chunked(size, _CHUNK):
-        m = np.arange(lo + 1, hi + 1) if n is None else n[lo:hi]
-        parts.append(pairwise_sum(weight(lo, hi) * phase(m.astype(np.float64), xi)))
+        # the weights first: phi' by Newton peaks before z exists
+        w = weight(lo, hi)
+        z = e(np.arange(lo + 1, hi + 1) if n is None else n[lo:hi])
+        z *= w
+        parts.append(pairwise_sum(z))
     return complex(reduce_parts(parts))
 
 
-def prime_floor_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
+def prime_floor_sum(h: RegVarFunction, N: float, xi: float,
+                    work: SumWork | None = None) -> ExpSumResult:
     """Log-weighted exponential sum over primes up to N."""
-    p, fl = prime_floors(h, N)
+    p, fl = prime_floors(h, N, work)
     value = _phase_sum(p.size, lambda lo, hi: np.log(p[lo:hi].astype(np.float64)),
-                       fl, xi)
+                       fl, xi, work)
     return ExpSumResult(value, int(p.size), float(N), float(xi), "prime")
 
 
@@ -197,7 +239,8 @@ def von_mangoldt_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
                         int(n.size), float(N), float(xi), "vonmangoldt")
 
 
-def approximant_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
+def approximant_sum(h: RegVarFunction, N: float, xi: float,
+                    work: SumWork | None = None) -> ExpSumResult:
     """Smooth major-arc approximant: sum of phi'(n) e(n xi), n <= h(N)."""
     hN = h.value(float(N))
     lam = int(math.floor(hN))
@@ -205,7 +248,9 @@ def approximant_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
         lam = _mp_floor(h.eval_mp(float(N)))
     d1 = _phi_d1(h)
     value = _phase_sum(lam, lambda lo, hi: d1(
-        np.arange(lo + 1, hi + 1, dtype=np.float64)), None, xi)
+        np.arange(lo + 1, hi + 1, dtype=np.float64)), None, xi, work)
+    if work is not None:
+        work.approximant_terms += lam
     return ExpSumResult(value, lam, float(N), float(xi), "approximant")
 
 
@@ -223,10 +268,11 @@ class ApproxError:
 
 
 def approx_error(h: RegVarFunction, N: float, xi: float,
-                 epsilon: float = EPSILON) -> ApproxError:
+                 epsilon: float = EPSILON,
+                 work: SumWork | None = None) -> ApproxError:
     """Distance between the prime sum and its smooth approximant."""
-    s = prime_floor_sum(h, N, xi)
-    f = approximant_sum(h, N, xi)
+    s = prime_floor_sum(h, N, xi, work)
+    f = approximant_sum(h, N, xi, work)
     err = abs(s.value - f.value)
     norm = normalizer(N, epsilon)
     return ApproxError(float(N), float(xi), s.value, f.value, err,

@@ -2,11 +2,13 @@
 
 import json
 import math
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from primeorbits import cli, ergodic, primes, zeta
+from primeorbits import cli, ergodic, expsum, primes, zeta
 
 
 def write_config(tmp_path, text: str):
@@ -151,6 +153,35 @@ def test_waring_presieves_for_every_function(tmp_path, monkeypatch):
     assert code == 0
     from_zero = [c for c in calls if c[0] == 0]
     assert len(from_zero) == 1 and from_zero[0][2] == 2
+
+
+def test_expsum_work_note(tmp_path, monkeypatch):
+    # what the run did sits in the header and the mirror, not in the rows
+    monkeypatch.setattr(expsum, "_tables", OrderedDict())
+    argv = ["expsum", "--c", "1.2", "--N", "1000,4000", "--xi", "zero,cut"]
+    cold, warm = tmp_path / "cold.txt", tmp_path / "warm.txt"
+    assert cli.main(argv + ["--out", str(cold)]) == 0
+    assert cli.main(argv + ["--out", str(warm)]) == 0
+    notes = []
+    for out in (cold, warm):
+        lines = out.read_text().splitlines()
+        work = [ln for ln in lines if ln.startswith("# work:")]
+        assert len(work) == 1
+        mirror = json.loads(out.with_suffix(".txt.json").read_text())
+        assert work[0][2:] in mirror["notes"]
+        notes.append(dict(kv.split("=") for kv in work[0].split()[2:]))
+    terms = 2 * (math.floor(1000 ** 1.2) + math.floor(4000 ** 1.2))
+    pi1, pi4 = primes.prime_count(1000), primes.prime_count(4000)
+    assert {k: int(v) for k, v in notes[0].items()} == {
+        "floor_points": pi4, "recomputes": 0, "approximant_terms": terms,
+        "digit_terms": 2 * (pi1 + pi4) + terms, "direct_terms": 0,
+        "table_entries": int(notes[0]["table_entries"])}
+    assert int(notes[0]["table_entries"]) > 0
+    # the second run reads the stored floors and floors nothing
+    assert notes[1]["floor_points"] == "0"
+    rows = [[ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+            for out in (cold, warm)]
+    assert rows[0] == rows[1]
 
 
 def test_expsum_refuses_oversized_table_before_work(tmp_path, monkeypatch):
@@ -316,3 +347,29 @@ def test_function_from_unknown_kind():
         cli._function_from({"kind": "cubic", "c": 1.2})
     with pytest.raises(ValueError, match="needs c"):
         cli._function_from({"kind": "pure"})
+
+
+def test_rows_identical_when_the_sieve_pool_runs(tmp_path, monkeypatch):
+    # 2^22 spans two sieve jobs of 2 * SEGMENT numbers, so --threads 2
+    # really starts a pool; the data rows must not notice
+    assert 2 ** 22 > 2 * primes.SEGMENT
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers", args[0] if args else None))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(primes, "ThreadPoolExecutor", CountingPool)
+    rows = []
+    for k in (1, 2):
+        monkeypatch.setattr(primes, "_cache",
+                            {"hi": 0, "primes": np.empty(0, dtype=np.int64)})
+        monkeypatch.setattr(expsum, "_tables", OrderedDict())
+        out = tmp_path / f"erg.t{k}"
+        assert cli.main(["ergodic", "--c", "1.1", "--jmin", "10", "--jmax", "22",
+                         "--threads", str(k), "--out", str(out)]) == 0
+        rows.append([ln for ln in out.read_text().splitlines()
+                     if not ln.startswith("#")])
+        assert pools == ([] if k == 1 else [2])
+    assert rows[0] == rows[1]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeorbits import ergodic, expsum, primes, waring
+from primeorbits import accum, ergodic, expsum, primes, waring
 from primeorbits.primes import chebyshev_psi, chebyshev_theta
 from primeorbits.regvar import InverseHandle, exp_log, log_power, pure_power
 
@@ -357,3 +357,45 @@ def test_approximant_memory_does_not_grow_with_terms(monkeypatch):
     # a stored phi' would alone take 8 bytes per term
     assert res.n_terms == 10**6 - 1  # 1.2 as a double is just below 6/5
     assert peak < 2 * res.n_terms
+
+
+# -- integer phase route ------------------------------------------------------
+
+
+@pytest.mark.parametrize("h", [H12, log_power(1.15, a=0.5)], ids=["pure", "logpow"])
+@pytest.mark.parametrize("xi", [0.0, 0.0123, -0.271, 1e-9, -(0.5 - 1e-12)])
+def test_integer_route_sums_match_direct_kernel(h, xi):
+    # each sum against sum w * phase(m) with the same weights: the digit
+    # tables move every term by at most DigitPhase.bound + PHASE_ERROR
+    N = 20000
+    p, fl = expsum.prime_floors(h, N)
+    lam = primes.von_mangoldt_range(0, N + 1)
+    n = np.flatnonzero(lam)
+    terms = expsum.approximant_sum(h, N, xi).n_terms
+    cases = [
+        (expsum.prime_floor_sum(h, N, xi), np.log(p.astype(np.float64)), fl),
+        (expsum.von_mangoldt_sum(h, N, xi), lam[n], expsum.guarded_floor(h, n)[0]),
+        (expsum.approximant_sum(h, N, xi),
+         expsum._phi_d1(h)(np.arange(1.0, terms + 1.0)), np.arange(1, terms + 1)),
+    ]
+    for res, w, m in cases:
+        direct = complex(accum.pairwise_sum(w * accum.phase(m.astype(np.float64), xi)))
+        bound = accum.DigitPhase(xi, int(m.max())).bound + accum.PHASE_ERROR
+        assert abs(res.value - direct) <= np.abs(w).sum() * bound
+
+
+def test_phase_sum_routes_by_dtype_and_counts_each():
+    # 13-bit arguments: two digits, so the integer route is a product
+    work = expsum.SumWork()
+    w = np.ones(5000)
+    m = np.arange(5000, dtype=np.int64)
+    ints = expsum._phase_sum(m.size, lambda lo, hi: w[lo:hi], m, 0.1, work)
+    reals = expsum._phase_sum(m.size, lambda lo, hi: w[lo:hi],
+                              m.astype(np.float64), 0.1, work)
+    dp = accum.DigitPhase(0.1, 4999)
+    assert len(dp.tables) == 2
+    assert (work.digit_terms, work.direct_terms) == (5000, 5000)
+    assert work.table_entries == dp.entries
+    direct = complex(accum.pairwise_sum(accum.phase(m.astype(np.float64), 0.1)))
+    assert reals == direct
+    assert abs(ints - direct) <= 5000 * (dp.bound + accum.PHASE_ERROR)
