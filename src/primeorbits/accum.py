@@ -37,12 +37,14 @@ def pairwise_sum(x: np.ndarray) -> complex | float:
     a = np.asarray(x).ravel()
     if a.size == 0:
         return a.dtype.type(0).item() if a.dtype != object else 0.0
-    # pad to a multiple of CHUNK, sum each chunk, then halve until scalar
-    n = a.size
-    pad = (-n) % CHUNK
-    if pad:
-        a = np.concatenate([a, np.zeros(pad, dtype=a.dtype)])
-    parts = a.reshape(-1, CHUNK).sum(axis=1)
+    # sum each CHUNK, the short tail zero-padded, then halve until scalar;
+    # only the tail is copied
+    cut = a.size - a.size % CHUNK
+    parts = a[:cut].reshape(-1, CHUNK).sum(axis=1)
+    if cut < a.size:
+        tail = np.zeros((1, CHUNK), dtype=a.dtype)
+        tail[0, :a.size - cut] = a[cut:]
+        parts = np.concatenate([parts, tail.sum(axis=1)])
     while parts.size > 1:
         if parts.size % 2:
             parts = np.concatenate([parts, np.zeros(1, dtype=parts.dtype)])

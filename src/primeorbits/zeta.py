@@ -23,7 +23,10 @@ A + B complex exponentials instead of P, and the panels x zeros carrier
 matrix is never formed: one matmul sums over b, a batched product over
 a.  The conjugate zero's projection comes from the conjugated
 coefficients in the same product.  Zeros are taken in blocks whose
-product stays under _BLOCK_BYTES.
+product stays under _BLOCK_BYTES.  The Legendre tables and moments are
+those of expsum.osc_integral.  A request whose estimated peak memory,
+panels x _PANEL_BYTES + _BLOCK_BYTES, exceeds _MAX_BYTES is refused
+before any exponential is formed.
 """
 
 from __future__ import annotations
@@ -33,23 +36,21 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import spherical_jn
 
 from .accum import pairwise_sum, reduce_parts
-from .expsum import EPSILON, normalizer, theta1_default
+from .expsum import (_GL_U, _K_RANGE, _NODES_PER_PANEL, _PROJ, EPSILON,
+                     legendre_moments, normalizer, theta1_default)
 from .regvar import RegVarFunction
 
 _FIRST_GAMMA = 14.1347
-_NODES_PER_PANEL = 17  # Gauss-Legendre; projection degree 16
-_GL_U, _GL_W = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
-# P_k(v_j) table reused by every projection
-_LEG_VALS = np.polynomial.legendre.legvander(_GL_U, _NODES_PER_PANEL - 1)
-_PROJ = _GL_W[:, None] * _LEG_VALS * (2.0 * np.arange(_NODES_PER_PANEL) + 1.0) / 2.0
-_K_RANGE = np.arange(_NODES_PER_PANEL)
 _K_PARITY = np.where(_K_RANGE % 2 == 0, 1.0, -1.0)
-_MOMENT_PHASE = 2.0 * (1j ** _K_RANGE)
 # bytes of the (zeros, A, 34) product that one block of zeros may take
 _BLOCK_BYTES = 1 << 22
+# peak bytes per panel of zero_osc_sum on top of the blocks of zeros
+# (1,361-1,368 measured with tracemalloc at 2e3 and 2e4 panels)
+_PANEL_BYTES = 1400
+# largest estimated peak, panels x _PANEL_BYTES + _BLOCK_BYTES, it accepts
+_MAX_BYTES = 1 << 29
 
 ZERO_TABLE_ENV = "PRIMEORBITS_ZERO_TABLE"
 
@@ -181,18 +182,21 @@ def zero_power_sum(t: float, T1: float, table: ZetaZeroTable,
                         normalizer=normalizer(t, epsilon))
 
 
-def _osc_panels(h: RegVarFunction, t: float, xi: float,
-                max_panels: int) -> tuple[float, float, int]:
+def _osc_panels(h: RegVarFunction, t: float,
+                xi: float) -> tuple[float, float, int]:
     """Equal panels in u = log s, at least 4 per cycle of the xi*h phase.
 
     Returns (c0, half, n_panels): panel j has half-width `half` and is
-    centred at c0 + 2*half*j.
+    centred at c0 + 2*half*j.  Refuses, from h at the two window ends
+    alone, a request whose estimated peak memory exceeds _MAX_BYTES.
     """
     cycles = abs(xi) * (h.value(t) - h.value(t / 2.0))
     n_panels = int(math.ceil(4.0 * cycles)) + 8
-    if n_panels > max_panels:
-        raise ValueError(f"quadrature budget exceeded: {n_panels} panels "
-                         f"for xi={xi:g}, t={t:g} (cap {max_panels})")
+    need = n_panels * _PANEL_BYTES + _BLOCK_BYTES
+    if need > _MAX_BYTES:
+        raise ValueError(f"memory budget exceeded: {n_panels} panels for "
+                         f"xi={xi:g}, t={t:g} need about {need / 2**20:.0f} MiB "
+                         f"(cap {_MAX_BYTES / 2**20:.0f} MiB)")
     u0, u1 = math.log(t / 2.0), math.log(t)
     half = 0.5 * (u1 - u0) / n_panels
     return u0 + half, half, n_panels
@@ -207,8 +211,7 @@ def _panel_coeffs(h: RegVarFunction, xi: float, beta: float, c0: float,
 
 
 def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
-                 table: ZetaZeroTable, epsilon: float = EPSILON,
-                 max_panels: int = 1 << 20) -> ZeroSumBound:
+                 table: ZetaZeroTable, epsilon: float = EPSILON) -> ZeroSumBound:
     """Sum over zeros gamma <= T of int_{t/2}^t s^{rho-1} e(h(s) xi) ds,
     including the conjugate zero of each, against the normalizer.
 
@@ -222,7 +225,7 @@ def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
         raise ValueError(f"T={T} beyond table coverage {table.max_gamma:.3f}")
     beta = table.assumed_beta
     g = table.gammas[: table.count_upto(T)]
-    c0, half, n_panels = _osc_panels(h, t, xi, max_panels)
+    c0, half, n_panels = _osc_panels(h, t, xi)
     if g.size == 0:
         return ZeroSumBound(value=0.0 + 0.0j, n_zeros=0, t=t,
                             normalizer=normalizer(t, epsilon),
@@ -243,12 +246,11 @@ def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
     coeffs[:n_panels, K:] = np.conj(coeffs[:n_panels, :K])
     cb = coeffs.reshape(A, B, 2 * K).transpose(1, 0, 2).reshape(B, A * 2 * K)
 
-    # moments: int_{-1}^{1} P_k(v) e^{i omega v} dv = 2 i^k j_k(omega)
     block = max(1, _BLOCK_BYTES // (A * 2 * K * 16))
     parts = []
     for lo in range(0, g.size, block):
         gs = g[lo:lo + block]
-        moments = _MOMENT_PHASE * spherical_jn(_K_RANGE, gs[:, None] * half)
+        moments = legendre_moments(gs * half)
         e1 = np.exp(1j * np.outer(gs, b_phase))
         e2 = np.exp(1j * np.outer(gs, a_phase))
         # sum over b by one matmul, then over a per zero; the (zeros, A, 2K)

@@ -56,6 +56,32 @@ def test_pairwise_independent_of_padding():
     assert whole == again
 
 
+def _padded_pairwise_sum(a):
+    """pairwise_sum as it was written with a full zero-padded copy."""
+    a = a.ravel()
+    pad = (-a.size) % accum.CHUNK
+    if pad:
+        a = np.concatenate([a, np.zeros(pad, dtype=a.dtype)])
+    parts = a.reshape(-1, accum.CHUNK).sum(axis=1)
+    while parts.size > 1:
+        if parts.size % 2:
+            parts = np.concatenate([parts, np.zeros(1, dtype=parts.dtype)])
+        parts = parts[0::2] + parts[1::2]
+    return parts[0].item()
+
+
+@pytest.mark.parametrize("size", [1, 4095, 4096, 4097, 2 ** 20 - 1, 2 ** 20 + 5])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_pairwise_tail_bit_identical_to_padded_copy(size, complex_):
+    # only the tail is padded now; the tree and the bits are unchanged
+    rng = np.random.default_rng(size)
+    x = rng.standard_normal(size) * np.exp(rng.uniform(-30.0, 30.0, size))
+    if complex_:
+        x = x + 1j * rng.standard_normal(size)
+    got, want = pairwise_sum(x), _padded_pairwise_sum(x)
+    assert type(got) is type(want) and got == want
+
+
 @given(st.lists(st.floats(min_value=-1e8, max_value=1e8), max_size=500))
 @settings(max_examples=60, deadline=None)
 def test_kahan_matches_fsum(xs):

@@ -163,17 +163,46 @@ def test_osc_integral_conjugation():
     assert a == np.conj(b)
 
 
-def test_osc_integral_blocks_do_not_change_value(monkeypatch):
-    # panels are evaluated in blocks of _PANELS; blocking must not move a bit
-    h = log_power(1.15, a=0.5)
-    whole = expsum.osc_integral(h, 500.0, 1000.0, 0.37)
-    monkeypatch.setattr(expsum, "_PANELS", 7)
-    assert expsum.osc_integral(h, 500.0, 1000.0, 0.37) == whole
+# oracle: 30-digit mpmath.quad of mpmath.expjpi(2 xi h.eval_mp(s)) over
+# [a, b], split at x0 and at about one point per cycle of xi h, frozen below
+_OSC_ORACLE = [
+    (H12, 0.7, 1.4, 0.2, 0.09471666440260187 + 0.678826291826719j),
+    (log_power(1.15), 500.0, 1000.0, 0.37,
+     -0.06423660857755552 - 0.05405970193077725j),
+    (exp_log(1.1), 5e3, 1e4, 1e4 ** -expsum.theta1_default(1.1),
+     1.380376807173244 - 0.2946903998883065j),
+]
 
 
-def test_osc_integral_budget():
-    with pytest.raises(ValueError):
-        expsum.osc_integral(H12, 1.0, 1e6, 0.4, max_panels=10)
+@pytest.mark.parametrize("h, a, b, xi, want", _OSC_ORACLE)
+def test_osc_integral_mpmath_oracle(h, a, b, xi, want):
+    # the first window crosses x0 = 1, where h has a kink
+    got = expsum.osc_integral(h, a, b, xi)
+    assert abs(got - want) <= 1e-12 * (b - a)
+
+
+def test_osc_integral_work_does_not_grow_with_xi(monkeypatch):
+    # the panels depend on the window alone, not on the cycles of xi h
+    points = []
+    phi_d1 = expsum._phi_d1
+
+    def counting(h):
+        d1 = phi_d1(h)
+
+        def counted(y):
+            points.append(np.size(y))
+            return d1(y)
+        return counted
+
+    monkeypatch.setattr(expsum, "_phi_d1", counting)
+    h, t = log_power(1.15), 1e6
+    xi = t ** -expsum.theta1_default(h.c)
+    counts = []
+    for x in (xi, 100.0 * xi):
+        points.clear()
+        expsum.osc_integral(h, t / 2.0, t, x)
+        counts.append(sum(points))
+    assert counts[0] == counts[1] > 0
 
 
 def test_osc_integral_degenerate_range():

@@ -8,7 +8,7 @@ from scipy.special import spherical_jn
 from primeorbits import expsum, zeta
 from primeorbits.accum import pairwise_sum, reduce_parts
 from primeorbits.primes import chebyshev_psi
-from primeorbits.regvar import pure_power
+from primeorbits.regvar import RegVarFunction, pure_power
 
 TAB = zeta.load_zeros()
 H11 = pure_power(1.1)
@@ -175,9 +175,28 @@ def test_zero_osc_sum_validations():
         zeta.zero_osc_sum(H11, 1e3, 0.0, 1e6, TAB)  # coverage
 
 
-def test_zero_osc_sum_budget():
+def test_zero_osc_sum_budget(monkeypatch):
+    # a cap worth 4 panels refuses the request's 10^3-odd panels
+    monkeypatch.setattr(zeta, "_MAX_BYTES", zeta._BLOCK_BYTES + 4 * zeta._PANEL_BYTES)
     with pytest.raises(ValueError, match="budget"):
-        zeta.zero_osc_sum(H11, 1e5, 1e5 ** (-0.51), 100.0, TAB, max_panels=4)
+        zeta.zero_osc_sum(H11, 1e5, 1e5 ** (-0.51), 100.0, TAB)
+
+
+def test_zero_osc_sum_refuses_by_bytes_before_any_panel(monkeypatch):
+    # at t = 1e8 on the major-arc cutoff the panels alone would take about
+    # 1.5 GB; h is evaluated at the two window ends only, never on a node
+    t = 1e8
+    args = []
+    value = RegVarFunction.value
+
+    def spy(self, x):
+        args.append(x)
+        return value(self, x)
+
+    monkeypatch.setattr(RegVarFunction, "value", spy)
+    with pytest.raises(ValueError, match="memory budget"):
+        zeta.zero_osc_sum(H11, t, t ** -expsum.theta1_default(1.1), 100.0, TAB)
+    assert sorted(args) == [t / 2.0, t]
 
 
 def test_zero_osc_sum_spec_point():
