@@ -22,12 +22,13 @@ from . import __version__, ergodic, expsum, primes, vaughan, waring, zeta
 from .regvar import (InverseHandle, RegVarFunction, exp_log, iterated_log,
                      log_power, make_catalog, pure_power)
 
+# kind -> constructor and the parameter keys it takes; the constructors
+# hold the defaults
 _KINDS = {
-    "pure": lambda cfg: pure_power(cfg["c"]),
-    "logpow": lambda cfg: log_power(cfg["c"], a=cfg.get("a", 0.5)),
-    "explog": lambda cfg: exp_log(cfg["c"], a=cfg.get("a", 0.3),
-                                  b=cfg.get("b", 0.5)),
-    "itlog": lambda cfg: iterated_log(cfg["c"], depth=int(cfg.get("depth", 2))),
+    "pure": (pure_power, ()),
+    "logpow": (log_power, ("a",)),
+    "explog": (exp_log, ("a", "b")),
+    "itlog": (iterated_log, ("depth",)),
 }
 
 
@@ -37,7 +38,8 @@ def _function_from(cfg: dict) -> RegVarFunction:
         raise ValueError(f"unknown kind {kind!r}; pick one of {sorted(_KINDS)}")
     if "c" not in cfg:
         raise ValueError("function kind needs c")
-    return _KINDS[kind](cfg)
+    make, keys = _KINDS[kind]
+    return make(cfg["c"], **{k: cfg[k] for k in keys if k in cfg})
 
 
 # -- config handling ---------------------------------------------------------

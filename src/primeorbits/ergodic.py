@@ -155,20 +155,31 @@ def average_multi_rotation(alphas, f, x, h_list, Ns, factors=None) -> float:
     return float(pairwise_sum(vals.ravel()) / vals.size)
 
 
+def _hits(indices: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """How often each target occurs in the nondecreasing array indices."""
+    return (np.searchsorted(indices, targets, side="right")
+            - np.searchsorted(indices, targets, side="left"))
+
+
 def average_multi_shift(f: dict, x, h_list, Ns) -> float:
-    """Two-parameter shift average; f is finite-support on Z^2."""
+    """Two-parameter shift average; f is finite-support on Z^2.
+
+    Each support point (i, j) is hit by the pairs (a, b) of orbit indices
+    with x - (a, b) = (i, j), and their number is the product of the
+    counts of x[0] - i and x[1] - j in the two sorted orbits; so the cost
+    is the support size times log pi(N), not pi(N1) pi(N2).
+    """
     if len(Ns) == 1:
         g = {i: v for (i,), v in f.items()} if all(
             isinstance(key, tuple) for key in f) else f
         return average_shift(g, x[0], h_list[0], Ns[0])
-    if max(Ns) > 10 ** 4:
-        raise ValueError("direct double loop capped at N_i <= 10^4")
+    # floors of an increasing h at increasing primes: already sorted
     n1 = orbit_indices(h_list[0], Ns[0])
     n2 = orbit_indices(h_list[1], Ns[1])
-    get = f.get
-    total = kahan_sum(np.array(
-        [get((x[0] - int(a), x[1] - int(b)), 0.0) for a in n1 for b in n2]))
-    return float(total / (n1.size * n2.size))
+    keys = np.array(list(f), dtype=np.int64).reshape(-1, 2)
+    vals = np.array(list(f.values()), dtype=np.float64)
+    hits = _hits(n1, x[0] - keys[:, 0]) * _hits(n2, x[1] - keys[:, 1])
+    return float(kahan_sum(vals * hits) / (n1.size * n2.size))
 
 
 def oscillation(grid: np.ndarray, values: np.ndarray, I) -> float:

@@ -27,8 +27,9 @@ One table is kept per function h: floor(h(p)) over the primes of
 primes.primes_upto.  prime_floors hands out read-only prefix views; a
 longer request computes only the missing tail.  The tables of the four
 most recently used functions are kept.  The approximant's weights
-phi'(n) are made one chunk at a time inside the sum and never stored:
-in closed form for pure powers, by Newton on h otherwise.
+phi'(n) are made one chunk at a time inside the sum and never stored;
+they come from regvar.InverseHandle.d1, which alone decides how phi' is
+made, as it does for osc_integral.
 
 osc_integral, the smooth integral of e(xi h(s)), is a Filon quadrature
 in y = h(s): phi' is fitted on a few panels geometric in y and each
@@ -173,27 +174,6 @@ def prime_floors(h: RegVarFunction, N: float,
     return _frozen(p), _frozen(fl[:p.size])
 
 
-def _phi_d1(h: RegVarFunction):
-    """phi'(y) as a function of a float array y.
-
-    For a pure power coeff * x**c it is gamma * coeff**-gamma * y**(gamma-1),
-    and 1/h'(x0) for y <= h(x0) where InverseHandle clamps phi to x0;
-    every other kind takes InverseHandle(h).d1.
-    """
-    if h.kind != "pure":
-        return InverseHandle(h).d1
-    ylo, low = h.value(h.x0), 1.0 / h.d1(h.x0)
-    scale, power = h.gamma * h.coeff ** -h.gamma, h.gamma - 1.0
-
-    def d1(y: np.ndarray) -> np.ndarray:
-        out = y ** power
-        out *= scale
-        np.putmask(out, y <= ylo, low)
-        return out
-
-    return d1
-
-
 # -- sums ---------------------------------------------------------------------
 
 
@@ -248,11 +228,8 @@ def von_mangoldt_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
 def approximant_sum(h: RegVarFunction, N: float, xi: float,
                     work: SumWork | None = None) -> ExpSumResult:
     """Smooth major-arc approximant: sum of phi'(n) e(n xi), n <= h(N)."""
-    hN = h.value(float(N))
-    lam = int(math.floor(hN))
-    if abs(hN - round(hN)) <= GUARD:
-        lam = _mp_floor(h.eval_mp(float(N)))
-    d1 = _phi_d1(h)
+    lam = int(guarded_floor(h, np.array([float(N)]))[0][0])
+    d1 = InverseHandle(h).d1
     value = _phase_sum(lam, lambda lo, hi: d1(
         np.arange(lo + 1, hi + 1, dtype=np.float64)), None, xi, work)
     if work is not None:
@@ -385,10 +362,10 @@ def osc_integral(h: RegVarFunction, a: float, b: float, xi: float) -> complex:
     (min(b, x0) - a) e(xi h(x0)) exactly.  Above it s = phi(y) and the
     integral is that of e(xi y) phi'(y) over [h(max(a, x0)), h(b)].  That
     range is cut into panels [Y - H, Y + H] geometric in y, of ratio at
-    most _PANEL_RATIO; phi' (_phi_d1) is projected on Legendre modes of
-    degree < 17 from 17 Gauss-Legendre nodes, and each mode is integrated
-    against e(xi y) exactly: a panel is H e(xi Y) sum_k c_k 2 i^k j_k(w),
-    w = 2 pi xi H.
+    most _PANEL_RATIO; phi' (InverseHandle.d1) is projected on Legendre
+    modes of degree < 17 from 17 Gauss-Legendre nodes, and each mode is
+    integrated against e(xi y) exactly: a panel is
+    H e(xi Y) sum_k c_k 2 i^k j_k(w), w = 2 pi xi H.
 
     Error: the fit of phi' on a panel converges like 17.9^-17 (the
     Bernstein ellipse of y^(gamma - 1) at ratio 1.25), so what is left is
@@ -415,7 +392,7 @@ def osc_integral(h: RegVarFunction, a: float, b: float, xi: float) -> complex:
     edges[-1] = y1
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    coeffs = _phi_d1(h)(mid[:, None] + half[:, None] * _GL_U) @ _PROJ
+    coeffs = InverseHandle(h).d1(mid[:, None] + half[:, None] * _GL_U) @ _PROJ
     modes = (coeffs * legendre_moments(2.0 * math.pi * xi * half)).sum(axis=1)
     return complex(pairwise_sum(half * phase(mid, xi) * modes)) + below
 

@@ -16,12 +16,17 @@ relations rather than numerical differentiation:
 
 Below x0 every member is extended by the constant h(x0); the domain of
 interest is [x0, infinity) where h' > 0, h'' > 0 and |theta| < c - 1.
+
+The compositional inverse phi = h^{-1} and its derivative phi', on which
+the approximant, the smooth integral and the Waring main term rest, come
+from InverseHandle alone: in closed form for pure powers, by Newton on h
+for every other kind.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import mpmath
@@ -205,14 +210,7 @@ def _scan_x0(h: RegVarFunction) -> float:
         cand = float(2 ** j)
         if cand <= floor:
             continue
-        probe = object.__new__(RegVarFunction)
-        object.__setattr__(probe, "kind", h.kind)
-        object.__setattr__(probe, "c", h.c)
-        object.__setattr__(probe, "coeff", h.coeff)
-        object.__setattr__(probe, "a", h.a)
-        object.__setattr__(probe, "b", h.b)
-        object.__setattr__(probe, "depth", h.depth)
-        object.__setattr__(probe, "x0", cand)
+        probe = replace(h, x0=cand)
         if probe.value(cand) < 1.0:
             continue
         grid = cand * 2.0 ** (np.arange(0, 161) / 4.0)
@@ -226,10 +224,8 @@ def _finish(h: RegVarFunction) -> RegVarFunction:
         raise ValueError("index c must lie in (1, 2)")
     if h.coeff <= 0.0:
         raise ValueError("leading coefficient must be positive")
-    x0 = _scan_x0(h)
-    out = RegVarFunction(kind=h.kind, c=h.c, coeff=h.coeff, a=h.a, b=h.b,
-                         depth=h.depth, x0=x0)
-    chk = max(_THETA_CHECKPOINT, x0)
+    out = replace(h, x0=_scan_x0(h))
+    chk = max(_THETA_CHECKPOINT, out.x0)
     worst = max(abs(out.theta(float(chk * 2.0 ** (j / 2.0)))) for j in range(0, 41))
     if not worst < _THETA_CEIL:
         raise ValueError(
@@ -279,7 +275,13 @@ def make_catalog() -> list[RegVarFunction]:
 
 @dataclass(frozen=True)
 class InverseHandle:
-    """phi = h^{-1} on [h(x0), infinity), clamped to x0 below that."""
+    """phi = h^{-1} on [h(x0), infinity), clamped to x0 below that.
+
+    A pure power coeff * x**c has phi(y) = (y/coeff)**gamma and
+    phi'(y) = gamma * coeff**-gamma * y**(gamma - 1) in closed form.  Every
+    other kind starts from that closed form and takes ten Newton steps on
+    h, and phi'(y) = 1/h'(phi(y)).  At and below h(x0), phi'(y) = 1/h'(x0).
+    """
 
     h: RegVarFunction
 
@@ -289,27 +291,30 @@ class InverseHandle:
         return x[0].item() if scalar else x.reshape(y.shape)
 
     def d1(self, y):
-        """phi'(y) = 1 / h'(phi(y))."""
+        """phi'(y): the closed form for pure powers, 1/h'(phi(y)) otherwise."""
         y, scalar = _as_array(y)
-        x = self._solve(np.atleast_1d(y))
-        d = 1.0 / self.h.d1(x)
+        h, y1 = self.h, np.atleast_1d(y)
+        if h.kind == "pure":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = y1 ** (h.gamma - 1.0)  # y <= 0 is overwritten below
+            d *= h.gamma * h.coeff ** -h.gamma
+            np.putmask(d, y1 <= h.value(h.x0), 1.0 / h.d1(h.x0))
+        else:
+            d = 1.0 / h.d1(self._solve(y1))
         return d[0].item() if scalar else d.reshape(y.shape)
 
     def _solve(self, y: np.ndarray) -> np.ndarray:
         h = self.h
         y = y.ravel()
         ylo = h.value(h.x0)
-        # pure-power guess, then safeguarded Newton; h convex increasing,
-        # so after one step the iterates sit above the root and descend
+        # the pure-power inverse: the answer for kind "pure", else the start
         x = np.maximum((np.maximum(y, ylo) / h.coeff) ** h.gamma, h.x0)
-        for _ in range(3):
-            hv, hd = h.value_and_d1(x)
-            x = np.maximum(x - (hv - y) / hd, h.x0)
-        # polish: once above the root, Newton is monotone and quadratic
-        for _ in range(7):
-            hv, hd = h.value_and_d1(x)
-            step = (hv - y) / hd
-            x = np.maximum(x - step, h.x0)
+        if h.kind != "pure":
+            # h convex increasing, so after one step the iterates sit above
+            # the root and descend, monotone and quadratic
+            for _ in range(10):
+                hv, hd = h.value_and_d1(x)
+                x = np.maximum(x - (hv - y) / hd, h.x0)
         return np.where(y <= ylo, h.x0, x)
 
     def doubling_constant(self) -> float:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import primes
-from .accum import kahan_sum, pairwise_sum, phase, reduce_parts
+from .accum import kahan_sum, reduce_parts
+from .expsum import _phase_sum
 from .regvar import RegVarFunction
 
 
@@ -106,7 +107,8 @@ class VaughanSplit:
 
 def _phase_weighted(h: RegVarFunction, idx: np.ndarray, freq: float,
                     weights: np.ndarray) -> complex:
-    return pairwise_sum(weights * phase(h.value(idx.astype(np.float64)), freq))
+    return _phase_sum(weights.size, lambda lo, hi: weights[lo:hi],
+                      h.value(idx.astype(np.float64)), freq)
 
 
 def exp_sum_split(h: RegVarFunction, P: float, P1: float, xi: float, m: int,

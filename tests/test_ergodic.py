@@ -31,7 +31,7 @@ from primeorbits.ergodic import (
     weighted_average,
 )
 from primeorbits.primes import primes_upto
-from primeorbits.regvar import pure_power
+from primeorbits.regvar import log_power, pure_power
 
 
 def v2_oracle(vals) -> float:
@@ -249,6 +249,35 @@ def test_multi_shift_hand_value():
     f = {(-2, -3): 1.0}
     a = average_multi_shift(f, [0, 0], [h, h], [10, 10])
     assert a == pytest.approx(1.0 / 16, rel=1e-15)
+
+
+@pytest.mark.parametrize("Ns", [(50, 80), (300, 200)])
+def test_multi_shift_matches_double_loop(Ns):
+    h1, h2 = pure_power(1.2), log_power(1.15)
+    n1, n2 = orbit_indices(h1, Ns[0]), orbit_indices(h2, Ns[1])
+    rng = np.random.default_rng(7)
+    # support on every orbit pair and as many points off the orbits
+    f = {(3 - int(a), -1 - int(b)): float(rng.normal())
+         for a in n1[::3] for b in n2[::2]}
+    f.update({(int(i), int(j)): float(rng.normal())
+              for i, j in rng.integers(-5000, 5000, size=(200, 2))})
+    total = math.fsum(f.get((3 - int(a), -1 - int(b)), 0.0)
+                      for a in n1 for b in n2)
+    got = average_multi_shift(f, [3, -1], [h1, h2], Ns)
+    assert got == pytest.approx(total / (n1.size * n2.size), rel=1e-13)
+
+
+def test_multi_shift_runs_past_the_former_cap():
+    # a product observable averages to the product of one-parameter
+    # averages; N = 2e4 was refused while this was a double loop
+    h1, h2 = pure_power(1.2), pure_power(1.1)
+    g1 = {-int(a): 1.0 + (int(a) % 5) for a in orbit_indices(h1, 20000)[::7]}
+    g2 = {-int(b): 0.5 * (int(b) % 3) for b in orbit_indices(h2, 20000)[::11]}
+    f = {(i, j): u * v for i, u in g1.items() for j, v in g2.items()}
+    got = average_multi_shift(f, [0, 0], [h1, h2], [20000, 20000])
+    want = average_shift(g1, 0, h1, 20000) * average_shift(g2, 0, h2, 20000)
+    assert got > 0.0
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_multi_shift_single_parameter_path():

@@ -184,17 +184,13 @@ def test_osc_integral_mpmath_oracle(h, a, b, xi, want):
 def test_osc_integral_work_does_not_grow_with_xi(monkeypatch):
     # the panels depend on the window alone, not on the cycles of xi h
     points = []
-    phi_d1 = expsum._phi_d1
+    d1 = InverseHandle.d1
 
-    def counting(h):
-        d1 = phi_d1(h)
+    def counted(self, y):
+        points.append(np.size(y))
+        return d1(self, y)
 
-        def counted(y):
-            points.append(np.size(y))
-            return d1(y)
-        return counted
-
-    monkeypatch.setattr(expsum, "_phi_d1", counting)
+    monkeypatch.setattr(InverseHandle, "d1", counted)
     h, t = log_power(1.15), 1e6
     xi = t ** -expsum.theta1_default(h.c)
     counts = []
@@ -349,16 +345,34 @@ def test_tables_are_read_only(small_store):
 @pytest.mark.parametrize("c", [1.01, 1.2, 1.5, 1.95])
 @pytest.mark.parametrize("coeff", [1.0, 0.5])
 def test_pure_phi_closed_form_matches_newton(c, coeff):
+    # the approximant's pure-power weights: the closed form, within 2e-15 of
+    # 40-digit values and 1e-14 of phi' = 1/h'(x) after ten Newton steps
     h = pure_power(c, coeff=coeff)
     ylo = h.value(h.x0)
     y = np.concatenate([[0.5, 1.0, ylo, np.nextafter(ylo, np.inf)],
                         np.geomspace(ylo, 2.0 ** 28, 4000),
                         np.arange(1.0, 3000.0)])
-    got = expsum._phi_d1(h)(y)
-    want = InverseHandle(h).d1(y)
-    # at and below h(x0) both are clamped to 1/h'(x0)
-    assert np.array_equal(got[y <= ylo], want[y <= ylo])
-    assert np.max(np.abs(got - want) / want) <= 1e-14
+    got = InverseHandle(h).d1(y)
+    x = np.maximum((np.maximum(y, ylo) / h.coeff) ** h.gamma, h.x0)
+    for _ in range(10):
+        hv, hd = h.value_and_d1(x)
+        x = np.maximum(x - (hv - y) / hd, h.x0)
+    newton = 1.0 / h.d1(np.where(y <= ylo, h.x0, x))
+    # at and below h(x0) both are 1/h'(x0)
+    assert np.array_equal(got[y <= ylo], newton[y <= ylo])
+    assert np.max(np.abs(got - newton) / newton) <= 1e-14
+    with mpmath.workdps(40):
+        g = mpmath.mpf(1) / mpmath.mpf(c)
+        for yi, di in zip(y[y > ylo][::40], got[y > ylo][::40]):
+            want = g * mpmath.mpf(coeff) ** -g * mpmath.mpf(yi) ** (g - 1)
+            assert abs(di - want) <= 2e-15 * want
+
+
+@pytest.mark.parametrize("N, terms", [(9, 27), (25, 125), (36, 216)])
+def test_approximant_term_count_is_the_guarded_floor(N, terms):
+    # h(N) = N^1.5 is an integer; the double is 27.0, 124.99999999999994
+    # and 216.00000000000006, and the guard band settles each at 40 digits
+    assert expsum.approximant_sum(pure_power(1.5), N, 0.1).n_terms == terms
 
 
 def test_nonpure_approximant_is_the_chunked_newton_sum(monkeypatch):
@@ -405,7 +419,7 @@ def test_integer_route_sums_match_direct_kernel(h, xi):
         (expsum.prime_floor_sum(h, N, xi), np.log(p.astype(np.float64)), fl),
         (expsum.von_mangoldt_sum(h, N, xi), lam[n], expsum.guarded_floor(h, n)[0]),
         (expsum.approximant_sum(h, N, xi),
-         expsum._phi_d1(h)(np.arange(1.0, terms + 1.0)), np.arange(1, terms + 1)),
+         InverseHandle(h).d1(np.arange(1.0, terms + 1.0)), np.arange(1, terms + 1)),
     ]
     for res, w, m in cases:
         direct = complex(accum.pairwise_sum(w * accum.phase(m.astype(np.float64), xi)))

@@ -198,6 +198,55 @@ def test_inverse_below_range_clamps():
     assert phi.value(h.value(h.x0) * 0.5) == h.x0
 
 
+def _newton_3_7(h, y):
+    # reference for the non-pure kinds: the closed-form start, then 3 + 7
+    # Newton steps, which InverseHandle's one loop of ten must match bit for bit
+    ylo = h.value(h.x0)
+    x = np.maximum((np.maximum(y, ylo) / h.coeff) ** h.gamma, h.x0)
+    for _ in range(3):
+        hv, hd = h.value_and_d1(x)
+        x = np.maximum(x - (hv - y) / hd, h.x0)
+    for _ in range(7):
+        hv, hd = h.value_and_d1(x)
+        step = (hv - y) / hd
+        x = np.maximum(x - step, h.x0)
+    return np.where(y <= ylo, h.x0, x)
+
+
+@pytest.mark.parametrize("h", [log_power(1.15, a=0.5), exp_log(1.1, a=0.3, b=0.5),
+                               iterated_log(1.2, depth=2)],
+                         ids=lambda h: h.kind)
+def test_nonpure_inverse_bits_match_ten_newton_steps(h):
+    ylo = h.value(h.x0)
+    y = np.concatenate([[0.5, ylo, np.nextafter(ylo, np.inf)],
+                        np.geomspace(0.5 * ylo, 2.0 ** 40, 5000)])
+    x = _newton_3_7(h, y)
+    phi = InverseHandle(h)
+    assert phi.value(y).tobytes() == x.tobytes()
+    assert phi.d1(y).tobytes() == (1.0 / h.d1(x)).tobytes()
+
+
+@pytest.mark.parametrize("c", [1.01, 1.1, 1.2, 1.5, 1.95])
+@pytest.mark.parametrize("coeff", [1.0, 0.5, 3.0])
+def test_pure_inverse_matches_mpmath(c, coeff):
+    h = pure_power(c, coeff=coeff)
+    phi = InverseHandle(h)
+    ylo = h.value(h.x0)
+    y = np.geomspace(np.nextafter(ylo, np.inf), 2.0 ** 40, 301)
+    x, d = phi.value(y), phi.d1(y)
+    with mpmath.workdps(40):
+        g = mpmath.mpf(1) / mpmath.mpf(c)
+        for yi, xi, di in zip(y, x, d):
+            want = (mpmath.mpf(yi) / coeff) ** g
+            assert abs(xi - want) <= 2e-15 * want
+            assert abs(di - g * want / mpmath.mpf(yi)) <= 2e-15 * g * want / yi
+    # at and below h(x0) phi is x0 and phi' is 1/h'(x0), exactly
+    low = np.array([0.0, 0.5 * ylo, ylo])
+    assert np.all(phi.value(low) == h.x0)
+    assert np.all(phi.d1(low) == 1.0 / h.d1(h.x0))
+    assert phi.value(ylo) == h.x0 and phi.d1(ylo) == 1.0 / h.d1(h.x0)
+
+
 def test_catalog_shape():
     cat = make_catalog()
     assert len(cat) == 5
