@@ -394,10 +394,12 @@ def _run_explicit(cfg: dict):
     primes.primes_upto(int(max(xs)), threads=cfg["threads"])
     columns = ["x", "T", "truncated_psi", "psi", "abs_err", "bound"]
     rows, failures = [], []
+    summed = 0  # zero terms over all rows: N(T) per row
     for x in xs:
         psi = primes.chebyshev_psi(x)
         for T in Ts:
             tp = zeta.truncated_psi(x, T, table)
+            summed += table.count_upto(T)
             err = abs(tp - psi)
             bound = 5.0 * x * math.log(x) ** 2 / T
             rows.append([x, T, tp, psi, err, bound])
@@ -405,7 +407,7 @@ def _run_explicit(cfg: dict):
                 failures.append(f"explicit formula error {err:.3e} > bound "
                                 f"{bound:.3e} at x={x:g}, T={T:g}")
     notes = [f"zeros={table.count}", f"max_gamma={table.max_gamma:.3f}",
-             f"source={table.source}"]
+             f"source={table.source}", f"work: zeros_summed={summed}"]
     return columns, rows, notes, failures
 
 

@@ -24,7 +24,9 @@ matrix is never formed: one matmul sums over b, a batched product over
 a.  The conjugate zero's projection comes from the conjugated
 coefficients in the same product.  Zeros are taken in blocks whose
 product stays under _BLOCK_BYTES.  The Legendre tables and moments are
-those of expsum.osc_integral.  A request whose estimated peak memory,
+those of expsum.osc_integral; a block's moments 2 i^k j_k(gamma s / 2),
+k < 17, come from one recurrence pass over the orders
+(expsum.legendre_moments).  A request whose estimated peak memory,
 panels x _PANEL_BYTES + _BLOCK_BYTES, exceeds _MAX_BYTES is refused
 before any exponential is formed.
 """
@@ -47,7 +49,9 @@ _K_PARITY = np.where(_K_RANGE % 2 == 0, 1.0, -1.0)
 # bytes of the (zeros, A, 34) product that one block of zeros may take
 _BLOCK_BYTES = 1 << 22
 # peak bytes per panel of zero_osc_sum on top of the blocks of zeros
-# (1,361-1,368 measured with tracemalloc at 2e3 and 2e4 panels)
+# (1,361-1,368 measured with tracemalloc at 2e3 and 2e4 panels with one
+# zero, 1,151-1,341 past the block with 649; the same with the moments
+# from the recurrence of expsum.legendre_moments as from scipy's)
 _PANEL_BYTES = 1400
 # largest estimated peak, panels x _PANEL_BYTES + _BLOCK_BYTES, it accepts
 _MAX_BYTES = 1 << 29
@@ -116,20 +120,24 @@ def load_zeros(path: str | None = None, assumed_beta: float = 0.5) -> ZetaZeroTa
     environment variable, then the packaged table.
     """
     source = path or os.environ.get(ZERO_TABLE_ENV) or _packaged_table_path()
-    vals = []
     with open(source) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                vals.append(float(line))
-            except ValueError:
-                raise ValueError(f"{source}: parse error at line {lineno}: "
-                                 f"{line[:40]!r}") from None
-    if not vals:
+        lines = fh.read().split("\n")
+    data = [s for s in map(str.strip, lines) if s and s[0] != "#"]
+    if not data:
         raise ValueError(f"{source}: empty table")
-    return ZetaZeroTable(np.array(vals), source=source, assumed_beta=assumed_beta)
+    try:
+        gammas = np.array(data, dtype=np.float64)
+    except ValueError:
+        # parse again line by line only to name the first bad line
+        for lineno, line in enumerate(map(str.strip, lines), start=1):
+            if line and line[0] != "#":
+                try:
+                    float(line)
+                except ValueError:
+                    raise ValueError(f"{source}: parse error at line "
+                                     f"{lineno}: {line[:40]!r}") from None
+        raise
+    return ZetaZeroTable(gammas, source=source, assumed_beta=assumed_beta)
 
 
 def truncated_psi(x: float, T: float, table: ZetaZeroTable) -> float:

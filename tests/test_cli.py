@@ -246,6 +246,19 @@ def test_explicit_check_passes(tmp_path):
     assert "check: pass" in body
 
 
+def test_explicit_work_note(tmp_path):
+    # N(T) zeros per row, in the header and the mirror, not in the rows
+    out = tmp_path / "e.txt"
+    assert cli.main(["explicit", "--x", "1000,10000", "--T", "100,1000",
+                     "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    work = [ln for ln in lines if ln.startswith("# work:")]
+    assert work == ["# work: zeros_summed=1356"]  # 2 x (29 + 649)
+    mirror = json.loads((tmp_path / "e.txt.json").read_text())
+    assert work[0][2:] in mirror["notes"]
+    assert all(len(row) == 6 for row in mirror["rows"])
+
+
 def test_check_violation_exits_two(tmp_path, monkeypatch):
     # break the explicit formula on purpose: the error must blow the bound
     monkeypatch.setattr(cli.zeta, "truncated_psi",

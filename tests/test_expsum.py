@@ -1,6 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from collections import OrderedDict
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -204,6 +209,84 @@ def test_osc_integral_work_does_not_grow_with_xi(monkeypatch):
 def test_osc_integral_degenerate_range():
     assert expsum.osc_integral(H12, 5.0, 5.0, 0.3) == 0j
     assert expsum.osc_integral(H12, 7.0, 5.0, 0.3) == 0j
+
+
+# -- Legendre moments 2 i^k j_k(omega) -----------------------------------------
+
+_K = np.arange(17)
+_PHASE = 2.0 * 1j ** _K
+
+
+def _mp_bessel(w: float, k: int) -> float:
+    """j_k(w) at 40 digits, from the exact double w."""
+    with mpmath.workdps(40):
+        a = abs(mpmath.mpf(w))
+        if a == 0:
+            return float(k == 0)
+        v = mpmath.sqrt(mpmath.pi / (2 * a)) * mpmath.besselj(k + mpmath.mpf(0.5), a)
+        return float(v if w > 0 or k % 2 == 0 else -v)
+
+
+_MOMENT_POINTS = (
+    [0.0, 1e-300, 1e-12, 1e-9, 1e-6, 1e-3, 0.5,
+     np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 2.0, math.pi,
+     2.0 * math.pi, 3.0 * math.pi, 10.0, np.nextafter(16.0, 0.0), 16.0,
+     np.nextafter(16.0, 17.0), 17.0, 100.0, 999.5, 1e3]
+    + list(np.linspace(0.1, 15.9, 12)))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_legendre_moments_match_mpmath(sign):
+    # both recurrences, both sides of j_0 = 0 at pi, 2 pi and 3 pi, and the
+    # odd orders' sign flip for negative omega
+    w = sign * np.array(_MOMENT_POINTS)
+    got = expsum.legendre_moments(w) / _PHASE
+    assert np.all(got.imag == 0.0)
+    want = np.array([[_mp_bessel(x, k) for k in _K] for x in w])
+    assert np.abs(got.real - want).max() <= 1e-15
+
+
+def test_legendre_moments_at_zero_are_exact():
+    got = expsum.legendre_moments(np.array([0.0, -0.0]))
+    assert np.array_equal(got, np.tile(np.eye(17)[0] * 2.0 + 0j, (2, 1)))
+
+
+def test_legendre_moments_bit_identical_to_scipy_above_16():
+    # above the highest order both take the same upward recurrence
+    from scipy.special import spherical_jn
+
+    w = np.concatenate([[np.nextafter(16.0, 17.0), 16.5, 1e4, 12345.678, 1e6],
+                        np.linspace(16.25, 3e3, 4000)])
+    want = _PHASE * spherical_jn(_K, w[:, None])
+    assert np.array_equal(expsum.legendre_moments(w), want)
+    assert np.array_equal(expsum.legendre_moments(-w), np.conj(want))
+    # a call that mixes both recurrences gives each point its own row
+    mixed = np.array([0.0, 20.0, 3.0, 400.0])
+    rows = expsum.legendre_moments(mixed)
+    for x, row in zip(mixed, rows):
+        assert np.array_equal(row, expsum.legendre_moments(np.array([x]))[0])
+
+
+def test_legendre_moments_warn_nowhere():
+    w = np.concatenate([[0.0, 1e-300, 1e-20, math.pi, 16.0, 17.0],
+                        np.geomspace(1e-12, 1e3, 200)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = expsum.legendre_moments(np.concatenate([w, -w]))
+    assert np.all(np.isfinite(m))
+
+
+def test_library_import_leaves_scipy_special_out():
+    # scipy.special alone costs about 0.2 s and 24 MB RSS at import
+    src = str(Path(expsum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, primeorbits.cli; print('scipy.special' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_fractional_min_sum_m2():
