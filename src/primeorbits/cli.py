@@ -2,11 +2,13 @@
 
 Each subcommand evaluates one family of quantities on a configured grid
 and emits a columnar text report ('#'-prefixed header, one row per line)
-plus a JSON mirror of the same schema with the effective configuration
-embedded.  A flat key=value config file can seed any run; flags override
-file entries.  With --check the run additionally tests the acceptance
-thresholds for its subject and exits 2 on violation, so CI can drive the
-whole suite through this entry point.
+plus a JSON mirror of the same schema.  _KEYS holds, per subcommand, the
+keys it reads with their parser and default (_COMMON: the keys of every
+subcommand); any other key is a usage error.  A flat key=value config
+file can seed any run and flags override it.  Every key with a default is
+filled in, so the '# config:' header and the mirror's "config" are the
+configuration the run used.  --check also tests the subject's acceptance
+thresholds and exits 2 on violation, so CI can drive the suite from here.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from . import __version__, ergodic, expsum, primes, vaughan, waring, zeta
 from .regvar import (InverseHandle, RegVarFunction, exp_log, iterated_log,
                      log_power, make_catalog, pure_power)
 
-# kind -> constructor and the parameter keys it takes; the constructors
-# hold the defaults
+# kind -> constructor and the shape keys it takes; the constructors hold
+# the defaults
 _KINDS = {
     "pure": (pure_power, ()),
     "logpow": (log_power, ("a",)),
@@ -33,75 +35,104 @@ _KINDS = {
 
 
 def _function_from(cfg: dict) -> RegVarFunction:
-    kind = cfg.get("kind", "pure")
+    kind = cfg["kind"]
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}; pick one of {sorted(_KINDS)}")
+    make, keys = _KINDS[kind]
+    foreign = [k for k in _SHAPE if k in cfg and k not in keys]
+    if foreign:
+        raise ValueError(f"kind {kind} takes no {', '.join(foreign)}")
     if "c" not in cfg:
         raise ValueError("function kind needs c")
-    make, keys = _KINDS[kind]
     return make(cfg["c"], **{k: cfg[k] for k in keys if k in cfg})
 
 
 # -- config handling ---------------------------------------------------------
 
-_COMMON_KEYS = {"out", "format", "threads", "seed", "check", "epsilon"}
-_SUB_KEYS = {
-    "expsum": {"kind", "c", "a", "b", "depth", "N", "xi", "theta1"},
-    "waring": {"c1", "c2", "c3", "lam"},
-    "ergodic": {"kind", "c", "a", "b", "depth", "start", "jmin", "jmax",
-                "kgrid"},
-    "explicit": {"x", "T", "zero_table"},
-    "vaughan-check": {"nmax", "v", "cases"},
-    "regvar-check": set(),
-}
-
 _MEMORY_CAP = 2 << 30  # bytes a waring report or ergodic orbit may plan to hold
 _TERM_CAP = 1 << 28  # approximant terms h(N) of one expsum row
 
-_DEFAULTS = {
-    "format": "text", "threads": 1, "seed": 0, "check": False,
-    "epsilon": expsum.EPSILON,
+
+def _checked(parse, ok, why: str):
+    """Parser of one raw string that refuses a value failing `ok`."""
+    def run(raw: str):
+        value = parse(raw)
+        if not ok(value):
+            raise ValueError(why)
+        return value
+    return run
+
+
+def _tokens(raw: str) -> list[str]:
+    return [tok.strip() for tok in raw.split(",") if tok.strip()]
+
+
+def _grid(kind):
+    return _checked(lambda raw: [kind(tok) for tok in _tokens(raw)],
+                    lambda g: g and all(a < b for a, b in zip(g, g[1:])),
+                    "grid must be non-empty ascending")
+
+
+_index = _checked(float, lambda v: 1.0 < v < 2.0, "outside (1, 2)")
+_EPSILON = (_checked(float, lambda v: 0.0 < v < 1.0 / 3.0, "outside (0, 1/3)"),
+            expsum.EPSILON)
+
+# key -> (parser of the raw string, default); None: absent unless given
+_COMMON = {
+    "out": (str, None),
+    "format": (_checked(str, lambda v: v in {"text", "json"},
+                        "must be text or json"), "text"),
+    "threads": (_checked(int, lambda v: v >= 1, "must be >= 1"), 1),
+    "check": (lambda raw: raw.lower() in {"1", "true", "yes", "on"}, False),
+}
+# no default here: a, b and depth take the constructors', theta1 follows c
+_SHAPE = {"a": (float, None), "b": (float, None), "depth": (int, None)}
+_KEYS = {
+    "expsum": {"kind": (str, "pure"), "c": (_index, None), **_SHAPE,
+               "N": (_grid(int), [10 ** 4, 10 ** 5]),
+               "xi": (_tokens, ["zero", "halfcut", "cut"]),
+               "theta1": (float, None), "epsilon": _EPSILON},
+    "waring": {"c1": (_index, 1.01), "c2": (_index, 1.01),
+               "c3": (_index, 1.01), "lam": (_grid(int), [100, 200]),
+               "epsilon": _EPSILON},
+    "ergodic": {"kind": (str, "pure"), "c": (_index, 1.1), **_SHAPE,
+                "start": (float, 0.35), "jmin": (int, 10), "jmax": (int, 20),
+                "kgrid": (_grid(int), [10, 100, 1000]), "seed": (int, 0)},
+    "explicit": {"x": (_grid(float), [1e3, 1e4]),
+                 "T": (_grid(float), [1e2, 1e3]), "zero_table": (str, None)},
+    "vaughan-check": {"nmax": (int, 10 ** 4),
+                      "v": (_grid(float), [2.0, 5.0, 10.0]),
+                      "cases": (int, 20), "seed": (int, 0)},
+    "regvar-check": {},
 }
 
 
-def _coerce(key: str, raw):
-    if not isinstance(raw, str):
-        return raw
-    if key in {"N", "lam", "kgrid"}:
-        return [int(tok) for tok in raw.split(",") if tok]
-    if key in {"x", "T", "v"}:
-        return [float(tok) for tok in raw.split(",") if tok]
-    if key == "xi":
-        return [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if key in {"threads", "seed", "depth", "jmin", "jmax", "nmax", "cases"}:
-        return int(raw)
-    if key == "check":
-        return raw.lower() in {"1", "true", "yes", "on"}
-    if key in {"kind", "format", "out", "zero_table"}:
-        return raw
-    return float(raw)
+def _set(cfg: dict, keys: dict, key: str, raw: str, where: str) -> None:
+    try:
+        cfg[key] = keys[key][0](raw)
+    except ValueError as exc:
+        raise ValueError(f"{where}{key}={raw}: {exc}") from None
 
 
 def parse_config(argv: list[str]) -> dict:
-    """Flags plus optional key=value file -> validated flat config."""
+    """Flags plus optional key=value file -> validated effective config."""
     parser = argparse.ArgumentParser(
         prog="primeorbits",
         description="experiments over prime-orbit exponential sums")
-    parser.add_argument("subcommand", choices=sorted(_SUB_KEYS))
+    parser.add_argument("subcommand", choices=sorted(_KEYS))
     parser.add_argument("--config", help="flat key=value file; flags override")
-    known_keys = _COMMON_KEYS | set().union(*_SUB_KEYS.values())
-    for key in sorted(known_keys):
+    for key in sorted(set(_COMMON).union(*_KEYS.values())):
         flag = "--" + key.replace("_", "-")
         if key == "check":
-            parser.add_argument(flag, action="store_true", default=None)
+            parser.add_argument(flag, action="store_const", const="on")
         else:
-            parser.add_argument(flag, default=None)
+            parser.add_argument(flag)
     args = vars(parser.parse_args(argv))
     sub = args.pop("subcommand")
     cfg: dict = {"subcommand": sub}
-    allowed = _COMMON_KEYS | _SUB_KEYS[sub]
+    keys = {**_COMMON, **_KEYS[sub]}
 
-    file_path = args.pop("config", None)
+    file_path = args.pop("config")
     if file_path:
         with open(file_path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -112,48 +143,36 @@ def parse_config(argv: list[str]) -> dict:
                     raise ValueError(f"{file_path}:{lineno}: expected key=value")
                 key, val = (part.strip() for part in line.split("=", 1))
                 key = key.replace("-", "_")
-                if key not in allowed:
-                    raise ValueError(f"{file_path}:{lineno}: unknown key {key!r} "
-                                     f"for {sub}")
-                cfg[key] = _coerce(key, val)
+                if key not in keys:
+                    raise ValueError(f"{file_path}:{lineno}: unknown key "
+                                     f"{key!r} for {sub}")
+                _set(cfg, keys, key, val, f"{file_path}:{lineno}: ")
 
     for key, val in args.items():
         if val is None:
             continue
-        key = key.replace("-", "_")
-        if key not in allowed and key != "out":
-            raise ValueError(f"flag --{key} not valid for {sub}")
-        cfg[key] = _coerce(key, val)
+        if key not in keys:
+            raise ValueError(f"flag --{key.replace('_', '-')} not valid "
+                             f"for {sub}")
+        _set(cfg, keys, key, val, "")
 
-    for key, val in _DEFAULTS.items():
-        cfg.setdefault(key, val)
+    for key, (_, default) in keys.items():
+        if default is not None:
+            cfg.setdefault(key, default)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: dict) -> None:
-    for key in ("c", "c1", "c2", "c3"):
-        if key in cfg and not 1.0 < cfg[key] < 2.0:
-            raise ValueError(f"{key}={cfg[key]} outside (1, 2)")
-    if not 0.0 < cfg["epsilon"] < 1.0 / 3.0:
-        raise ValueError(f"epsilon={cfg['epsilon']} outside (0, 1/3)")
-    if cfg["threads"] < 1:
-        raise ValueError("threads must be >= 1")
-    for key in ("N", "lam", "x", "T"):
-        if key in cfg:
-            grid = cfg[key]
-            if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ValueError(f"{key} grid must be non-empty ascending")
-    if cfg.get("format") not in {"text", "json"}:
-        raise ValueError("format must be text or json")
+    """Refuse, before any work, a request too large to run."""
     if cfg["subcommand"] == "expsum":
-        h, n_grid = _expsum_inputs(cfg)
-        terms = h.value(float(max(n_grid)))
+        n_max = max(cfg["N"])
+        terms = _function_from(cfg).value(float(n_max))
         if terms > _TERM_CAP:
-            raise ValueError(f"N={max(n_grid)} needs about {terms:.3g} "
+            raise ValueError(f"N={n_max} needs about {terms:.3g} "
                              f"approximant terms, over the 2^28 cap")
     if cfg["subcommand"] == "ergodic":
-        h, jmin, jmax = _ergodic_inputs(cfg)
+        h, jmin, jmax = _function_from(cfg), cfg["jmin"], cfg["jmax"]
         if not 1 <= jmin <= jmax:
             raise ValueError(f"need 1 <= jmin <= jmax, got {jmin}, {jmax}")
         # primes, floors and orbit values hold 8 bytes each per prime
@@ -168,7 +187,7 @@ def _validate(cfg: dict) -> None:
             raise ValueError(f"jmax={jmax}: h(2^{jmax}) reaches 2^53, where "
                              "a double has no fractional bit left")
     if cfg["subcommand"] == "waring":
-        hs, lams = _waring_inputs(cfg)
+        hs, lams = [pure_power(cfg[k]) for k in ("c1", "c2", "c3")], cfg["lam"]
         waring.check_lambda(hs, min(lams))
         need = waring.memory_estimate(hs, max(lams))
         if need > _MEMORY_CAP:
@@ -249,14 +268,9 @@ def _resolve_xi(token: str, n: float, theta1: float) -> float:
     return float(token)
 
 
-def _expsum_inputs(cfg: dict):
-    return _function_from(cfg), cfg.get("N", [10 ** 4, 10 ** 5])
-
-
 def _run_expsum(cfg: dict):
-    h, n_grid = _expsum_inputs(cfg)
+    h, n_grid, tokens = _function_from(cfg), cfg["N"], cfg["xi"]
     theta1 = cfg.get("theta1", expsum.theta1_default(h.c))
-    tokens = cfg.get("xi", ["zero", "halfcut", "cut"])
     eps = cfg["epsilon"]
     primes.primes_upto(max(n_grid), threads=cfg["threads"])
     columns = ["N", "xi", "abs_sum", "approx_abs", "abs_err",
@@ -306,13 +320,8 @@ def _oracle_triple_loop(hs, lmax: int) -> np.ndarray:
     return r
 
 
-def _waring_inputs(cfg: dict):
-    cs = (cfg.get("c1", 1.01), cfg.get("c2", 1.01), cfg.get("c3", 1.01))
-    return [pure_power(c) for c in cs], cfg.get("lam", [100, 200])
-
-
 def _run_waring(cfg: dict):
-    hs, lams = _waring_inputs(cfg)
+    hs, lams = [pure_power(cfg[k]) for k in ("c1", "c2", "c3")], cfg["lam"]
     config = waring.WaringConfig(*hs, lambda_max=max(lams))
     primes.primes_upto(max(waring.arg_cutoff(h, max(lams)) for h in hs),
                        threads=cfg["threads"])
@@ -346,18 +355,12 @@ def _run_waring(cfg: dict):
     return columns, rows, notes, failures
 
 
-def _ergodic_inputs(cfg: dict):
-    h = _function_from(cfg) if "c" in cfg else pure_power(1.1)
-    return h, cfg.get("jmin", 10), cfg.get("jmax", 20)
-
-
 def _run_ergodic(cfg: dict):
-    h, jmin, jmax = _ergodic_inputs(cfg)
-    x = cfg.get("start", 0.35)
-    kgrid = cfg.get("kgrid", [10, 100, 1000])
+    h, jmin, jmax = _function_from(cfg), cfg["jmin"], cfg["jmax"]
     alpha = ergodic.golden_surrogate()
     primes.primes_upto(2 ** jmax, threads=cfg["threads"])
-    system = ergodic.RotationSystem(alpha, ergodic.halfline_observable, x=x)
+    system = ergodic.RotationSystem(alpha, ergodic.halfline_observable,
+                                    x=cfg["start"])
     grid = [2 ** j for j in range(jmin, jmax + 1)]
     rep = ergodic.convergence_report(system, h, grid, seed=cfg["seed"])
     prime_list = primes.primes_upto(grid[-1])
@@ -372,7 +375,7 @@ def _run_ergodic(cfg: dict):
                      d_n, float(rep.running_max[i]), float(deltas[i])])
     failures = []
     weight_notes = []
-    for k in kgrid:
+    for k in cfg["kgrid"]:
         gap = abs(ergodic.lambda_weight_sum(int(k)) - 1.0)
         weight_notes.append(f"k={k}: |sum-1|={gap:.2e}")
         if cfg["check"] and gap > 1e-12:
@@ -389,8 +392,7 @@ def _run_ergodic(cfg: dict):
 
 def _run_explicit(cfg: dict):
     table = zeta.load_zeros(cfg.get("zero_table"))
-    xs = cfg.get("x", [1e3, 1e4])
-    Ts = cfg.get("T", [1e2, 1e3])
+    xs, Ts = cfg["x"], cfg["T"]
     primes.primes_upto(int(max(xs)), threads=cfg["threads"])
     columns = ["x", "T", "truncated_psi", "psi", "abs_err", "bound"]
     rows, failures = [], []
@@ -412,9 +414,7 @@ def _run_explicit(cfg: dict):
 
 
 def _run_vaughan(cfg: dict):
-    nmax = cfg.get("nmax", 10 ** 4)
-    vws = cfg.get("v", [2.0, 5.0, 10.0])
-    cases = cfg.get("cases", 20)
+    nmax, vws, cases = cfg["nmax"], cfg["v"], cfg["cases"]
     primes.primes_upto(nmax, threads=cfg["threads"])
     spf = primes.spf_table(nmax)
     lam_true = primes.von_mangoldt_range(0, nmax + 1)

@@ -71,7 +71,6 @@ class RotationSystem:
     alpha: Fraction
     f: object
     x: float = 0.0
-    f_mean: float = 0.0
 
     def orbit_values(self, h: RegVarFunction, N: int) -> np.ndarray:
         idx = orbit_indices(h, N)

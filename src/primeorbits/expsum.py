@@ -66,11 +66,6 @@ def theta1_default(c: float) -> float:
     return 6.0 * c / 5.0 - 14.0 / 15.0
 
 
-def fourier_cut(c: float) -> float:
-    """Truncation exponent (8 - 6c)/45 used for frequency cutoffs."""
-    return (8.0 - 6.0 * c) / 45.0
-
-
 def chi_bound(c: float, theta1: float | None = None) -> float:
     """Largest admissible minor-arc saving exponent for this c, theta1."""
     if theta1 is None:
@@ -300,11 +295,6 @@ class ArcProfile:
     abs_values: tuple          # matching |S| magnitudes
     max_abs: tuple             # per-N maxima
     slope: float               # least-squares log-log slope of max_abs
-
-    def summary(self) -> str:
-        rows = [f"N={n:>10.0f}  max|S|={m:.6e}" for n, m in
-                zip(self.n_grid, self.max_abs)]
-        return "\n".join(rows + [f"slope={self.slope:.4f} (chi cap {self.chi:.5f})"])
 
 
 def minor_arc_scan(h: RegVarFunction, n_grid, theta1: float | None = None,

@@ -107,21 +107,26 @@ class RegVarFunction:
 
     # -- h and derivatives ----------------------------------------------
 
+    def _from_log(self, L, log, exp):
+        """h as an expression in L = log x, given the log and exp to use;
+        value and eval_mp share it, so the formula of each kind is written
+        once."""
+        if self.kind == "logpow":
+            return self.coeff * exp(self.c * L + self.a * log(L))
+        if self.kind == "explog":
+            return self.coeff * exp(self.c * L + self.a * L ** self.b)
+        h = self.coeff * exp(self.c * L)
+        if self.kind == "itlog":
+            lk = L
+            for _ in range(1, self.depth):
+                lk = log(lk)
+            h = h * lk
+        return h
+
     def value(self, x):
         x, scalar = _as_array(x)
         x = np.maximum(x, self.x0)
-        L = np.log(x)
-        if self.kind == "pure":
-            h = self.coeff * np.exp(self.c * L)
-        elif self.kind == "logpow":
-            h = self.coeff * np.exp(self.c * L + self.a * np.log(L))
-        elif self.kind == "explog":
-            h = self.coeff * np.exp(self.c * L + self.a * L ** self.b)
-        else:
-            lk = L
-            for _ in range(1, self.depth):
-                lk = np.log(lk)
-            h = self.coeff * np.exp(self.c * L) * lk
+        h = self._from_log(np.log(x), np.log, np.exp)
         return h.item() if scalar else h
 
     def d1(self, x):
@@ -149,22 +154,14 @@ class RegVarFunction:
         return h, h * (self.c + self.theta(xx)) / xx
 
     def eval_mp(self, x: float) -> mpmath.mpf:
-        """High-precision h(x) used by the guarded floor."""
+        """High-precision h(x) used by the guarded floor.
+
+        The exponential is mpmath.e ** t, not mpmath.exp: the two differ in
+        the 40th digit, which moves floors where h is an integer.
+        """
         with mpmath.workdps(40):
-            xm = mpmath.mpf(max(float(x), self.x0))
-            L = mpmath.log(xm)
-            if self.kind == "pure":
-                v = self.coeff * mpmath.e ** (self.c * L)
-            elif self.kind == "logpow":
-                v = self.coeff * mpmath.e ** (self.c * L + self.a * mpmath.log(L))
-            elif self.kind == "explog":
-                v = self.coeff * mpmath.e ** (self.c * L + self.a * L ** self.b)
-            else:
-                lk = L
-                for _ in range(1, self.depth):
-                    lk = mpmath.log(lk)
-                v = self.coeff * mpmath.e ** (self.c * L) * lk
-            return +v
+            L = mpmath.log(mpmath.mpf(max(float(x), self.x0)))
+            return +self._from_log(L, mpmath.log, lambda t: mpmath.e ** t)
 
     def label(self) -> str:
         if self.kind == "pure":

@@ -27,7 +27,7 @@ product stays under _BLOCK_BYTES.  The Legendre tables and moments are
 those of expsum.osc_integral; a block's moments 2 i^k j_k(gamma s / 2),
 k < 17, come from one recurrence pass over the orders
 (expsum.legendre_moments).  A request whose estimated peak memory,
-panels x _PANEL_BYTES + _BLOCK_BYTES, exceeds _MAX_BYTES is refused
+panels x _PANEL_BYTES + _BLOCK_PEAK, exceeds _MAX_BYTES is refused
 before any exponential is formed.
 """
 
@@ -48,12 +48,17 @@ _FIRST_GAMMA = 14.1347
 _K_PARITY = np.where(_K_RANGE % 2 == 0, 1.0, -1.0)
 # bytes of the (zeros, A, 34) product that one block of zeros may take
 _BLOCK_BYTES = 1 << 22
+# peak bytes of one block: next to that product it holds e1, e2, the
+# batched matmul's buffers, proj and the moments, about as much again
+# (tracemalloc peak of x^1.1 at t = 1e4 on the full table: 7.66 MiB at
+# 10-12 panels, 95.6% of the refusal estimate, and at most 85% past 16)
+_BLOCK_PEAK = 2 * _BLOCK_BYTES
 # peak bytes per panel of zero_osc_sum on top of the blocks of zeros
 # (1,361-1,368 measured with tracemalloc at 2e3 and 2e4 panels with one
 # zero, 1,151-1,341 past the block with 649; the same with the moments
 # from the recurrence of expsum.legendre_moments as from scipy's)
 _PANEL_BYTES = 1400
-# largest estimated peak, panels x _PANEL_BYTES + _BLOCK_BYTES, it accepts
+# largest estimated peak, panels x _PANEL_BYTES + _BLOCK_PEAK, it accepts
 _MAX_BYTES = 1 << 29
 
 ZERO_TABLE_ENV = "PRIMEORBITS_ZERO_TABLE"
@@ -200,7 +205,7 @@ def _osc_panels(h: RegVarFunction, t: float,
     """
     cycles = abs(xi) * (h.value(t) - h.value(t / 2.0))
     n_panels = int(math.ceil(4.0 * cycles)) + 8
-    need = n_panels * _PANEL_BYTES + _BLOCK_BYTES
+    need = n_panels * _PANEL_BYTES + _BLOCK_PEAK
     if need > _MAX_BYTES:
         raise ValueError(f"memory budget exceeded: {n_panels} panels for "
                          f"xi={xi:g}, t={t:g} need about {need / 2**20:.0f} MiB "

@@ -29,7 +29,7 @@ def test_parse_happy_path():
     # defaults fill in
     assert cfg["format"] == "text"
     assert cfg["threads"] == 1
-    assert cfg["seed"] == 0
+    assert cfg["kind"] == "pure"
     assert cfg["epsilon"] == pytest.approx(1.0 / 12.0)
 
 
@@ -62,6 +62,97 @@ def test_config_file_requires_key_value(tmp_path):
 def test_flag_wrong_subcommand():
     with pytest.raises(ValueError, match="not valid"):
         cli.parse_config(["waring", "--N", "5"])
+
+
+# keys no runner of that subcommand reads: each is a usage error
+_UNREAD = [("expsum", "seed"), ("waring", "seed"), ("explicit", "seed"),
+           ("regvar-check", "seed"), ("ergodic", "epsilon"),
+           ("explicit", "epsilon"), ("vaughan-check", "epsilon"),
+           ("regvar-check", "epsilon")]
+_SMALL = {"expsum": ["--c", "1.2", "--N", "1000", "--xi", "zero"]}
+
+
+@pytest.mark.parametrize("sub, key", _UNREAD)
+def test_unread_key_exits_one(tmp_path, capsys, sub, key):
+    value = "0.1" if key == "epsilon" else "3"
+    out = tmp_path / "r.txt"
+    assert cli.main([sub, *_SMALL.get(sub, []), f"--{key}", value,
+                     "--out", str(out)]) == 1
+    assert f"--{key} not valid for {sub}" in capsys.readouterr().err
+    p = write_config(tmp_path, f"# a run\n{key} = {value}\n")
+    assert cli.main([sub, *_SMALL.get(sub, []), "--config", str(p),
+                     "--out", str(out)]) == 1
+    assert f":2: unknown key {key!r} for {sub}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["expsum", "--kind", "pure", "--c", "1.2", "--a", "0.7"],
+    ["expsum", "--kind", "logpow", "--c", "1.2", "--depth", "3"],
+    ["expsum", "--kind", "itlog", "--c", "1.2", "--b", "0.5"],
+    ["ergodic", "--a", "0.7"],
+    ["ergodic", "--depth", "2"],
+])
+def test_shape_key_of_another_kind_exits_one(capsys, argv):
+    assert cli.main(argv) == 1
+    assert "takes no" in capsys.readouterr().err
+
+
+def test_shape_keys_reach_the_function():
+    cfg = cli.parse_config(["ergodic", "--kind", "explog", "--c", "1.15",
+                            "--a", "0.2", "--b", "0.4"])
+    h = cli._function_from(cfg)
+    assert (h.kind, h.c, h.a, h.b) == ("explog", 1.15, 0.2, 0.4)
+
+
+def test_bad_value_names_its_key_and_line(tmp_path):
+    p = write_config(tmp_path, "c = 1.2\nN = 10,abc\n")
+    with pytest.raises(ValueError, match=r":2: N=10,abc: invalid literal"):
+        cli.parse_config(["expsum", "--config", str(p)])
+
+
+def _config_line(cfg: dict) -> dict:
+    line = cli.render_text(cfg, [], [], []).splitlines()[1]
+    assert line.startswith("# config: ")
+    return dict(kv.split("=", 1) for kv in
+                line[len("# config: "):].replace(", ", ",").split())
+
+
+def test_header_shows_effective_defaults():
+    got = _config_line(cli.parse_config(["expsum", "--c", "1.2"]))
+    assert got == {"N": "[10000,100000]", "c": "1.2", "check": "False",
+                   "epsilon": "0.08333333333333333", "format": "text",
+                   "kind": "pure", "threads": "1",
+                   "xi": "['zero','halfcut','cut']"}
+    got = _config_line(cli.parse_config(["ergodic"]))
+    assert got == {"c": "1.1", "check": "False", "format": "text",
+                   "jmax": "20", "jmin": "10", "kgrid": "[10,100,1000]",
+                   "kind": "pure", "seed": "0", "start": "0.35",
+                   "threads": "1"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["expsum", "--c", "1.2", "--N", "1000", "--xi", "zero"],
+    ["waring"],
+    ["ergodic", "--jmin", "10", "--jmax", "12"],
+    ["explicit", "--x", "1000", "--T", "100"],
+    ["vaughan-check", "--nmax", "300", "--v", "2", "--cases", "1"],
+    ["regvar-check"],
+])
+def test_report_config_is_every_defaulted_key(tmp_path, argv):
+    # the header and the mirror list the keys the run was given plus
+    # every key of its subcommand that has a default
+    out = tmp_path / "r.txt"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    given = {flag[2:] for flag in argv[1::2]} | {"out"}
+    keys = {**cli._COMMON, **cli._KEYS[argv[0]]}
+    want = given | {k for k, (_, default) in keys.items()
+                    if default is not None}
+    line = out.read_text().splitlines()[1]
+    assert {kv.split("=", 1)[0] for kv in line.split()[2:]
+            if "=" in kv} == want
+    mirror = json.loads((tmp_path / "r.txt.json").read_text())
+    assert set(mirror["config"]) == want
 
 
 def test_grid_must_ascend():
@@ -341,7 +432,8 @@ def test_report_embeds_config_and_version(tmp_path):
     head = out.read_text().splitlines()
     assert head[0].startswith("# primeorbits 0.")
     assert "c=1.2" in head[1]
-    assert "seed=0" in head[1]
+    assert "kind=pure" in head[1]
+    assert "epsilon=0.08333333333333333" in head[1]
 
 
 def test_rows_identical_across_threads(tmp_path):

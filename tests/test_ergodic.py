@@ -373,7 +373,7 @@ def test_box_oscillation_constant_zero():
 
 def test_convergence_report_constant_observable():
     one = lambda y: np.ones_like(np.asarray(y, dtype=np.float64))
-    sys_ = RotationSystem(golden_surrogate(), one, 0.0, f_mean=1.0)
+    sys_ = RotationSystem(golden_surrogate(), one, 0.0)
     grid = [2 ** j for j in range(4, 11)]
     rep = convergence_report(sys_, pure_power(1.2), grid)
     np.testing.assert_allclose(rep.values, 1.0, rtol=1e-14)

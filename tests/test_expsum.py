@@ -33,10 +33,6 @@ def test_chi_bound():
         expsum.chi_bound(1.2, theta1=0.578)
 
 
-def test_fourier_cut():
-    assert abs(expsum.fourier_cut(1.2) - 0.017777777777777778) < 1e-15
-
-
 def test_normalizer():
     n = 1e4
     want = n * math.exp(-math.log(n) ** (1 / 3 - expsum.EPSILON))

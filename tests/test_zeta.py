@@ -294,3 +294,20 @@ def test_zero_osc_sum_memory_below_carrier_matrix():
         tracemalloc.stop()
     assert (r.n_panels, r.n_zeros) == (panels, 649)
     assert peak < panels * 649 * 16 / 2
+
+
+@pytest.mark.parametrize("panels", [9, 85, 770, 1531])
+def test_zero_osc_sum_peak_within_refusal_estimate(panels):
+    # few panels and every zero is where the blocks, not the panels, set
+    # the peak; 1531 panels is the major-arc cutoff at t = 1e4
+    t = 1e4
+    xi = min(_xi_for_panels(H11, t, panels),
+             t ** -expsum.theta1_default(1.1))
+    tracemalloc.start()
+    try:
+        r = zeta.zero_osc_sum(H11, t, xi, TAB.max_gamma, TAB)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (r.n_panels, r.n_zeros) == (panels, TAB.count)
+    assert peak <= panels * zeta._PANEL_BYTES + zeta._BLOCK_PEAK
