@@ -29,7 +29,10 @@ longer request computes only the missing tail.  The tables of the four
 most recently used functions are kept.  The approximant's weights
 phi'(n) are made one chunk at a time inside the sum and never stored;
 they come from regvar.InverseHandle.d1, which alone decides how phi' is
-made, as it does for osc_integral.
+made, as it does for osc_integral.  For a non-pure h that is Chebyshev
+interpolants on dyadic blocks of y, built by one handle per sum as its
+chunks reach them; the `# work:` note counts the blocks and the
+long-double evaluations of h at their nodes.
 
 osc_integral, the smooth integral of e(xi h(s)), is a Filon quadrature
 in y = h(s): phi' is fitted on a few panels geometric in y and each
@@ -92,6 +95,8 @@ class SumWork:
     digit_terms: int = 0        # phase terms through accum.DigitPhase
     direct_terms: int = 0       # phase terms through accum.phase
     table_entries: int = 0      # DigitPhase table entries built
+    inverse_blocks: int = 0     # phi' interpolant blocks built (non-pure h)
+    node_newton: int = 0        # long-double evaluations of h at their nodes
 
     def note(self) -> str:
         return "work: " + " ".join(f"{f.name}={getattr(self, f.name)}"
@@ -108,15 +113,18 @@ class ExpSumResult:
 
 
 def _mp_floor(v: mpmath.mpf) -> int:
-    """Floor that treats values within 1e-30 of an integer as that integer.
+    """Floor that treats values within |v| * 1e-36 of an integer as that
+    integer.
 
-    The 40-digit recomputation of a genuinely integral h(n) can land an
-    epsilon on either side; without the snap the floor would flip on e.g.
-    9**1.5.  A true non-integer within 1e-30 of an integer is far beyond
-    what the catalog functions produce at any feasible argument.
+    The 40-digit recomputation of a genuinely integral h(n) lands within
+    about |v| * 1e-40 of it on either side (x^1.5 at n = 10**10 gives
+    10**15 - 1.3e-25); without the snap the floor would flip.  The band
+    scales with |v| because 40 significant digits do.  A true non-integer
+    that close to an integer is far beyond what the catalog functions
+    produce at any feasible argument.
     """
     r = mpmath.nint(v)
-    if abs(v - r) < mpmath.mpf("1e-30"):
+    if abs(v - r) <= abs(v) * mpmath.mpf("1e-36"):
         return int(r)
     return int(mpmath.floor(v))
 
@@ -194,7 +202,7 @@ def _phase_sum(size: int, weight, n: np.ndarray | None, xi: float,
             work.direct_terms += size
     parts = []
     for lo, hi in chunked(size, _CHUNK):
-        # the weights first: phi' by Newton peaks before z exists
+        # the weights first, so their scratch is freed before z exists
         w = weight(lo, hi)
         z = e(np.arange(lo + 1, hi + 1) if n is None else n[lo:hi])
         z *= w
@@ -226,11 +234,13 @@ def approximant_sum(h: RegVarFunction, N: float, xi: float,
                     work: SumWork | None = None) -> ExpSumResult:
     """Smooth major-arc approximant: sum of phi'(n) e(n xi), n <= h(N)."""
     lam = int(guarded_floor(h, np.array([float(N)]))[0][0])
-    d1 = InverseHandle(h).d1
-    value = _phase_sum(lam, lambda lo, hi: d1(
+    inv = InverseHandle(h)
+    value = _phase_sum(lam, lambda lo, hi: inv.d1(
         np.arange(lo + 1, hi + 1, dtype=np.float64)), None, xi, work)
     if work is not None:
         work.approximant_terms += lam
+        work.inverse_blocks += inv.blocks_built
+        work.node_newton += inv.node_evals
     return ExpSumResult(value, lam, float(N), float(xi), "approximant")
 
 

@@ -266,13 +266,30 @@ def test_expsum_work_note(tmp_path, monkeypatch):
     assert {k: int(v) for k, v in notes[0].items()} == {
         "floor_points": pi4, "recomputes": 0, "approximant_terms": terms,
         "digit_terms": 2 * (pi1 + pi4) + terms, "direct_terms": 0,
-        "table_entries": int(notes[0]["table_entries"])}
+        "table_entries": int(notes[0]["table_entries"]),
+        "inverse_blocks": 0, "node_newton": 0}
     assert int(notes[0]["table_entries"]) > 0
     # the second run reads the stored floors and floors nothing
     assert notes[1]["floor_points"] == "0"
     rows = [[ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
             for out in (cold, warm)]
     assert rows[0] == rows[1]
+
+
+def test_expsum_work_note_counts_inverse_blocks(tmp_path):
+    # a non-pure approximant builds the phi' blocks up to h(N) once per
+    # (N, xi): 2**5 <= h(x0) = 46.4 and h(2000) = 25215.6 < 2**15, so 10
+    # blocks each
+    out = tmp_path / "logpow.txt"
+    argv = ["expsum", "--kind", "logpow", "--c", "1.2", "--N", "2000",
+            "--xi", "zero,cut", "--out", str(out)]
+    assert cli.main(argv) == 0
+    work = [ln for ln in out.read_text().splitlines() if ln.startswith("# work:")]
+    note = dict(kv.split("=") for kv in work[0].split()[2:])
+    assert int(note["inverse_blocks"]) == 2 * 10
+    assert int(note["node_newton"]) >= 2 * 10 * 17 * 2
+    mirror = json.loads(out.with_suffix(".txt.json").read_text())
+    assert work[0][2:] in mirror["notes"]
 
 
 def test_expsum_refuses_oversized_table_before_work(tmp_path, monkeypatch):

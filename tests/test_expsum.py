@@ -50,6 +50,17 @@ def test_guarded_floor_exact_integers():
     assert fl[0] == 32 and fl[1] == 243
 
 
+def test_guarded_floor_snaps_large_integers():
+    # x^1.5 at 2335**2 and 1e10 is the integer 2335**3 and 10**15; the
+    # 40-digit values sit 2.4e-30 and 1.3e-25 below, inside the |v| * 1e-36
+    # snap of _mp_floor.  The double h(1e10) = 999999999999998.8 leaves the
+    # guard band unflagged, so 1e10 is checked on the recompute alone
+    h = pure_power(1.5)
+    fl, bad = expsum.guarded_floor(h, np.array([5452225]))
+    assert fl.tolist() == [2335 ** 3] and bad == 1
+    assert expsum._mp_floor(h.eval_mp(1e10)) == 10 ** 15
+
+
 def test_guarded_floor_resolves_ieee_exponent():
     # float 1.2 sits just below 6/5, so 32**c is strictly under 64 and the
     # exact floor is 63, whatever sloppy rounding would suggest

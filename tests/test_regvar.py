@@ -198,32 +198,84 @@ def test_inverse_below_range_clamps():
     assert phi.value(h.value(h.x0) * 0.5) == h.x0
 
 
-def _newton_3_7(h, y):
-    # reference for the non-pure kinds: the closed-form start, then 3 + 7
-    # Newton steps, which InverseHandle's one loop of ten must match bit for bit
-    ylo = h.value(h.x0)
-    x = np.maximum((np.maximum(y, ylo) / h.coeff) ** h.gamma, h.x0)
-    for _ in range(3):
-        hv, hd = h.value_and_d1(x)
-        x = np.maximum(x - (hv - y) / hd, h.x0)
-    for _ in range(7):
-        hv, hd = h.value_and_d1(x)
-        step = (hv - y) / hd
-        x = np.maximum(x - step, h.x0)
-    return np.where(y <= ylo, h.x0, x)
+# the three non-pure catalog kinds, and one whose phi has a branch point
+# just below h(x0) = h(2), where the first block is split
+NONPURE = [log_power(1.15, a=0.5), exp_log(1.1, a=0.3, b=0.5),
+           iterated_log(1.2, depth=2), log_power(1.95, a=-0.5)]
 
 
-@pytest.mark.parametrize("h", [log_power(1.15, a=0.5), exp_log(1.1, a=0.3, b=0.5),
-                               iterated_log(1.2, depth=2)],
-                         ids=lambda h: h.kind)
-def test_nonpure_inverse_bits_match_ten_newton_steps(h):
-    ylo = h.value(h.x0)
-    y = np.concatenate([[0.5, ylo, np.nextafter(ylo, np.inf)],
-                        np.geomspace(0.5 * ylo, 2.0 ** 40, 5000)])
-    x = _newton_3_7(h, y)
+def _mp_inverse(h, y, start):
+    # phi(y) and phi'(y) = 1/h'(phi(y)) at 40 digits
+    with mpmath.workdps(40):
+        f = lambda t: h._from_log(mpmath.log(t), mpmath.log, mpmath.exp)
+        x = mpmath.findroot(lambda t: f(t) - mpmath.mpf(y), mpmath.mpf(start))
+        return x, 1 / mpmath.diff(f, x)
+
+
+@pytest.mark.parametrize("h", NONPURE, ids=lambda h: h.label())
+def test_nonpure_inverse_matches_mpmath(h):
     phi = InverseHandle(h)
-    assert phi.value(y).tobytes() == x.tobytes()
-    assert phi.d1(y).tobytes() == (1.0 / h.d1(x)).tobytes()
+    ylo = h.value(h.x0)
+    y = np.concatenate([ylo * (1.0 + np.geomspace(1e-12, 1.0, 40)),
+                        np.geomspace(2.0 * ylo, 2.0 ** 40, 160)])
+    x, d = phi.value(y), phi.d1(y)
+    for yi, xi, di in zip(y, x, d):
+        want_x, want_d = _mp_inverse(h, yi, xi)
+        assert abs(xi - want_x) <= 2.5e-15 * want_x
+        assert abs(di - want_d) <= 2.5e-15 * want_d
+    # at and below h(x0) phi is x0 and phi' is 1/h'(x0), exactly
+    low = np.array([0.5, 0.5 * ylo, np.nextafter(ylo, 0.0), ylo])
+    assert np.all(phi.value(low) == h.x0)
+    assert np.all(phi.d1(low) == 1.0 / h.d1(h.x0))
+    assert phi.value(ylo) == h.x0 and phi.d1(ylo) == 1.0 / h.d1(h.x0)
+
+
+@pytest.mark.parametrize("h", NONPURE, ids=lambda h: h.label())
+def test_nonpure_inverse_depends_on_y_alone(h):
+    # one long call against its pieces: cuts inside blocks, pieces below and
+    # above the size where coefficients are gathered per point, and a
+    # shuffled copy; a fresh handle for each, so block builds differ too
+    ylo = h.value(h.x0)
+    y = np.concatenate([[0.5 * ylo, ylo], np.linspace(ylo, 3e3, 5000),
+                        np.geomspace(3e3, 2.0 ** 40, 7000)])
+    whole = InverseHandle(h).d1(y)
+    cuts = [0, 3, 1000, 1001, 5002, 9000, y.size]
+    parts = [InverseHandle(h).d1(y[a:b]) for a, b in zip(cuts, cuts[1:])]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    one = InverseHandle(h)
+    assert all(one.d1(float(v)) == w for v, w in zip(y[::997], whole[::997]))
+    perm = np.random.default_rng(3).permutation(y.size)
+    assert InverseHandle(h).d1(y[perm]).tobytes() == whole[perm].tobytes()
+    values = InverseHandle(h).value(y)
+    assert np.concatenate([InverseHandle(h).value(y[a:b]) for a, b in
+                           zip(cuts, cuts[1:])]).tobytes() == values.tobytes()
+
+
+def test_inverse_blocks_are_kept_and_counted():
+    h = log_power(1.15, a=0.5)
+    phi = InverseHandle(h)
+    assert phi.blocks_built == 0 and phi.node_evals == 0
+    phi.d1(np.array([1e3, 1e4]))
+    assert phi.blocks_built == 2   # 2**9 <= 1e3 < 2**10 and 2**13 <= 1e4 < 2**14
+    evals = phi.node_evals
+    assert evals >= 2 * 17 * 2   # at least two Newton evaluations per node
+    phi.value(np.array([6e2, 9e3]))
+    assert (phi.blocks_built, phi.node_evals) == (2, evals)
+    assert phi == InverseHandle(h) and hash(phi) == hash(InverseHandle(h))
+    assert InverseHandle(pure_power(1.2)).node_evals == 0
+
+
+def test_value_and_d1_keeps_long_double():
+    h = log_power(1.15, a=0.5)
+    x = np.geomspace(h.x0, 1e9, 9)
+    v, d = h.value_and_d1(x.astype(np.longdouble))
+    assert v.dtype == d.dtype == np.longdouble
+    v64, d64 = h.value_and_d1(x)
+    assert v64.dtype == np.float64
+    with mpmath.workdps(40):
+        for xi, vi in zip(x, v):
+            want = h.eval_mp(xi)
+            assert abs(mpmath.mpf(str(vi)) - want) <= 1e-17 * want
 
 
 @pytest.mark.parametrize("c", [1.01, 1.1, 1.2, 1.5, 1.95])
