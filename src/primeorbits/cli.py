@@ -101,7 +101,9 @@ _KEYS = {
     "explicit": {"x": (_grid(float), [1e3, 1e4]),
                  "T": (_grid(float), [1e2, 1e3]), "zero_table": (str, None)},
     "vaughan-check": {"nmax": (int, 10 ** 4),
-                      "v": (_grid(float), [2.0, 5.0, 10.0]),
+                      "v": (_checked(_grid(float), lambda g: g[0] >= 1.0,
+                                     "cutoffs must be >= 1"),
+                            [2.0, 5.0, 10.0]),
                       "cases": (int, 20), "seed": (int, 0)},
     "regvar-check": {},
 }
@@ -186,6 +188,12 @@ def _validate(cfg: dict) -> None:
         if h.value(2.0 ** jmax) >= 2.0 ** 53:
             raise ValueError(f"jmax={jmax}: h(2^{jmax}) reaches 2^53, where "
                              "a double has no fractional bit left")
+    if cfg["subcommand"] == "vaughan-check":
+        need = vaughan.IDENTITY_BYTES_PER_N * (cfg["nmax"] + 1)
+        if need > _MEMORY_CAP:
+            raise ValueError(f"nmax={cfg['nmax']} needs about "
+                             f"{need / 2 ** 30:.1f} GiB of identity tables, "
+                             f"over the {_MEMORY_CAP / 2 ** 30:g} GiB cap")
     if cfg["subcommand"] == "waring":
         hs, lams = [pure_power(cfg[k]) for k in ("c1", "c2", "c3")], cfg["lam"]
         waring.check_lambda(hs, min(lams))
@@ -416,15 +424,14 @@ def _run_explicit(cfg: dict):
 def _run_vaughan(cfg: dict):
     nmax, vws, cases = cfg["nmax"], cfg["v"], cfg["cases"]
     primes.primes_upto(nmax, threads=cfg["threads"])
-    spf = primes.spf_table(nmax)
     lam_true = primes.von_mangoldt_range(0, nmax + 1)
     columns = ["kind", "param", "cases", "max_resid"]
     rows, failures = [], []
+    work = vaughan.VaughanWork()
     for vw in vws:
-        worst = 0.0
-        for n in range(int(vw) + 1, nmax + 1):
-            got = vaughan.lambda_via_vaughan(n, vw, vw, spf=spf)
-            worst = max(worst, abs(got - lam_true[n]))
+        got = vaughan.lambda_via_vaughan_upto(nmax, vw, vw, work=work)
+        worst = float(np.max(np.abs(got - lam_true[int(vw) + 1:]),
+                             initial=0.0))
         rows.append(["identity", vw, nmax - int(vw), worst])
         if cfg["check"] and worst > 1e-10:
             failures.append(f"identity residual {worst:.2e} at v=w={vw}")
@@ -436,12 +443,12 @@ def _run_vaughan(cfg: dict):
         p = float(rng.uniform(max(2.0, p1 ** (1 / 3)), p1 / 2.0))
         xi = float(rng.uniform(-0.5, 0.5))
         m = int(rng.integers(0, 4))
-        split = vaughan.exp_sum_split(h, p, p1, xi, m)
+        split = vaughan.exp_sum_split(h, p, p1, xi, m, work=work)
         worst = max(worst, abs(split.residual))
     rows.append(["split", float("nan"), cases, worst])
     if cfg["check"] and worst > 1e-9:
         failures.append(f"four-sum split residual {worst:.2e}")
-    return columns, rows, ["h=pure c=1.2 for the split"], failures
+    return columns, rows, ["h=pure c=1.2 for the split", work.note()], failures
 
 
 def _run_regvar(cfg: dict):

@@ -254,8 +254,9 @@ def _dyadic_subsequence(m: int) -> np.ndarray:
     while idx[-1] + step < m - 1:
         idx.append(idx[-1] + step)
         step *= 2
-    idx.append(m - 1)
-    return np.unique(np.array(idx))
+    if idx[-1] != m - 1:  # m = 1: the start is already the last index
+        idx.append(m - 1)
+    return np.array(idx)
 
 
 def convergence_report(system, h: RegVarFunction, N_grid,

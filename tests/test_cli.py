@@ -2,13 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from primeorbits import cli, ergodic, expsum, primes, zeta
+from primeorbits import cli, ergodic, expsum, primes, vaughan, zeta
+from primeorbits.regvar import pure_power
 
 
 def write_config(tmp_path, text: str):
@@ -330,6 +336,49 @@ def test_ergodic_jmax_caps_admit_their_boundary():
     assert cli.parse_config(["ergodic", "--jmax", "30"])
 
 
+def test_vaughan_refuses_nmax_before_work(tmp_path, monkeypatch, capsys):
+    # 1e9 would ask for about 75 GiB of identity tables
+    calls = _sieve_calls(monkeypatch)
+    monkeypatch.setattr(primes, "spf_table", lambda n: calls.append(n))
+    out = tmp_path / "v.txt"
+    tracemalloc.start()
+    try:
+        code = cli.main(["vaughan-check", "--nmax", "1000000000",
+                         "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "nmax=1000000000" in capsys.readouterr().err
+    assert calls == [] and peak < 1 << 20
+    assert not out.exists()
+
+
+def test_vaughan_nmax_cap_is_the_table_bytes():
+    top = cli._MEMORY_CAP // vaughan.IDENTITY_BYTES_PER_N - 1
+    assert cli.parse_config(["vaughan-check", "--nmax", str(top)])
+    with pytest.raises(ValueError, match="nmax"):
+        cli.parse_config(["vaughan-check", "--nmax", str(top + 1)])
+    with pytest.raises(ValueError, match="cutoffs"):
+        cli.parse_config(["vaughan-check", "--v", "0.5,2"])
+
+
+def test_vaughan_identity_bytes_bound_the_run(tmp_path):
+    # the per-n estimate behind the cap holds for a whole identity row
+    nmax = 200000
+    cli.main(["vaughan-check", "--nmax", "300", "--v", "2", "--cases", "0",
+              "--out", str(tmp_path / "warm.txt")])
+    tracemalloc.start()
+    try:
+        code = cli.main(["vaughan-check", "--nmax", str(nmax), "--v", "2",
+                         "--cases", "0", "--out", str(tmp_path / "v.txt")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= vaughan.IDENTITY_BYTES_PER_N * (nmax + 1)
+
+
 def test_ergodic_builds_the_orbit_once(tmp_path, monkeypatch):
     calls = []
     real = ergodic.rotation_points
@@ -365,6 +414,62 @@ def test_explicit_work_note(tmp_path):
     mirror = json.loads((tmp_path / "e.txt.json").read_text())
     assert work[0][2:] in mirror["notes"]
     assert all(len(row) == 6 for row in mirror["rows"])
+
+
+def test_vaughan_work_note(tmp_path):
+    # sieve entries of the identity rows, the split's n_terms and its phase
+    # sums, in the header and the mirror, not in the rows
+    nmax, v = 300, 2.0
+    out = tmp_path / "v.txt"
+    assert cli.main(["vaughan-check", "--nmax", str(nmax), "--v", "2",
+                     "--cases", "1", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    work = [ln for ln in lines if ln.startswith("# work:")]
+    assert len(work) == 1
+    # t1 at l = 1, 2; t2 at l = 2, 4 (pi_vw = log 2, -log 2); t3 at each
+    # prime power 2 < k <= nmax / 3 over the l in (2, nmax / k]
+    lam = primes.von_mangoldt_range(0, nmax + 1)
+    t3 = sum(nmax // k - 2 for k in range(3, nmax // 3 + 1) if lam[k])
+    sieve = nmax + nmax // 2 + nmax // 2 + nmax // 4 + t3
+    rng = np.random.default_rng(0)
+    p1 = float(rng.uniform(2000.0, 12000.0))
+    p = float(rng.uniform(max(2.0, p1 ** (1 / 3)), p1 / 2.0))
+    split = vaughan.exp_sum_split(pure_power(1.2), p, p1,
+                                  float(rng.uniform(-0.5, 0.5)),
+                                  int(rng.integers(0, 4)))
+    # at these sizes one phase sum per bilinear sum and the reference
+    assert work == [f"# work: sieve_terms={sieve} "
+                    f"split_terms={split.n_terms} phase_sums=5"]
+    mirror = json.loads((tmp_path / "v.txt.json").read_text())
+    assert work[0][2:] in mirror["notes"]
+    assert mirror["rows"][0][:3] == ["identity", 2.0, nmax - 2]
+    assert all(len(row) == 4 for row in mirror["rows"])
+
+
+def test_readme_commands_leave_numpy_ma_out(tmp_path):
+    # numpy.ma costs about 13 ms at its first import; no subcommand needs it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    script = (
+        "import sys\n"
+        "from primeorbits import cli\n"
+        "runs = [['expsum', '--c', '1.2', '--N', '1000',"
+        " '--xi', 'zero,halfcut,cut'],\n"
+        "        ['waring', '--lam', '100,200'],\n"
+        "        ['explicit', '--x', '1000', '--T', '100', '--check'],\n"
+        "        ['vaughan-check', '--nmax', '300', '--v', '2,5',"
+        " '--cases', '1', '--check'],\n"
+        "        ['ergodic', '--jmin', '10', '--jmax', '12',"
+        " '--kgrid', '10,100', '--check'],\n"
+        "        ['regvar-check', '--check']]\n"
+        "for i, argv in enumerate(runs):\n"
+        f"    assert cli.main(argv + ['--out', r'{tmp_path}/r%d' % i]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_check_violation_exits_two(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primeorbits import vaughan
-from primeorbits.primes import von_mangoldt_range
+from primeorbits.primes import mobius, spf_table, von_mangoldt_range
 from primeorbits.regvar import pure_power
 
 
@@ -109,8 +110,6 @@ def test_identity_sweep_small():
     # every n in (v, 3000] reproduces Lambda exactly for v = w = 2, 5, 10
     nmax = 3000
     lam = von_mangoldt_range(0, nmax + 1)
-    from primeorbits.primes import spf_table
-
     spf = spf_table(nmax)
     for v in (2.0, 5.0, 10.0):
         worst = 0.0
@@ -175,3 +174,183 @@ def test_split_identity_random_cases(seed):
 def test_split_rejects_bad_block():
     with pytest.raises(ValueError):
         vaughan.exp_sum_split(pure_power(1.2), 16.0, 8.0, 0.1, 0)
+
+
+# -- range identity and table-driven split ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def spf3000():
+    return spf_table(3000)
+
+
+def test_tables_equal_scalar_functions():
+    # mu and xi_w are integers; pi_vw adds over r in pi_vw's order, so
+    # its table holds the scalar's bits
+    mu = vaughan._mobius_upto(400)
+    assert mu.tolist() == [0] + [mobius(n) for n in range(1, 401)]
+    lam = von_mangoldt_range(0, 401)
+    for v, w in [(1.0, 1.0), (2.0, 2.0), (2.5, 7.9), (10.0, 10.0),
+                 (19.5, 3.0)]:
+        pi = vaughan._pi_table(lam, mu, v, w, math.floor(v * w))
+        assert pi.tolist() == [0.0] + [vaughan.pi_vw(l, v, w)
+                                       for l in range(1, pi.size)]
+        xi = vaughan._xi_table(mu, w, 400)
+        assert xi.tolist() == [0] + [vaughan.xi_w(l, w)
+                                     for l in range(1, 401)]
+
+
+@pytest.mark.parametrize("v, w", [(1.5, 1.5), (2.0, 2.0), (2.5, 2.5),
+                                  (5.0, 5.0), (10.0, 10.0), (1.5, 3.0),
+                                  (3.0, 1.5)])
+def test_identity_upto_matches_scalar(v, w, spf3000):
+    # entry 0 is the first n > v, so n = floor(v) + 1 is compared too
+    nmax = 3000
+    n0 = math.floor(v) + 1
+    got = vaughan.lambda_via_vaughan_upto(nmax, v, w)
+    assert got.shape == (nmax - n0 + 1,)
+    want = np.array([vaughan.lambda_via_vaughan(n, v, w, spf=spf3000)
+                     for n in range(n0, nmax + 1)])
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_identity_upto_edges():
+    assert vaughan.lambda_via_vaughan_upto(2, 2.0, 2.0).size == 0
+    assert vaughan.lambda_via_vaughan_upto(3, 2.0, 2.0).tolist() == \
+        pytest.approx([math.log(3)], abs=1e-15)
+    with pytest.raises(ValueError, match="cutoffs"):
+        vaughan.lambda_via_vaughan_upto(100, 0.5, 2.0)
+
+
+def test_identity_upto_tables_stop_at_nmax():
+    # vw = 8.1e5 and w = 900: no table runs past nmax = 1000
+    want = [vaughan.lambda_via_vaughan(n, 900.0, 900.0)
+            for n in range(901, 1001)]
+    tracemalloc.start()
+    try:
+        got = vaughan.lambda_via_vaughan_upto(1000, 900.0, 900.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert peak < 1 << 18  # a vw-long pi_vw table alone would be 6.5 MB
+
+
+def test_identity_upto_counts_sieve_terms():
+    # nmax = 12, v = w = 2: t1 at l = 1, 2 (12 + 6 entries); t2 at the l
+    # with pi_vw(l) != 0, l = 2 (log 2) and 4 (-log 2), 6 + 3 entries;
+    # t3 at the prime powers k = 3 (l = 3, 4) and 4 (l = 3): 3 entries
+    work = vaughan.VaughanWork()
+    vaughan.lambda_via_vaughan_upto(12, 2.0, 2.0, work=work)
+    assert work.sieve_terms == 30
+
+
+def split_per_l(h, P, P1, xi, m, params):
+    """The four sums with one phase sum per l and the scalar
+    coefficients: the form the tables replace, kept as an oracle."""
+    v, w = params.v, params.w
+    freq = float(xi) + float(m)
+    iP1 = int(math.floor(P1))
+    spf = spf_table(iP1)
+    lam_dense = von_mangoldt_range(0, iP1 + 1)
+
+    def k_range(l):
+        lo = int(math.floor(P / l))
+        hi = int(math.floor(P1 / l))
+        return np.arange(lo + 1, hi + 1, dtype=np.int64)
+
+    terms = 0
+    s1 = s21 = s22 = s3 = 0j
+    for l in range(1, int(math.floor(w)) + 1):
+        mu = mobius(l, spf)
+        ks = k_range(l)
+        if mu and ks.size:
+            s1 += mu * vaughan._phase_weighted(
+                h, ks * l, freq, np.log(ks.astype(np.float64)))
+            terms += ks.size
+    for l in range(1, int(math.floor(v * w)) + 1):
+        coef = vaughan.pi_vw(l, v, w, spf)
+        ks = k_range(l)
+        if coef != 0.0 and ks.size:
+            part = coef * vaughan._phase_weighted(h, ks * l, freq,
+                                                  np.ones(ks.size))
+            if l <= v:
+                s21 += part
+            else:
+                s22 += part
+            terms += ks.size
+    for l in range(int(math.floor(w)) + 1, int(math.floor(P1 / v)) + 1):
+        coef = vaughan.xi_w(l, w, spf)
+        ks = k_range(l)
+        ks = ks[ks > v]
+        if coef != 0 and ks.size:
+            wts = lam_dense[ks]
+            mask = wts != 0.0
+            if mask.any():
+                s3 += coef * vaughan._phase_weighted(h, ks[mask] * l, freq,
+                                                     wts[mask])
+            terms += ks.size
+    return (s1, s21, s22, s3), terms
+
+
+def _cli_cases(seed, count):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        p1 = float(rng.uniform(2000.0, 12000.0))
+        p = float(rng.uniform(max(2.0, p1 ** (1 / 3)), p1 / 2.0))
+        out.append((p, p1, float(rng.uniform(-0.5, 0.5)),
+                    int(rng.integers(0, 4)), None))
+    return out
+
+
+SPLIT_CASES = _cli_cases(0, 4) + [
+    (2.0, 4.0, 0.17, 0, None),
+    (8.0, 16.0, 0.3, 1, None),
+    (40.0, 900.0, -0.21, 2, vaughan.VaughanParams(3.0, 2.0)),
+    (40.0, 900.0, 0.33, 0, vaughan.VaughanParams(1.5, 4.5)),
+    (40.0, 900.0, 0.1, 0, vaughan.VaughanParams(2.0, 5000.0)),  # w > P1
+]
+
+
+@pytest.mark.parametrize("P, P1, xi, m, params", SPLIT_CASES)
+def test_split_sums_match_per_l_form(P, P1, xi, m, params):
+    h = pure_power(1.2)
+    sp = vaughan.exp_sum_split(h, P, P1, xi, m, params)
+    want, terms = split_per_l(h, P, P1, xi, m, sp.params)
+    got = (sp.s1, sp.s21, sp.s22, sp.s3)
+    assert max(abs(g - x) for g, x in zip(got, want)) <= 1e-11
+    assert sp.n_terms == terms
+
+
+def test_split_pieces_cut_across_l(monkeypatch):
+    # pieces of 1000 terms split single l ranges; the sums must not care
+    h = pure_power(1.1)
+    P, P1, xi, m, _ = SPLIT_CASES[0]
+    whole = vaughan.exp_sum_split(h, P, P1, xi, m)
+    monkeypatch.setattr(vaughan, "_PIECE", 1000)
+    work = vaughan.VaughanWork()
+    cut = vaughan.exp_sum_split(h, P, P1, xi, m, work=work)
+    assert work.phase_sums > 5 and cut.n_terms == whole.n_terms
+    want, _ = split_per_l(h, P, P1, xi, m, cut.params)
+    for g, x in zip((cut.s1, cut.s21, cut.s22, cut.s3), want):
+        assert abs(g - x) <= 1e-11
+    assert cut.residual <= 1e-9
+
+
+def test_split_peak_memory_bounded():
+    # Lambda's table (8 bytes per n <= P1) and one gathered piece of
+    # about 64 bytes a term, with margin; one phase sum per l peaked at
+    # 71 MB here, and gathering whole _CHUNK pieces at 76 MB
+    h = pure_power(1.2)
+    vaughan.exp_sum_split(h, 100.0, 400.0, 0.1, 1)  # first-call allocations
+    P1 = 1e6
+    tracemalloc.start()
+    try:
+        sp = vaughan.exp_sum_split(h, 2e4, P1, 0.1234, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sp.n_terms == 8979272  # more than 8 pieces
+    assert peak < 8 * P1 + 96 * vaughan._PIECE
+    assert sp.residual <= 1e-9 * abs(sp.reference)
