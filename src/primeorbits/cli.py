@@ -97,14 +97,18 @@ _KEYS = {
                "epsilon": _EPSILON},
     "ergodic": {"kind": (str, "pure"), "c": (_index, 1.1), **_SHAPE,
                 "start": (float, 0.35), "jmin": (int, 10), "jmax": (int, 20),
-                "kgrid": (_grid(int), [10, 100, 1000]), "seed": (int, 0)},
+                "kgrid": (_checked(_grid(int), lambda g: g[0] >= 2,
+                                   "entries must be >= 2"), [10, 100, 1000]),
+                "seed": (int, 0)},
     "explicit": {"x": (_grid(float), [1e3, 1e4]),
                  "T": (_grid(float), [1e2, 1e3]), "zero_table": (str, None)},
     "vaughan-check": {"nmax": (int, 10 ** 4),
                       "v": (_checked(_grid(float), lambda g: g[0] >= 1.0,
                                      "cutoffs must be >= 1"),
                             [2.0, 5.0, 10.0]),
-                      "cases": (int, 20), "seed": (int, 0)},
+                      "cases": (_checked(int, lambda v: v >= 0,
+                                         "must be >= 0"), 20),
+                      "seed": (int, 0)},
     "regvar-check": {},
 }
 
@@ -189,6 +193,9 @@ def _validate(cfg: dict) -> None:
             raise ValueError(f"jmax={jmax}: h(2^{jmax}) reaches 2^53, where "
                              "a double has no fractional bit left")
     if cfg["subcommand"] == "vaughan-check":
+        if cfg["nmax"] <= max(cfg["v"]):
+            raise ValueError(f"nmax={cfg['nmax']} must exceed the largest "
+                             f"cutoff v={max(cfg['v']):g}")
         need = vaughan.IDENTITY_BYTES_PER_N * (cfg["nmax"] + 1)
         if need > _MEMORY_CAP:
             raise ValueError(f"nmax={cfg['nmax']} needs about "
@@ -366,12 +373,11 @@ def _run_waring(cfg: dict):
 def _run_ergodic(cfg: dict):
     h, jmin, jmax = _function_from(cfg), cfg["jmin"], cfg["jmax"]
     alpha = ergodic.golden_surrogate()
-    primes.primes_upto(2 ** jmax, threads=cfg["threads"])
+    prime_list = primes.primes_upto(2 ** jmax, threads=cfg["threads"])
     system = ergodic.RotationSystem(alpha, ergodic.halfline_observable,
                                     x=cfg["start"])
     grid = [2 ** j for j in range(jmin, jmax + 1)]
     rep = ergodic.convergence_report(system, h, grid, seed=cfg["seed"])
-    prime_list = primes.primes_upto(grid[-1])
     vals = rep.orbit
     columns = ["N", "A_N", "abs_A_N", "D_N", "running_max_absf", "delta"]
     rows = []
@@ -394,7 +400,8 @@ def _run_ergodic(cfg: dict):
             failures.append(f"|A_N| trajectory rose {v} times (allowed 1)")
     notes = ([f"alpha={alpha.numerator}/{alpha.denominator}",
               f"h={h.label()}", f"o2_dyadic={rep.o2_dyadic:.6e}",
-              f"v2={rep.v2:.6e}"] + weight_notes)
+              f"v2={rep.v2:.6e}"] + weight_notes
+             + [f"work: orbit_points={prime_list.size}"])
     return columns, rows, notes, failures
 
 

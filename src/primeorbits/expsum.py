@@ -472,6 +472,18 @@ def osc_integral(h: RegVarFunction, a: float, b: float, xi: float) -> complex:
     return complex(pairwise_sum(half * phase(mid, xi) * modes)) + below
 
 
+def von_mangoldt_block_sum(h: RegVarFunction, P: float, P1: float,
+                           freq: float) -> tuple[complex, int]:
+    """Sum of Lambda(n) e(freq h(n)) over P < n <= P1, and the number of
+    prime powers it ran over."""
+    lo = math.floor(P) + 1
+    lam = primes.von_mangoldt_range(lo, math.floor(P1) + 1)
+    n = np.flatnonzero(lam)
+    w = lam[n]
+    return (_phase_sum(w.size, lambda a, b: w[a:b],
+                       h.value((n + lo).astype(np.float64)), freq), int(n.size))
+
+
 @dataclass(frozen=True)
 class BlockCheck:
     t: float
@@ -489,12 +501,7 @@ def dyadic_block_check(h: RegVarFunction, t: float, xi: float,
     """Compare the Lambda-weighted block sum on (t/2, t] with the plain
     oscillatory integral, normalized subpolynomially."""
     t = float(t)
-    lo, hi = int(math.floor(t / 2.0)), int(math.floor(t))
-    lam = primes.von_mangoldt_range(lo + 1, hi + 1)
-    n = np.flatnonzero(lam) + lo + 1
-    w = lam[n - lo - 1]
-    block = _phase_sum(w.size, lambda a, b: w[a:b], h.value(n.astype(np.float64)),
-                       xi)
+    block, _ = von_mangoldt_block_sum(h, t / 2.0, t, xi)
     integral = osc_integral(h, t / 2.0, t, xi)
     err = abs(block - integral)
     norm = normalizer(t, epsilon)

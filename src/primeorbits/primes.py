@@ -4,7 +4,8 @@ Sieving is segmented and vectorized: a boolean block of odd numbers per
 segment, base primes struck out with numpy slice strides.  Segments are
 independent, so a thread pool may process them concurrently; results are
 combined in segment order, which keeps every derived quantity identical
-whatever the worker count.
+whatever the worker count.  Only primes_upto's cache calls sieve_range;
+Lambda ranges and spf tables read that cache, so a run sieves once.
 """
 
 from __future__ import annotations
@@ -137,15 +138,15 @@ def chebyshev_psi(n: float) -> float:
 
 
 def von_mangoldt_range(lo: int, hi: int) -> np.ndarray:
-    """Lambda(n) for n in [lo, hi) as a dense float array."""
+    """Lambda(n) for n in [lo, hi) as a dense array, off the prime cache."""
     lo, hi = int(lo), int(hi)
     if hi <= lo:
         return np.empty(0, dtype=np.float64)
     arr = np.zeros(hi - lo, dtype=np.float64)
-    pr = sieve_range(lo, hi)
+    pr = primes_upto(hi - 1)
+    pr = pr[np.searchsorted(pr, lo):]
     arr[pr - lo] = np.log(pr.astype(np.float64))
-    for p in _simple_sieve(math.isqrt(max(hi - 1, 1))):
-        p = int(p)
+    for p in primes_upto(math.isqrt(max(hi - 1, 0))).tolist():
         pw = p * p
         while pw < hi:
             if pw >= lo:
@@ -187,10 +188,9 @@ def spf_table(n: int) -> np.ndarray:
     """Smallest prime factor for 0..n (0 and 1 map to themselves)."""
     n = int(n)
     spf = np.arange(n + 1, dtype=np.int64)
-    for i in range(2, math.isqrt(n) + 1):
-        if spf[i] == i:
-            sl = spf[i * i::i]
-            np.minimum(sl, i, out=sl)
+    # descending, so the smallest prime dividing m is written last
+    for p in primes_upto(math.isqrt(n))[::-1].tolist():
+        spf[p * p::p] = p
     return spf
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import primes
 from .accum import chunked, kahan_sum, reduce_parts
-from .expsum import _CHUNK, _phase_sum
+from .expsum import _CHUNK, _phase_sum, von_mangoldt_block_sum
 from .regvar import RegVarFunction
 
 # bytes per n that a vaughan-check identity row holds at its peak: the
@@ -223,12 +223,6 @@ class VaughanSplit:
         return abs(self.combined - self.reference)
 
 
-def _phase_weighted(h: RegVarFunction, idx: np.ndarray, freq: float,
-                    weights: np.ndarray) -> complex:
-    return _phase_sum(weights.size, lambda lo, hi: weights[lo:hi],
-                      h.value(idx.astype(np.float64)), freq)
-
-
 class _Bilinear:
     """sum over l of coef(l) sum_k weight(k) e(freq h(kl)), k running over
     the integers in (max(floor(P/l), kfloor), floor(P1/l)].
@@ -309,11 +303,9 @@ def exp_sum_split(h: RegVarFunction, P: float, P1: float, xi: float, m: int,
     )
     s1, s21, s22, s3 = (b.sum(h, freq, weight, work) for b, weight in sums)
     terms = sum(b.terms for b, _ in sums)
-    lo = int(math.floor(P)) + 1
-    n = np.flatnonzero(lam[lo:]) + lo
-    ref = _phase_weighted(h, n, freq, lam[n]) if n.size else 0j
+    ref, powers = von_mangoldt_block_sum(h, P, P1, freq)
     if work is not None:
         work.split_terms += terms
-        work.phase_sums += int(n.size > 0)
+        work.phase_sums += int(powers > 0)
     return VaughanSplit(P, P1, float(xi), int(m), params, s1, s21, s22, s3,
                         complex(ref), terms)

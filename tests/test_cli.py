@@ -248,8 +248,30 @@ def test_waring_presieves_for_every_function(tmp_path, monkeypatch):
                      "--lam", "1000,100000", "--threads", "2",
                      "--out", str(tmp_path / "w.txt")])
     assert code == 0
-    from_zero = [c for c in calls if c[0] == 0]
-    assert len(from_zero) == 1 and from_zero[0][2] == 2
+    assert len(calls) == 1 and calls[0][0] == 0 and calls[0][2] == 2
+
+
+# the README commands that sieve; regvar-check reads no primes
+README_SIEVING = [
+    ["expsum", "--c", "1.2", "--N", "10000,100000", "--xi", "zero,halfcut,cut"],
+    ["waring", "--c1", "1.01", "--c2", "1.01", "--c3", "1.01",
+     "--lam", "1000,10000"],
+    ["explicit", "--x", "1000,10000", "--T", "100,1000", "--check"],
+    ["vaughan-check", "--nmax", "10000", "--v", "2,5,10", "--check"],
+    ["ergodic", "--jmin", "10", "--jmax", "20", "--kgrid", "10,100,1000",
+     "--check"],
+]
+
+
+@pytest.mark.parametrize("argv", README_SIEVING, ids=lambda a: a[0])
+def test_readme_command_sieves_once(tmp_path, monkeypatch, argv):
+    # Lambda ranges, spf tables and prime floors all read the cache, so
+    # a cold run sieves once, from 0, with its --threads
+    calls = _sieve_calls(monkeypatch)
+    monkeypatch.setattr(expsum, "_tables", OrderedDict())
+    assert cli.main(argv + ["--threads", "2",
+                            "--out", str(tmp_path / "r.txt")]) == 0
+    assert len(calls) == 1 and calls[0][0] == 0 and calls[0][2] == 2
 
 
 def test_expsum_work_note(tmp_path, monkeypatch):
@@ -331,6 +353,19 @@ def test_ergodic_refuses_oversized_jmax_before_work(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kgrid", ["1", "1,10", "0,5"])
+def test_ergodic_refuses_kgrid_below_two_before_work(tmp_path, monkeypatch,
+                                                     capsys, kgrid):
+    # lambda_weights needs k >= 2; the parser says so before any sieve
+    calls = _sieve_calls(monkeypatch)
+    out = tmp_path / "erg.txt"
+    assert cli.main(["ergodic", "--kgrid", kgrid, "--out", str(out)]) == 1
+    assert "kgrid" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+    assert cli.parse_config(["ergodic", "--kgrid", "2,3"])["kgrid"] == [2, 3]
+
+
 def test_ergodic_jmax_caps_admit_their_boundary():
     assert cli.parse_config(["ergodic", "--c", "1.9", "--jmax", "27"])
     assert cli.parse_config(["ergodic", "--jmax", "30"])
@@ -352,6 +387,33 @@ def test_vaughan_refuses_nmax_before_work(tmp_path, monkeypatch, capsys):
     assert "nmax=1000000000" in capsys.readouterr().err
     assert calls == [] and peak < 1 << 20
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--nmax", "10", "--v", "20"],     # no n in (v, nmax]
+    ["--nmax", "10", "--v", "2,10"],   # nmax must exceed the largest v
+    ["--nmax", "-5"],
+    ["--cases", "-3"],
+    ["--nmax", "-5", "--cases", "-3"],
+])
+def test_vaughan_refuses_empty_ranges_before_work(tmp_path, monkeypatch,
+                                                  capsys, args):
+    calls = _sieve_calls(monkeypatch)
+    out = tmp_path / "v.txt"
+    assert cli.main(["vaughan-check", *args, "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+    assert not (tmp_path / "v.txt.json").exists()
+
+
+def test_vaughan_admits_nmax_just_above_v(tmp_path):
+    out = tmp_path / "v.txt"
+    assert cli.main(["vaughan-check", "--nmax", "11", "--v", "10",
+                     "--cases", "0", "--out", str(out)]) == 0
+    rows = json.loads((tmp_path / "v.txt.json").read_text())["rows"]
+    assert rows[0][:3] == ["identity", 10.0, 1]
+    assert rows[1][2] == 0
 
 
 def test_vaughan_nmax_cap_is_the_table_bytes():
@@ -501,6 +563,13 @@ def test_ergodic_run(tmp_path):
     body = out.read_text()
     assert "o2_dyadic=" in body
     assert "k=100" in body
+    # the orbit runs over the pi(2^20) primes p <= 2^jmax; the count sits
+    # in the header and the mirror, not in the rows
+    work = [ln for ln in body.splitlines() if ln.startswith("# work:")]
+    assert work == ["# work: orbit_points=82025"]
+    mirror = json.loads((tmp_path / "erg.txt.json").read_text())
+    assert work[0][2:] in mirror["notes"]
+    assert all(len(row) == 6 for row in mirror["rows"])
 
 
 def test_stdout_when_no_out(capsys):

@@ -151,10 +151,30 @@ def test_chebyshev_non_integer_cutoff():
     assert chebyshev_psi(2.5) == math.log(2)
 
 
-def test_von_mangoldt_range_matches_pointwise():
-    lam = von_mangoldt_range(1, 301)
-    for n in range(1, 301):
-        assert abs(lam[n - 1] - von_mangoldt(n)) < 1e-12
+def test_von_mangoldt_range_matches_pointwise(monkeypatch):
+    # lo > 0, windows across the cache's first bound, hi <= lo and hi <= 2
+    for lo, hi in [(1, 301), (0, 2), (0, 3), (-3, 2), (1000, 1100),
+                   (65500, 65600), (6, 2), (7, 7)]:
+        lam = von_mangoldt_range(lo, hi)
+        assert lam.shape == (max(hi - lo, 0),)
+        for n in range(lo, hi):
+            assert abs(lam[n - lo] - von_mangoldt(max(n, 1))) < 1e-12
+    # from an empty cache a window far above 0 sieves [0, hi) once
+    calls = []
+
+    def recording(lo, hi, threads=1):
+        calls.append((lo, hi))
+        return sieve_range(lo, hi, threads)
+
+    monkeypatch.setattr(primes, "_cache",
+                        {"hi": 0, "primes": np.empty(0, dtype=np.int64)})
+    monkeypatch.setattr(primes, "sieve_range", recording)
+    lo, hi = 200003, 200403  # 200003 is prime
+    lam = von_mangoldt_range(lo, hi)
+    assert calls == [(0, hi)]
+    assert lam[0] == math.log(lo)
+    for n in range(lo, hi):
+        assert abs(lam[n - lo] - von_mangoldt(n)) < 1e-12
 
 
 def test_spf_table_values():
@@ -164,6 +184,14 @@ def test_spf_table_values():
         while n % d:
             d += 1
         assert spf[n] == d
+    for n in range(5):
+        assert spf_table(n).tolist() == [0, 1, 2, 3, 2][:n + 1]
+    # p^2 is the first entry p strikes; the table ends there or just past
+    for p in (2, 3, 5, 7, 31, 97, 1009):
+        for n in (p * p, p * p + 1):
+            spf = spf_table(n)
+            assert spf[p] == spf[p * p] == p
+            assert spf[n] == factorize(n)[0][0]
 
 
 def test_factorize_and_divisors():

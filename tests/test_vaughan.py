@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeorbits import vaughan
+from primeorbits import expsum, vaughan
 from primeorbits.primes import mobius, spf_table, von_mangoldt_range
 from primeorbits.regvar import pure_power
 
@@ -254,6 +254,10 @@ def split_per_l(h, P, P1, xi, m, params):
     spf = spf_table(iP1)
     lam_dense = von_mangoldt_range(0, iP1 + 1)
 
+    def phase_sum(n, weights):
+        return expsum._phase_sum(weights.size, lambda a, b: weights[a:b],
+                                 h.value(n.astype(np.float64)), freq)
+
     def k_range(l):
         lo = int(math.floor(P / l))
         hi = int(math.floor(P1 / l))
@@ -265,15 +269,13 @@ def split_per_l(h, P, P1, xi, m, params):
         mu = mobius(l, spf)
         ks = k_range(l)
         if mu and ks.size:
-            s1 += mu * vaughan._phase_weighted(
-                h, ks * l, freq, np.log(ks.astype(np.float64)))
+            s1 += mu * phase_sum(ks * l, np.log(ks.astype(np.float64)))
             terms += ks.size
     for l in range(1, int(math.floor(v * w)) + 1):
         coef = vaughan.pi_vw(l, v, w, spf)
         ks = k_range(l)
         if coef != 0.0 and ks.size:
-            part = coef * vaughan._phase_weighted(h, ks * l, freq,
-                                                  np.ones(ks.size))
+            part = coef * phase_sum(ks * l, np.ones(ks.size))
             if l <= v:
                 s21 += part
             else:
@@ -287,8 +289,7 @@ def split_per_l(h, P, P1, xi, m, params):
             wts = lam_dense[ks]
             mask = wts != 0.0
             if mask.any():
-                s3 += coef * vaughan._phase_weighted(h, ks[mask] * l, freq,
-                                                     wts[mask])
+                s3 += coef * phase_sum(ks[mask] * l, wts[mask])
             terms += ks.size
     return (s1, s21, s22, s3), terms
 
