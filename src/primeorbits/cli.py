@@ -120,9 +120,18 @@ def _set(cfg: dict, keys: dict, key: str, raw: str, where: str) -> None:
         raise ValueError(f"{where}{key}={raw}: {exc}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors raised as ValueError, so they exit 1 like
+    every other refusal; exit 2 stays a --check violation's."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 def parse_config(argv: list[str]) -> dict:
     """Flags plus optional key=value file -> validated effective config."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="primeorbits",
         description="experiments over prime-orbit exponential sums")
     parser.add_argument("subcommand", choices=sorted(_KEYS))

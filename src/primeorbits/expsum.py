@@ -14,11 +14,11 @@ band are recomputed at 40 significant digits before flooring.
 
 Phases take one of two routes, chosen by the argument's dtype.  Integer
 arguments, the floors of the prime and von Mangoldt sums and the
-approximant's 1, 2, ..., go through accum.DigitPhase: one set of small
+approximant's head 1, 2, ..., M - 1, go through accum.DigitPhase: one set of small
 digit tables per sum, sized from its largest argument, and a product of
 table entries per term, within DigitPhase's stated bound of the exact
 phase.  Real arguments, h(n) in dyadic_block_check and the panel
-centres of osc_integral, go through accum.phase: the argument is reduced
+centres and ends of the Filon integrals, go through accum.phase: the argument is reduced
 modulo 1 in double-double arithmetic and exponentiated.  Every
 accumulation uses the fixed-shape pairwise tree from accum, so results
 are reproducible bit for bit and conjugate-symmetric in xi.
@@ -26,13 +26,22 @@ are reproducible bit for bit and conjugate-symmetric in xi.
 One table is kept per function h: floor(h(p)) over the primes of
 primes.primes_upto.  prime_floors hands out read-only prefix views; a
 longer request computes only the missing tail.  The tables of the four
-most recently used functions are kept.  The approximant's weights
-phi'(n) are made one chunk at a time inside the sum and never stored;
-they come from regvar.InverseHandle.d1, which alone decides how phi' is
-made, as it does for osc_integral.  For a non-pure h that is Chebyshev
-interpolants on dyadic blocks of y, built by one handle per sum as its
-chunks reach them; the `# work:` note counts the blocks and the
-long-double evaluations of h at their nodes.
+most recently used functions are kept.
+
+The approximant sums its terms n < M directly, M = _head_size(h) (256
+for the pure powers), with weights phi'(n) from regvar.InverseHandle.d1,
+which alone decides how phi' is made.  The tail M <= n <= floor(h(N)) is
+Euler-Maclaurin summation (Olver, Asymptotics and Special Functions,
+1974, ch. 8): the Filon integral of phi'(y) e(xi y) that osc_integral
+also uses, the two end terms, and the corrections from the derivatives
+of phi' at both ends, which InverseHandle.taylor gives as Taylor jets.
+The order p is the smallest whose remainder bound is within 2^-52 of
+phi(floor(h(N))) - phi(M), so the sum matches the term-by-term one
+within a few u times N, and its cost does not grow with h(N).  For a
+non-pure h, one handle per sum builds the Chebyshev blocks of phi' that
+the head, the integral and the jets read; the `# work:` note counts the
+blocks, the long-double evaluations of h at their nodes, the head terms
+and the orders p.
 
 osc_integral, the smooth integral of e(xi h(s)), is a Filon quadrature
 in y = h(s): phi' is fitted on a few panels geometric in y and each
@@ -91,7 +100,9 @@ class SumWork:
     """What the sums of one report did, as counts, for its `# work:` note."""
     floor_points: int = 0       # floors of h computed, store growth included
     recomputes: int = 0         # of those, settled at 40 digits
-    approximant_terms: int = 0
+    approximant_terms: int = 0  # lam = floor(h(N)), per approximant
+    approximant_direct: int = 0  # of those, the head terms summed directly
+    em_order: int = 0           # Euler-Maclaurin orders p of the tails
     digit_terms: int = 0        # phase terms through accum.DigitPhase
     direct_terms: int = 0       # phase terms through accum.phase
     table_entries: int = 0      # DigitPhase table entries built
@@ -230,15 +241,122 @@ def von_mangoldt_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
                         int(n.size), float(N), float(xi), "vonmangoldt")
 
 
+# B_2k / (2k)!, k = 1 .. _EM_MAX_P.  The remainder bound's
+# 2 zeta(2p) (2 pi)^-2p is |B_2p| / (2p)!, so no zeta values are needed
+_BERNOULLI_OVER_FACTORIAL = np.array([
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
+    -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
+    9.336734257095045e-31, -2.36502241570063e-32, 5.990671762482134e-34,
+    -1.5174548844682903e-35, 3.843758125454189e-37, -9.736353072646691e-39,
+    2.466247044200681e-40, -6.247076741820743e-42, 1.5824030244644914e-43,
+    -4.008273685948936e-45, 1.0153075855569557e-46, -2.5718041582418717e-48,
+    6.514456035233815e-50, -1.6501309906896525e-51, 4.179830628539476e-53,
+    -1.058763466770291e-54, 2.6818791912607708e-56, -6.793279351107421e-58,
+    1.7207577616681404e-59, -4.358730329348894e-61, 1.1040792903684666e-62,
+    -2.7966655133781345e-64])
+_EM_MAX_P = _BERNOULLI_OVER_FACTORIAL.size
+_EM_K = np.arange(1, _EM_MAX_P + 1)
+# |B_2p|, the remainder bound's constant, and B_2k / (2k), the weight of
+# the (2k-1)-th Taylor coefficient of g in the correction
+_EM_BOUND = np.abs(_BERNOULLI_OVER_FACTORIAL) * np.array(
+    [float(math.factorial(2 * k)) for k in _EM_K])
+_EM_WEIGHT = _BERNOULLI_OVER_FACTORIAL * np.array(
+    [float(math.factorial(2 * k - 1)) for k in _EM_K])
+_EM_TOL = 2.0 ** -52
+_HEAD_MIN = 256
+
+
+def _head_size(h: RegVarFunction) -> int:
+    """Smallest power of two >= max(256, 4 h(x0)): the approximant sums
+    n below it directly."""
+    return max(_HEAD_MIN, 1 << math.ceil(math.log2(4.0 * h.value(h.x0))))
+
+
+def _em_tail(inv: InverseHandle, M: int, lam: int,
+             xi: float) -> tuple[complex, int, int]:
+    """Sum of g(n) = phi'(n) e(n xi) over M <= n <= lam, 0 <= xi <= 1/2, by
+    Euler-Maclaurin: (tail, M, p), with M doubled as needed; M >= lam
+    means nothing was summed and the caller sums every term directly.
+
+    The tail is the Filon integral of g over [M, lam], plus
+    (g(M) + g(lam)) / 2, plus sum_{k<=p} B_2k/(2k)! (g^(2k-1)(lam) -
+    g^(2k-1)(M)).  The remainder is at most 2 zeta(2p) (2 pi)^-2p times
+    the integral of |g^(2p)| (Olver, Asymptotics and Special Functions,
+    ch. 8), and with w = 2 pi xi,
+    |g^(2p)| <= sum_j C(2p, j) w^(2p-j) |phi'^(j)|.  Where phi'^(j) keeps
+    its sign on [M, lam], its integral is V_j = |phi'^(j-1)(lam) -
+    phi'^(j-1)(M)| (V_0 = phi(lam) - phi(M)).  That is proved for pure
+    powers, where the sign of phi'^(j) is (-1)^j, and checked on a grid
+    for the other catalog kinds.  p is the smallest with the bound at
+    most 2^-52 V_0; its lower bound from the j = 0 term, xi alone, sizes
+    the first jets, of order 2p.  The jets (InverseHandle.taylor) take
+    both ends in one pass; their order doubles up to 2 _EM_MAX_P, and
+    then M doubles.
+    """
+    w = 2.0 * math.pi * xi
+    p_lo = 1 + int(np.argmax(np.abs(_BERNOULLI_OVER_FACTORIAL) * w ** (2 * _EM_K)
+                             <= _EM_TOL))
+    order = 2 * p_lo
+    while M < lam:
+        y = np.array([M, lam], dtype=np.float64)
+        c = inv.taylor(y, order)
+        # Taylor coefficients of phi' at both ends, and phi(lam) - phi(M)
+        j = np.arange(1.0, order + 1.0)
+        d = j[:, None] * c[1:] * np.cumprod(np.tile(1.0 / y, (order, 1)), axis=0)
+        v0 = c[0, 1] - c[0, 0]
+        u = np.concatenate([[v0], np.abs(d[:, 1] - d[:, 0]) / j])
+        w_pow = np.cumprod(np.concatenate([[1.0], w / j]))  # w^m / m!
+        bound = _EM_BOUND[:order // 2] * np.convolve(w_pow, u)[2:order + 1:2]
+        ok = np.flatnonzero(bound[p_lo - 1:] <= _EM_TOL * v0)
+        if ok.size:
+            p = p_lo + int(ok[0])
+            break
+        if order < 2 * _EM_MAX_P:
+            order = min(2 * order, 2 * _EM_MAX_P)
+        else:
+            M *= 2
+    else:
+        return 0j, M, 0
+    # g's Taylor coefficients at each end: e(xi y) times those of
+    # e^(i w s) phi'(y + s)
+    ends = phase(y, xi)
+    iw_pow = np.cumprod(np.concatenate([[1.0], 1j * w / j[:2 * p - 1]]))
+    g = [np.convolve(iw_pow, d[:2 * p, i])[1:2 * p:2] * ends[i] for i in (0, 1)]
+    corr = complex(np.dot(_EM_WEIGHT[:p], g[1] - g[0]))
+    trap = 0.5 * (d[0, 0] * ends[0] + d[0, 1] * ends[1])
+    return _filon(inv, float(M), float(lam), xi) + trap + corr, M, p
+
+
 def approximant_sum(h: RegVarFunction, N: float, xi: float,
                     work: SumWork | None = None) -> ExpSumResult:
-    """Smooth major-arc approximant: sum of phi'(n) e(n xi), n <= h(N)."""
+    """Smooth major-arc approximant: sum of phi'(n) e(n xi), n <= h(N).
+
+    xi is first reduced by its nearest integer (the sum is 1-periodic in
+    xi) and the sum taken at |xi|, then conjugated for xi < 0, so
+    F(-xi) == conj(F(xi)) bit for bit and F(0) is real.  The terms
+    n < M, M = _head_size(h), are summed directly; the rest by
+    Euler-Maclaurin (_em_tail), within 2^-52 (phi(lam) - phi(M)) plus
+    rounding.  So the cost does not grow with lam = floor(h(N)).  One
+    InverseHandle serves the head's weights, the Filon integral and the
+    jets, so a non-pure h builds its blocks once.
+    """
     lam = int(guarded_floor(h, np.array([float(N)]))[0][0])
+    x = math.remainder(float(xi), 1.0)
     inv = InverseHandle(h)
-    value = _phase_sum(lam, lambda lo, hi: inv.d1(
-        np.arange(lo + 1, hi + 1, dtype=np.float64)), None, xi, work)
+    tail, M, p = _em_tail(inv, _head_size(h), lam, abs(x))
+    head = M - 1 if M < lam else lam
+    value = tail + _phase_sum(head, lambda lo, hi: inv.d1(
+        np.arange(lo + 1, hi + 1, dtype=np.float64)), None, abs(x), work)
+    if x < 0.0:
+        value = value.conjugate()
     if work is not None:
         work.approximant_terms += lam
+        work.approximant_direct += head
+        work.em_order += p
         work.inverse_blocks += inv.blocks_built
         work.node_newton += inv.node_evals
     return ExpSumResult(value, lam, float(N), float(xi), "approximant")
@@ -430,24 +548,39 @@ def legendre_moments(omega: np.ndarray) -> np.ndarray:
     return out
 
 
+def _filon(inv: InverseHandle, y0: float, y1: float, xi: float) -> complex:
+    """Integral of phi'(y) e(xi y) over [y0, y1], h(x0) <= y0 < y1, by
+    Filon quadrature.
+
+    The range is cut into panels [Y - H, Y + H] geometric in y, of ratio
+    at most _PANEL_RATIO; phi' (inv.d1) is projected on Legendre modes of
+    degree < 17 from 17 Gauss-Legendre nodes, and each mode is integrated
+    against e(xi y) exactly: a panel is
+    H e(xi Y) sum_k c_k 2 i^k j_k(w), w = 2 pi xi H.
+
+    Error: the fit of phi' on a panel converges like 17.9^-17 (the
+    Bernstein ellipse of y^(gamma - 1) at ratio 1.25), so what is left is
+    rounding, a few u (u = 2^-53) times phi(y1) - phi(y0).  Cost: 17 phi'
+    points per panel, ceil(log(y1/y0) / log 1.25) panels, whatever xi; one
+    phase per panel.
+    """
+    n = max(1, math.ceil(math.log(y1 / y0) / math.log(_PANEL_RATIO)))
+    edges = y0 * (y1 / y0) ** (np.arange(n + 1) / n)
+    edges[-1] = y1
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    coeffs = inv.d1(mid[:, None] + half[:, None] * _GL_U) @ _PROJ
+    modes = (coeffs * legendre_moments(2.0 * math.pi * xi * half)).sum(axis=1)
+    return complex(pairwise_sum(half * phase(mid, xi) * modes))
+
+
 def osc_integral(h: RegVarFunction, a: float, b: float, xi: float) -> complex:
     """Integral of e(h(s) * xi) over [a, b] by Filon quadrature in y = h(s).
 
     Below x0, h is the constant h(x0), so that stretch contributes
     (min(b, x0) - a) e(xi h(x0)) exactly.  Above it s = phi(y) and the
-    integral is that of e(xi y) phi'(y) over [h(max(a, x0)), h(b)].  That
-    range is cut into panels [Y - H, Y + H] geometric in y, of ratio at
-    most _PANEL_RATIO; phi' (InverseHandle.d1) is projected on Legendre
-    modes of degree < 17 from 17 Gauss-Legendre nodes, and each mode is
-    integrated against e(xi y) exactly: a panel is
-    H e(xi Y) sum_k c_k 2 i^k j_k(w), w = 2 pi xi H.
-
-    Error: the fit of phi' on a panel converges like 17.9^-17 (the
-    Bernstein ellipse of y^(gamma - 1) at ratio 1.25), so what is left is
-    rounding, a few u (u = 2^-53) times b - a; within 1e-12 (b - a) of
-    30-digit values in the tests.  Cost: 17 phi' points per panel,
-    ceil(log(h(b)/h(a)) / log 1.25) panels, whatever xi; one phase per
-    panel.
+    integral is that of e(xi y) phi'(y) over [h(max(a, x0)), h(b)], which
+    _filon takes; within 1e-12 (b - a) of 30-digit values in the tests.
     """
     a, b, xi = float(a), float(b), float(xi)
     if b <= a:
@@ -462,14 +595,7 @@ def osc_integral(h: RegVarFunction, a: float, b: float, xi: float) -> complex:
         below = (min(b, h.x0) - a) * complex(phase(np.array([y0]), xi)[0])
         if b <= h.x0:
             return below
-    n = max(1, math.ceil(math.log(y1 / y0) / math.log(_PANEL_RATIO)))
-    edges = y0 * (y1 / y0) ** (np.arange(n + 1) / n)
-    edges[-1] = y1
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    coeffs = InverseHandle(h).d1(mid[:, None] + half[:, None] * _GL_U) @ _PROJ
-    modes = (coeffs * legendre_moments(2.0 * math.pi * xi * half)).sum(axis=1)
-    return complex(pairwise_sum(half * phase(mid, xi) * modes)) + below
+    return _filon(InverseHandle(h), y0, y1, xi) + below
 
 
 def von_mangoldt_block_sum(h: RegVarFunction, P: float, P1: float,
@@ -508,19 +634,3 @@ def dyadic_block_check(h: RegVarFunction, t: float, xi: float,
     return BlockCheck(t, float(xi), block, integral, err, norm, err / norm,
                       epsilon)
 
-
-def fractional_min_sum(h: RegVarFunction, N: float, M: float) -> float:
-    """Sum over n <= N of min(1, 1/(M * ||h(n)||))."""
-    N, M = int(N), float(M)
-    if M <= 0.0:
-        raise ValueError("M must be positive")
-    parts = []
-    for lo, hi in chunked(N, _CHUNK):
-        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        v = h.value(n)
-        fr = v - np.floor(v)
-        dist = np.minimum(fr, 1.0 - fr)
-        with np.errstate(divide="ignore"):
-            vals = np.minimum(1.0, 1.0 / (M * dist))
-        parts.append(pairwise_sum(vals))
-    return float(reduce_parts(parts))

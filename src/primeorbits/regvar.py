@@ -30,6 +30,10 @@ is halved until they have.  Against 40-digit values phi and phi' are
 within 5e-16 relative over the tested kinds and parameters, y from h(x0)
 to 2**60.  See Trefethen, Approximation Theory and Approximation Practice
 (SIAM 2013), chapters 2-8.
+
+Higher derivatives of phi, which the approximant's Euler-Maclaurin tail
+needs at its two ends, come from InverseHandle.taylor: _from_log runs
+once on truncated Taylor series (_Jet) and the series is reverted.
 """
 
 from __future__ import annotations
@@ -190,15 +194,12 @@ class RegVarFunction:
 # -- construction ---------------------------------------------------------
 
 
-def _probe_ok(h: RegVarFunction, x: float) -> bool:
+def _probe_ok(h: RegVarFunction, x: np.ndarray) -> bool:
+    """|theta| < c - 1, c + theta > 0 and h'' > 0 at every point of x."""
     th = h.theta(x)
-    if not abs(th) < h.c - 1.0:
-        return False
     ct = h.c + th
-    if not ct > 0.0:
-        return False
     g = ct * (ct - 1.0) + x * h.theta_d1(x)
-    return g > 0.0
+    return bool(np.all((np.abs(th) < h.c - 1.0) & (ct > 0.0) & (g > 0.0)))
 
 
 def _scan_x0(h: RegVarFunction) -> float:
@@ -225,7 +226,7 @@ def _scan_x0(h: RegVarFunction) -> float:
         if probe.value(cand) < 1.0:
             continue
         grid = cand * 2.0 ** (np.arange(0, 161) / 4.0)
-        if all(_probe_ok(probe, float(x)) for x in grid):
+        if _probe_ok(probe, grid):
             return cand
     raise ValueError(f"no admissible x0 for {h.kind} with given parameters")
 
@@ -237,7 +238,7 @@ def _finish(h: RegVarFunction) -> RegVarFunction:
         raise ValueError("leading coefficient must be positive")
     out = replace(h, x0=_scan_x0(h))
     chk = max(_THETA_CHECKPOINT, out.x0)
-    worst = max(abs(out.theta(float(chk * 2.0 ** (j / 2.0)))) for j in range(0, 41))
+    worst = np.abs(out.theta(chk * 2.0 ** (np.arange(41) / 2.0))).max()
     if not worst < _THETA_CEIL:
         raise ValueError(
             f"|theta| = {worst:.4f} at x >= {chk:g} exceeds the {_THETA_CEIL} "
@@ -279,6 +280,66 @@ def make_catalog() -> list[RegVarFunction]:
         exp_log(1.1, a=0.3, b=0.5),
         iterated_log(1.2, depth=2),
     ]
+
+
+# -- Taylor jets ----------------------------------------------------------
+
+
+class _Jet:
+    """Truncated Taylor series: row k of `a` is the coefficient of t^k, and
+    the other axes index independent series.  It has the arithmetic that
+    _from_log applies to L; _jet_log and _jet_exp are its log and exp."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+
+    def __add__(self, other):
+        if isinstance(other, _Jet):
+            return _Jet(self.a + other.a)
+        a = self.a.copy()
+        a[0] += other
+        return _Jet(a)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if not isinstance(other, _Jet):
+            return _Jet(self.a * other)
+        a, b = self.a, other.a
+        c = np.empty_like(a)
+        for k in range(len(a)):
+            c[k] = (a[:k + 1] * b[k::-1]).sum(axis=0)
+        return _Jet(c)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: float):
+        return _jet_exp(e * _jet_log(self))
+
+
+def _jet_exp(s: _Jet) -> _Jet:
+    """exp of a series: b' = a' b, so k b_k = sum_{1<=j<=k} j a_j b_{k-j}."""
+    a = s.a
+    ja = a * np.arange(len(a)).reshape((-1,) + (1,) * (a.ndim - 1))
+    b = np.empty_like(a)
+    b[0] = np.exp(a[0])
+    for k in range(1, len(a)):
+        b[k] = (ja[1:k + 1] * b[k - 1::-1]).sum(axis=0) / k
+    return _Jet(b)
+
+
+def _jet_log(s: _Jet) -> _Jet:
+    """log of a series: a b' = a', so
+    a_0 b_k = a_k - sum_{1<=j<k} (j/k) b_j a_{k-j}."""
+    a = s.a
+    b, jb = np.empty_like(a), np.empty_like(a)
+    b[0] = np.log(a[0])
+    for k in range(1, len(a)):
+        b[k] = (a[k] - (jb[1:k] * a[k - 1:0:-1]).sum(axis=0) / k) / a[0]
+        jb[k] = k * b[k]
+    return _Jet(b)
 
 
 # -- compositional inverse ------------------------------------------------
@@ -349,6 +410,33 @@ class InverseHandle:
         else:
             d = self._interpolate(y1.ravel(), 1, h.gamma - 1.0, 1.0 / h.d1(h.x0))
         return d[0].item() if scalar else d.reshape(y.shape)
+
+    def taylor(self, y: np.ndarray, order: int) -> np.ndarray:
+        """Scaled Taylor coefficients of phi: row k, column i is
+        phi^(k)(y_i) y_i^k / k!, for k <= order and every y_i > h(x0).
+
+        One truncated-Taylor pass of _from_log at x = phi(y), in
+        t = x (1 + tau), gives A(tau) = h(x (1 + tau)) / h(x) - 1.  Its
+        series reversion by Lagrange's formula,
+        beta_k = [tau^(k-1)] (tau / A(tau))^k / k, gives
+        phi(h(x) (1 + s)) = x (1 + sum beta_k s^k); all the powers
+        (tau / A)^k = exp(-k log(A / tau)) come from one exp pass.  Every
+        point and power runs in the same vectorized recurrences, O(order)
+        array operations in all.  The expansion point h(x) is y to within
+        the rounding of phi.  The scaled rows do not underflow where
+        phi^(k)(y) does.
+        """
+        y = np.asarray(y, dtype=np.float64)
+        x = self.value(y)
+        k = np.arange(1.0, order + 1.0)
+        L = np.empty((order + 1, y.size))  # log x + log(1 + tau)
+        L[0] = np.log(x)
+        L[1:] = (np.where(k % 2 == 1, 1.0, -1.0) / k)[:, None]
+        H = self.h._from_log(_Jet(L), _jet_log, _jet_exp).a
+        ell = _jet_log(_Jet(H[1:] / H[0])).a
+        powers = _jet_exp(_Jet(-k[:, None] * ell[:, None, :])).a
+        beta = powers[np.arange(order), np.arange(order)] / k[:, None]
+        return np.vstack([x[None, :], x * beta])
 
     @property
     def blocks_built(self) -> int:

@@ -289,13 +289,21 @@ def test_expsum_work_note(tmp_path, monkeypatch):
         mirror = json.loads(out.with_suffix(".txt.json").read_text())
         assert work[0][2:] in mirror["notes"]
         notes.append(dict(kv.split("=") for kv in work[0].split()[2:]))
+    # every approximant sums its 255 terms below M = 256 directly and the
+    # rest by Euler-Maclaurin, of the orders its own calls report
     terms = 2 * (math.floor(1000 ** 1.2) + math.floor(4000 ** 1.2))
     pi1, pi4 = primes.prime_count(1000), primes.prime_count(4000)
+    own = expsum.SumWork()
+    for n in (1000.0, 4000.0):
+        for xi in (0.0, n ** -expsum.theta1_default(1.2)):
+            expsum.approximant_sum(pure_power(1.2), n, xi, own)
     assert {k: int(v) for k, v in notes[0].items()} == {
         "floor_points": pi4, "recomputes": 0, "approximant_terms": terms,
-        "digit_terms": 2 * (pi1 + pi4) + terms, "direct_terms": 0,
+        "approximant_direct": 4 * 255, "em_order": own.em_order,
+        "digit_terms": 2 * (pi1 + pi4) + 4 * 255, "direct_terms": 0,
         "table_entries": int(notes[0]["table_entries"]),
         "inverse_blocks": 0, "node_newton": 0}
+    assert own.em_order >= 4
     assert int(notes[0]["table_entries"]) > 0
     # the second run reads the stored floors and floors nothing
     assert notes[1]["floor_points"] == "0"
@@ -364,6 +372,30 @@ def test_ergodic_refuses_kgrid_below_two_before_work(tmp_path, monkeypatch,
     assert calls == []
     assert not out.exists()
     assert cli.parse_config(["ergodic", "--kgrid", "2,3"])["kgrid"] == [2, 3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ergodic", "--kgrid", "-2,10"],  # argparse reads -2,10 as a flag
+    ["expsum", "--no-such-flag", "1"],
+    ["nosuchcommand"],
+])
+def test_usage_errors_exit_one_before_work(tmp_path, monkeypatch, capsys, argv):
+    # exit 2 is a --check violation's; a usage error is refused like any
+    # other bad request, with argparse's message on stderr
+    calls = _sieve_calls(monkeypatch)
+    out = tmp_path / "u.txt"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: primeorbits") and "error: " in err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(["--help"])
+    assert done.value.code == 0
+    assert "usage: primeorbits" in capsys.readouterr().out
 
 
 def test_ergodic_jmax_caps_admit_their_boundary():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from collections import OrderedDict
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from primeorbits import accum, ergodic, expsum, primes, waring
 from primeorbits.primes import chebyshev_psi, chebyshev_theta
-from primeorbits.regvar import InverseHandle, exp_log, log_power, pure_power
+from primeorbits.regvar import (InverseHandle, exp_log, iterated_log, log_power,
+                                make_catalog, pure_power)
 
 H12 = pure_power(1.2)
 
@@ -296,22 +298,6 @@ def test_library_import_leaves_scipy_special_out():
     assert done.stdout.strip() == "False"
 
 
-def test_fractional_min_sum_m2():
-    # at M=2 every term saturates at 1
-    assert expsum.fractional_min_sum(H12, 100, 2.0) == 100.0
-
-
-def test_fractional_min_sum_huge_m():
-    # only exact integer images survive M=2**30: n=1, 32, 243 for x^1.2
-    s = expsum.fractional_min_sum(H12, 1000, 2.0**30)
-    assert 3.0 <= s <= 3.1
-
-
-def test_fractional_min_sum_rejects_bad_m():
-    with pytest.raises(ValueError):
-        expsum.fractional_min_sum(H12, 100, 0.0)
-
-
 def test_sample_frequencies():
     xs = expsum.sample_frequencies(1e4, 0.5066666666666666)
     cut = 1e4 ** (-0.5066666666666666)
@@ -465,15 +451,112 @@ def test_approximant_term_count_is_the_guarded_floor(N, terms):
     assert expsum.approximant_sum(pure_power(1.5), N, 0.1).n_terms == terms
 
 
+def _direct_approximant(h, N, xi, weights=None):
+    """The approximant term by term, phi'(n) e(n xi) for every n <= h(N)
+    in _phase_sum's chunks: the sum Euler-Maclaurin replaces, kept as its
+    oracle."""
+    lam = int(expsum.guarded_floor(h, np.array([float(N)]))[0][0])
+    if weights is None:
+        weights = InverseHandle(h).d1(np.arange(1.0, lam + 1.0))
+    return expsum._phase_sum(lam, lambda lo, hi: weights[lo:hi], None, xi)
+
+
 def test_nonpure_approximant_is_the_chunked_newton_sum(monkeypatch):
     monkeypatch.setattr(expsum, "_CHUNK", 1000)
     h = log_power(1.15, a=0.5)
     N, xi = 3000.0, 0.0123
     res = expsum.approximant_sum(h, N, xi)
-    w = InverseHandle(h).d1(np.arange(1, res.n_terms + 1, dtype=np.float64))
-    want = expsum._phase_sum(w.size, lambda lo, hi: w[lo:hi], None, xi)
+    want = _direct_approximant(h, N, xi)
     assert res.n_terms > 3000
-    assert res.value == want
+    assert abs(res.value - want) <= 1e-14 * N
+    # with no order meeting the tolerance, M doubles past lam and every
+    # term is summed directly: the oracle itself, bit for bit
+    monkeypatch.setattr(expsum, "_EM_TOL", 0.0)
+    work = expsum.SumWork()
+    assert expsum.approximant_sum(h, N, xi, work).value == want
+    assert work.approximant_direct == res.n_terms and work.em_order == 0
+
+
+# the four kinds, and x^1.95 log^-0.5 x, whose phi has a branch point just
+# below h(x0), x0 = 2
+_EM_KINDS = [pure_power(1.2), log_power(1.15, a=0.5), exp_log(1.1, a=0.3, b=0.5),
+             iterated_log(1.2, depth=2), log_power(1.95, a=-0.5)]
+
+
+@pytest.mark.parametrize("h", _EM_KINDS, ids=lambda h: h.label())
+def test_euler_maclaurin_matches_direct_sum(h):
+    # lam from below the head size M to 1e6, and xi from 0 through the
+    # cutoff to next to 1/2
+    inv = InverseHandle(h)
+    top = 10 ** 6
+    weights = inv.d1(np.arange(1.0, top + 1.0))
+    for lam in (expsum._head_size(h) // 2, expsum._head_size(h) + 37, 10 ** 4, top):
+        N = inv.value(lam + 0.5)
+        cut = N ** -expsum.theta1_default(h.c)
+        for xi in (0.0, cut, -cut, 0.0123, -0.0123, 0.3, -(0.5 - 1e-12)):
+            work = expsum.SumWork()
+            res = expsum.approximant_sum(h, N, xi, work)
+            assert res.n_terms == lam
+            want = _direct_approximant(h, N, xi, weights)
+            assert abs(res.value - want) <= 1e-14 * N, (lam, xi)
+            assert (work.em_order > 0) == (lam > expsum._head_size(h))
+
+
+@pytest.mark.parametrize("h", make_catalog() + _EM_KINDS[-1:],
+                         ids=lambda h: h.label())
+def test_phi_prime_derivatives_keep_their_sign(h):
+    # the remainder bound integrates |phi'^(j)| as |phi'^(j-1)(lam) -
+    # phi'^(j-1)(M)|, which holds where phi'^(j) keeps its sign on [M, lam];
+    # for pure powers it is (-1)^j, here checked on jets over M .. 2^28 for
+    # every j <= 2p the bound can use
+    order = 2 * expsum._EM_MAX_P + 1
+    y = np.geomspace(expsum._head_size(h), 2.0 ** 28, 64)
+    rows = InverseHandle(h).taylor(y, order)[1:]  # phi'^(j)(y) y^(j+1) / (j+1)!
+    signs = (-1.0) ** np.arange(order)
+    assert np.all(np.sign(rows) == signs[:, None])
+
+
+@pytest.mark.parametrize("h", _EM_KINDS[:3], ids=lambda h: h.label())
+def test_approximant_conjugate_symmetric_and_real_at_zero(h):
+    for xi in (1e-9, 0.0123, 0.3, 0.5 - 1e-12, 0.75, 1.3):
+        a = expsum.approximant_sum(h, 2e4, xi).value
+        assert expsum.approximant_sum(h, 2e4, -xi).value == a.conjugate()
+    for zero in (0.0, -0.0, 1.0, -2.0):
+        assert expsum.approximant_sum(h, 2e4, zero).value.imag == 0.0
+    # F is 1-periodic: xi is reduced by its nearest integer first
+    assert (expsum.approximant_sum(h, 2e4, 1.25).value
+            == expsum.approximant_sum(h, 2e4, 0.25).value)
+
+
+def test_approximant_cost_does_not_grow_with_lam():
+    # at lam >= 1e6 the Euler-Maclaurin route is at least 10x faster than
+    # the direct sum, next to 1/2 too, and its peak memory stays put
+    h = pure_power(1.2)
+    N = 2e5                                    # lam = 2.3e6
+    lam = expsum.approximant_sum(h, N, 0.0).n_terms
+    assert lam > 10 ** 6
+    for xi in (0.0, N ** -expsum.theta1_default(1.2), 0.3, -(0.5 - 1e-12)):
+        fast = _best_time(lambda: expsum.approximant_sum(h, N, xi))
+        slow = _best_time(lambda: _direct_approximant(h, N, xi), repeat=1)
+        assert 10.0 * fast < slow, (xi, fast, slow)
+    peaks = []
+    for n in (3e3, 2e5):
+        tracemalloc.start()
+        try:
+            expsum.approximant_sum(h, n, -(0.5 - 1e-12))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
+
+
+def _best_time(fn, repeat=5):
+    best = math.inf
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def test_approximant_memory_does_not_grow_with_terms(monkeypatch):

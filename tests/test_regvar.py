@@ -299,6 +299,97 @@ def test_pure_inverse_matches_mpmath(c, coeff):
     assert phi.value(ylo) == h.x0 and phi.d1(ylo) == 1.0 / h.d1(h.x0)
 
 
+# -- Taylor jets of phi --------------------------------------------------------
+
+
+@pytest.mark.parametrize("c, coeff", [(1.01, 1.0), (1.2, 0.5), (1.5, 1.0), (1.95, 3.0)])
+def test_taylor_matches_pure_closed_form(c, coeff):
+    # phi(y (1 + s)) = (y / coeff)^gamma (1 + s)^gamma: row k is
+    # binomial(gamma, k) (y / coeff)^gamma, up to the highest order used.
+    # Every row is within a few u of phi(y) = row 0; relative to itself a
+    # row loses more as c -> 1, where binomial(gamma, k) -> 0 for k >= 2
+    h = pure_power(c, coeff=coeff)
+    y = np.array([256.0, 3e4, 1e6, 2.0 ** 28])
+    got = InverseHandle(h).taylor(y, 80)
+    assert got.shape == (81, 4)
+    with mpmath.workdps(40):
+        g = mpmath.mpf(1) / mpmath.mpf(c)
+        for k in range(81):
+            for i, yi in enumerate(y):
+                want = mpmath.binomial(g, k) * (mpmath.mpf(yi) / coeff) ** g
+                assert abs(got[k, i] - want) <= 4e-15 * got[0, i], (k, yi)
+
+
+@pytest.mark.parametrize("h", NONPURE, ids=lambda h: h.label())
+def test_taylor_matches_mpmath_diff(h):
+    # against 50-digit derivatives of a 50-digit inverse, at both ends of
+    # a tail the approximant sums by Euler-Maclaurin
+    y = np.array([1024.0, 1e5])
+    order = 10
+    got = InverseHandle(h).taylor(y, order)
+    f = lambda t: h._from_log(mpmath.log(t), mpmath.log, mpmath.exp)
+    with mpmath.workdps(50):
+        for i, yi in enumerate(y):
+            start = mpmath.mpf(got[0, i])
+            phi = lambda v: mpmath.findroot(lambda t: f(t) - v, start)
+            for k, dk in enumerate(mpmath.diffs(phi, mpmath.mpf(yi), order)):
+                want = dk * mpmath.mpf(yi) ** k / mpmath.factorial(k)
+                assert abs(got[k, i] - want) <= 4e-15 * got[0, i], (k, yi)
+
+
+def _scalar_probe_ok(h, x):
+    # the probe point by point, as construction ran it before: the oracle of
+    # the array probe
+    th = h.theta(x)
+    if not abs(th) < h.c - 1.0:
+        return False
+    ct = h.c + th
+    if not ct > 0.0:
+        return False
+    g = ct * (ct - 1.0) + x * h.theta_d1(x)
+    return g > 0.0
+
+
+_PROBE_GRID = (
+    [("pure", dict(c=c, coeff=k)) for c in (1.01, 1.5, 1.95) for k in (0.5, 1.0)]
+    + [("logpow", dict(c=c, a=a)) for c in (1.01, 1.15, 1.5, 1.95)
+       for a in (-0.5, 0.005, 0.5, 1.0, 2.0)]
+    + [("explog", dict(c=c, a=a, b=b)) for c in (1.1, 1.9)
+       for a in (-0.3, 0.3, 1.0) for b in (0.2, 0.5, 0.9)]
+    + [("itlog", dict(c=c, depth=d)) for c in (1.1, 1.9) for d in (1, 2, 3)])
+_CONSTRUCT = {"pure": pure_power, "logpow": log_power, "explog": exp_log,
+              "itlog": iterated_log}
+
+
+@pytest.mark.parametrize("kind, kw", _PROBE_GRID)
+def test_array_probe_verdicts_match_scalar(kind, kw, monkeypatch):
+    # every candidate x0 the scan probes, and the |theta| ceiling, get the
+    # verdict of the scalar probe, so x0 and the refusals are the same
+    from primeorbits import regvar
+    seen = []
+    array_probe = regvar._probe_ok
+
+    def recording(h, x):
+        ok = array_probe(h, x)
+        seen.append(ok == all(_scalar_probe_ok(h, float(v)) for v in x))
+        return ok
+
+    monkeypatch.setattr(regvar, "_probe_ok", recording)
+    try:
+        _CONSTRUCT[kind](**kw)
+        refused = ""
+    except ValueError as exc:
+        refused = str(exc)
+    assert seen and all(seen)
+    if "admissible" in refused:
+        return
+    probe = regvar.RegVarFunction(kind, **kw)
+    out = regvar.replace(probe, x0=regvar._scan_x0(probe))
+    chk = max(regvar._THETA_CHECKPOINT, out.x0)
+    worst = max(abs(out.theta(float(chk * 2.0 ** (j / 2.0)))) for j in range(41))
+    assert (worst < regvar._THETA_CEIL) == (refused == "")
+
+
 def test_catalog_shape():
     cat = make_catalog()
     assert len(cat) == 5
