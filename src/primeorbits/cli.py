@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from . import __version__, ergodic, expsum, primes, vaughan, waring, zeta
-from .regvar import (InverseHandle, RegVarFunction, exp_log, iterated_log,
-                     log_power, make_catalog, pure_power)
+from .regvar import (RegVarFunction, exp_log, iterated_log, log_power,
+                     make_catalog, pure_power)
 
 # kind -> constructor and the shape keys it takes; the constructors hold
 # the defaults
@@ -330,7 +330,7 @@ def _oracle_triple_loop(hs, lmax: int) -> np.ndarray:
     """Exhaustive r(lambda) for the --check oracle mode."""
     floors = []
     for h in hs:
-        m = np.arange(1, int(InverseHandle(h).value(lmax + 1.0)) + 2)
+        m = np.arange(1, int(h.inverse.value(lmax + 1.0)) + 2)
         fl, _ = expsum.guarded_floor(h, m.astype(np.float64))
         floors.append(fl[fl <= lmax])
     r = np.zeros(lmax + 1, dtype=np.int64)
@@ -472,7 +472,7 @@ def _run_regvar(cfg: dict):
                "doubling_margin"]
     rows, failures = [], []
     for h in make_catalog():
-        inv = InverseHandle(h)
+        inv = h.inverse
         xs = np.geomspace(max(h.x0, 2.0), 1e8, 40)
         ys = h.value(xs)
         roundtrip = float(np.max(np.abs(inv.value(ys) - xs) / xs))

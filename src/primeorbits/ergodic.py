@@ -97,17 +97,6 @@ def weighted_average(values: np.ndarray, primes: np.ndarray) -> float:
     return float(pairwise_sum(logs * values) / pairwise_sum(logs))
 
 
-def weight_bridge(values: np.ndarray, primes: np.ndarray) -> dict:
-    """A_N vs D_N on one orbit, with the total-variation style bound
-    (max f - min f) * (1 - min_p w_p / max_p w_p) on their gap."""
-    a = float(pairwise_sum(values) / values.size)
-    d = weighted_average(values, primes)
-    logs = np.log(primes.astype(np.float64))
-    w = values.size * logs / pairwise_sum(logs)  # D weights over A weights
-    bound = float((values.max() - values.min()) * (1.0 - w.min() / w.max()))
-    return {"A": a, "D": d, "gap": abs(d - a), "bound": bound}
-
-
 def lambda_weights(k: int) -> np.ndarray:
     """Summation-by-parts weights lam[s] with A_k = sum_s lam[s] D_s.
 

@@ -340,13 +340,15 @@ def approximant_sum(h: RegVarFunction, N: float, xi: float,
     F(-xi) == conj(F(xi)) bit for bit and F(0) is real.  The terms
     n < M, M = _head_size(h), are summed directly; the rest by
     Euler-Maclaurin (_em_tail), within 2^-52 (phi(lam) - phi(M)) plus
-    rounding.  So the cost does not grow with lam = floor(h(N)).  One
-    InverseHandle serves the head's weights, the Filon integral and the
-    jets, so a non-pure h builds its blocks once.
+    rounding.  So the cost does not grow with lam = floor(h(N)).  h's one
+    InverseHandle (h.inverse) serves the head's weights, the Filon
+    integral and the jets, so a non-pure h builds each block once, over
+    all its calls.
     """
     lam = int(guarded_floor(h, np.array([float(N)]))[0][0])
     x = math.remainder(float(xi), 1.0)
-    inv = InverseHandle(h)
+    inv = h.inverse
+    blocks, evals = inv.blocks_built, inv.node_evals
     tail, M, p = _em_tail(inv, _head_size(h), lam, abs(x))
     head = M - 1 if M < lam else lam
     value = tail + _phase_sum(head, lambda lo, hi: inv.d1(
@@ -357,8 +359,8 @@ def approximant_sum(h: RegVarFunction, N: float, xi: float,
         work.approximant_terms += lam
         work.approximant_direct += head
         work.em_order += p
-        work.inverse_blocks += inv.blocks_built
-        work.node_newton += inv.node_evals
+        work.inverse_blocks += inv.blocks_built - blocks
+        work.node_newton += inv.node_evals - evals
     return ExpSumResult(value, lam, float(N), float(xi), "approximant")
 
 
@@ -523,26 +525,35 @@ def _bessel_miller(x: np.ndarray) -> np.ndarray:
     return t
 
 
+def bessel_rows(x: np.ndarray) -> np.ndarray:
+    """j_0 .. j_16 at every x >= 0, as (17, n) rows.
+
+    Upward for x > 16, where the values are bit for bit those of
+    scipy.special.spherical_jn, and Miller's downward recurrence at or
+    below it (_bessel_miller).  Within 1.7e-16 absolute of 40-digit values
+    over 2,000 sampled points up to 1e3.
+    """
+    up = x > _UPWARD_FROM
+    if up.all():
+        return _bessel_upward(x)
+    j = np.empty((_NODES_PER_PANEL, x.size))
+    if up.any():
+        j[:, up] = _bessel_upward(x[up])
+    j[:, ~up] = _bessel_miller(x[~up])
+    return j
+
+
 def legendre_moments(omega: np.ndarray) -> np.ndarray:
     """int_{-1}^{1} P_k(v) e^{i omega v} dv = 2 i^k j_k(omega), k < 17,
     one row per omega.
 
-    All 17 orders come from one recurrence pass over (17, n) rows: upward
-    for |omega| > 16, where the values are bit for bit those of
-    scipy.special.spherical_jn, and Miller's downward recurrence at or
-    below it (_bessel_miller).  Within 1.7e-16 absolute of 40-digit values
-    over 2,000 sampled points up to 1e3.  j_k(-w) = (-1)^k j_k(w), so a
-    negative omega gives the conjugate row.
+    All 17 orders come from one recurrence pass over (17, n) rows
+    (bessel_rows at |omega|).  j_k(-w) = (-1)^k j_k(w), so a negative
+    omega gives the conjugate row.
     """
     omega = np.asarray(omega, dtype=np.float64)
-    x = np.abs(omega)
-    up = x > _UPWARD_FROM
-    j = np.empty((_NODES_PER_PANEL, x.size))
-    if up.any():
-        j[:, up] = _bessel_upward(x[up])
-    if not up.all():
-        j[:, ~up] = _bessel_miller(x[~up])
-    out = np.empty((x.size, _NODES_PER_PANEL), dtype=np.complex128)
+    j = bessel_rows(np.abs(omega))
+    out = np.empty((omega.size, _NODES_PER_PANEL), dtype=np.complex128)
     np.multiply(j.T, _MOMENT_PHASE, out=out)
     np.conjugate(out, out=out, where=(omega < 0.0)[:, None])
     return out
@@ -595,7 +606,7 @@ def osc_integral(h: RegVarFunction, a: float, b: float, xi: float) -> complex:
         below = (min(b, h.x0) - a) * complex(phase(np.array([y0]), xi)[0])
         if b <= h.x0:
             return below
-    return _filon(InverseHandle(h), y0, y1, xi) + below
+    return _filon(h.inverse, y0, y1, xi) + below
 
 
 def von_mangoldt_block_sum(h: RegVarFunction, P: float, P1: float,

@@ -19,8 +19,6 @@ from .accum import kahan_sum, pairwise_sum
 
 SEGMENT = 1 << 20  # odd numbers per block, ~1 MiB of flags
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def _simple_sieve(n: int) -> np.ndarray:
     """All primes <= n by a dense odd-only sieve."""
@@ -156,32 +154,6 @@ def von_mangoldt_range(lo: int, hi: int) -> np.ndarray:
 
 
 # -- scalar arithmetic functions -------------------------------------------
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond any range used here."""
-    n = int(n)
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def spf_table(n: int) -> np.ndarray:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable
 
 import mpmath
@@ -77,6 +78,12 @@ class RegVarFunction:
     def gamma(self) -> float:
         """Inverse index 1/c."""
         return 1.0 / self.c
+
+    @cached_property
+    def inverse(self) -> InverseHandle:
+        """The one InverseHandle of this function, made on first use, so
+        every caller reads the same interpolant blocks."""
+        return InverseHandle(self)
 
     # -- theta and derivatives, closed form per kind --------------------
 
@@ -377,10 +384,10 @@ class InverseHandle:
     coefficients exceed 2**-52 is split in halves until they do not.
     Blocks are built when a call first needs them, all of that call's
     missing blocks in one vectorized pass per split round, and kept on
-    the handle: reuse one handle across calls on the same h.  phi and phi'
-    depend on y alone: the same y gives the same bits whatever else a
-    call asks for.  At and below h(x0), phi(y) = x0 and phi'(y) = 1/h'(x0)
-    exactly.
+    the handle; RegVarFunction.inverse keeps one handle per function, so
+    each block is built once.  phi and phi' depend on y alone: the same y
+    gives the same bits whatever else a call asks for.  At and below
+    h(x0), phi(y) = x0 and phi'(y) = 1/h'(x0) exactly.
     """
 
     h: RegVarFunction

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expsum import EPSILON, guarded_floor, prime_floors
-from .regvar import InverseHandle, RegVarFunction
+from .regvar import RegVarFunction
 
 _INT64_CAP = 2 ** 62  # headroom under the signed 64-bit limit
 
@@ -87,8 +87,7 @@ def arg_cutoff(h: RegVarFunction, lambda_max: int) -> int:
     """Largest argument m the histograms up to lambda_max evaluate."""
     # floor(h(m)) <= lambda_max forces m < phi(lambda_max + 1); one spare
     # index absorbs inverse roundoff, the floor mask does the exact cut
-    inv = InverseHandle(h)
-    return int(inv.value(float(lambda_max + 1))) + 1
+    return int(h.inverse.value(float(lambda_max + 1))) + 1
 
 
 def memory_estimate(functions, lambda_max: int) -> int:
@@ -275,7 +274,7 @@ def _phi_d1_product(config: WaringConfig, lam: float) -> float:
     check_lambda(config.functions, lam)
     prod = 1.0
     for f in config.functions:
-        prod *= InverseHandle(f).d1(float(lam))
+        prod *= f.inverse.d1(float(lam))
     return prod
 
 

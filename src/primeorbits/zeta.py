@@ -17,18 +17,25 @@ what makes height cuts in the tens of thousands affordable.
 
 The panel centers form one arithmetic progression c_j = c0 + s j, used
 by both the Legendre nodes and the carriers e^{i c_j gamma}.  With
-j = a B + b, B = ceil(sqrt P) and A = ceil(P / B), each carrier is the
-product of e^{i (c0 + s B a) gamma} and e^{i s b gamma}, so a zero costs
-A + B complex exponentials instead of P, and the panels x zeros carrier
-matrix is never formed: one matmul sums over b, a batched product over
-a.  The conjugate zero's projection comes from the conjugated
-coefficients in the same product.  Zeros are taken in blocks whose
-product stays under _BLOCK_BYTES.  The Legendre tables and moments are
-those of expsum.osc_integral; a block's moments 2 i^k j_k(gamma s / 2),
-k < 17, come from one recurrence pass over the orders
-(expsum.legendre_moments).  A request whose estimated peak memory,
-panels x _PANEL_BYTES + _BLOCK_PEAK, exceeds _MAX_BYTES is refused
-before any exponential is formed.
+j = a B + b, A = round(sqrt(P / 17)) and B = ceil(P / A), each carrier is
+the product of E2[a] = e^{i (c0 + s B a) gamma} and E1[b] = e^{i s b gamma},
+both read off power tables (_carriers): a zero costs A + B carriers, from
+2 + log2 A + log2 B complex exponentials, instead of P.  With a common
+beta the moments 2 i^k j_k(gamma s / 2) have real j_k, so a zero and its
+conjugate together add sum_{j,k} c_jk 2 Re(e^{i c_j gamma} 2 i^k j_k)
+times s / 2.  The kernel therefore sums over zeros first, into the real
+P x 17 matrix W[j, k] = sum over zeros of Re(E1[b] E2[a] i^k j_k), and
+returns 2 s sum_{j,k} c_jk W[j, k].  Per block of zeros, W grows by one
+real matrix product: the E1 table, each zero's entry as its (re, im)
+pair, against the (A, 17) products conj(E2[a] i^k j_k), which is 68 P
+flops per zero; the panels x zeros carrier matrix is never formed.
+Zeros are taken in blocks whose tables stay under _BLOCK_BYTES, and a
+block's product runs over slices of _GEMM_BYTES, since BLAS keeps the
+pages of the copies it packs.  The Legendre tables are those of expsum.osc_integral, and j_0 .. j_16 come
+from one recurrence pass over the orders (expsum.bessel_rows).  A
+request whose estimated peak memory, panels x _PANEL_BYTES +
+_BLOCK_PEAK, exceeds _MAX_BYTES is refused before any exponential is
+formed.
 """
 
 from __future__ import annotations
@@ -39,25 +46,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accum import pairwise_sum, reduce_parts
+from .accum import pairwise_sum
 from .expsum import (_GL_U, _K_RANGE, _NODES_PER_PANEL, _PROJ, EPSILON,
-                     legendre_moments, normalizer, theta1_default)
+                     bessel_rows, normalizer, theta1_default)
 from .regvar import RegVarFunction
 
 _FIRST_GAMMA = 14.1347
-_K_PARITY = np.where(_K_RANGE % 2 == 0, 1.0, -1.0)
-# bytes of the (zeros, A, 34) product that one block of zeros may take
-_BLOCK_BYTES = 1 << 22
-# peak bytes of one block: next to that product it holds e1, e2, the
-# batched matmul's buffers, proj and the moments, about as much again
-# (tracemalloc peak of x^1.1 at t = 1e4 on the full table: 7.66 MiB at
-# 10-12 panels, 95.6% of the refusal estimate, and at most 85% past 16)
-_BLOCK_PEAK = 2 * _BLOCK_BYTES
+# (-i)^k, k < 17: the conjugate of the moments' phase i^k
+_CONJ_PHASE = np.array([1.0, -1.0j, -1.0, 1.0j])[_K_RANGE % 4][:, None]
+# bytes of one block's tables, per zero 16 ((17 + 1) A + B + 2 * 17):
+# the (A, 17) products, the carriers E2 and E1 and the moments
+_BLOCK_BYTES = 1 << 21
+# bytes of the two operands of one matrix product, 16 (B + 17 A) per
+# zero: BLAS packs copies of them into buffers whose pages then stay
+# resident, so a block's product runs over slices of this many bytes
+_GEMM_BYTES = 1 << 18
+# peak bytes of one block: its tables and the temporaries of the moments'
+# recurrence and the carriers (tracemalloc: at most 2.14 MiB on top of
+# panels x _PANEL_BYTES, at 9-7,483 panels with 1 to 56,412 zeros)
+_BLOCK_PEAK = 5 * _BLOCK_BYTES // 4
 # peak bytes per panel of zero_osc_sum on top of the blocks of zeros
-# (1,361-1,368 measured with tracemalloc at 2e3 and 2e4 panels with one
-# zero, 1,151-1,341 past the block with 649; the same with the moments
-# from the recurrence of expsum.legendre_moments as from scipy's)
-_PANEL_BYTES = 1400
+# (1,088-1,089 measured with tracemalloc at 2e3 to 4e4 panels with one
+# zero and with 649; _panel_coeffs' temporaries set it)
+_PANEL_BYTES = 1100
 # largest estimated peak, panels x _PANEL_BYTES + _BLOCK_PEAK, it accepts
 _MAX_BYTES = 1 << 29
 
@@ -223,6 +234,28 @@ def _panel_coeffs(h: RegVarFunction, xi: float, beta: float, c0: float,
     return np.exp(beta * u + 2j * np.pi * xi * h.value(np.exp(u))) @ _PROJ
 
 
+def _carriers(g: np.ndarray, start: float, step: float,
+              out: np.ndarray) -> np.ndarray:
+    """e^{i g (start + step a)} for a < out.shape[0], one row per a, into
+    out (count x zeros, complex).
+
+    A power table: row 0 is e^{i g start}, and the rows [w, 2w) are the
+    rows [0, w) times e^{i g step w}, each of those exponentials computed
+    directly, for w = 1, 2, 4, ...  So row a is the product
+    of at most 1 + log2(a) direct exponentials whose phases add up to
+    g (start + step a): its phase error is a few u (|g start| +
+    2 |g step a| + 1), as for a direct exponential of the whole phase.
+    """
+    count = out.shape[0]
+    out[0] = np.exp(1j * (g * start))
+    w = 1
+    while w < count:
+        hi = min(2 * w, count)
+        np.multiply(out[:hi - w], np.exp(1j * (g * (step * w))), out=out[w:hi])
+        w = hi
+    return out
+
+
 def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
                  table: ZetaZeroTable, epsilon: float = EPSILON) -> ZeroSumBound:
     """Sum over zeros gamma <= T of int_{t/2}^t s^{rho-1} e(h(s) xi) ds,
@@ -245,34 +278,46 @@ def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
                             n_panels=n_panels)
 
     K = _NODES_PER_PANEL
-    # panel j = a*B + b is centred at c0 + 2*half*j, so its carrier
-    # e^{i c_j gamma} is E2[a] * E1[b] with E2 = e^{i (c0 + 2 half B a) gamma}
-    # and E1 = e^{i 2 half b gamma}: A + B exponentials per zero, not P
-    B = math.isqrt(n_panels - 1) + 1
+    # panel j = a*B + b is centred at c_j = c0 + 2*half*j, so its carrier
+    # e^{i c_j gamma} is E2[a] * E1[b], E2 = e^{i (c0 + 2 half B a) gamma}
+    # and E1 = e^{i 2 half b gamma}: A + B carriers per zero, not P, and
+    # A = sqrt(P / 17) makes the 17 A + B table entries per zero fewest
+    A = max(1, round(math.sqrt(n_panels / K)))
+    B = -(-n_panels // A)
     A = -(-n_panels // B)
-    b_phase = 2.0 * half * np.arange(B)
-    a_phase = c0 + 2.0 * half * B * np.arange(A)
-    # modes of rho = beta+ig in columns :K, conjugates for beta-ig in K:,
-    # zero rows past the last panel; row b of cb holds panels a*B + b
-    coeffs = np.zeros((A * B, 2 * K), dtype=np.complex128)
-    coeffs[:n_panels, :K] = _panel_coeffs(h, xi, beta, c0, half, n_panels)
-    coeffs[:n_panels, K:] = np.conj(coeffs[:n_panels, :K])
-    cb = coeffs.reshape(A, B, 2 * K).transpose(1, 0, 2).reshape(B, A * 2 * K)
+    # W[b, a K + k] sums Re(E1[b] E2[a] i^k j_k) over the zeros; padded
+    # panels j >= P have zero coefficients
+    cw = np.zeros((A * B, K), dtype=np.complex128)
+    cw[:n_panels] = _panel_coeffs(h, xi, beta, c0, half, n_panels)
+    cw = cw.reshape(A, B, K).transpose(1, 0, 2)
+    cols = np.stack([cw.real, cw.imag]).reshape(2, B * A * K)
+    del cw
 
-    block = max(1, _BLOCK_BYTES // (A * 2 * K * 16))
-    parts = []
+    block = max(1, _BLOCK_BYTES // (16 * ((K + 1) * A + B + 2 * K)))
+    n = min(block, g.size)
+    chunk = max(1, _GEMM_BYTES // (16 * (B + K * A)))
+    e1_buf = np.empty(B * n, dtype=np.complex128)
+    e2_buf = np.empty(A * n, dtype=np.complex128)
+    q_buf = np.empty(A * K * n, dtype=np.complex128)
+    gemm, w = np.empty((B, A * K)), np.zeros((B, A * K))
     for lo in range(0, g.size, block):
         gs = g[lo:lo + block]
-        moments = legendre_moments(gs * half)
-        e1 = np.exp(1j * np.outer(gs, b_phase))
-        e2 = np.exp(1j * np.outer(gs, a_phase))
-        # sum over b by one matmul, then over a per zero; the (zeros, A, 2K)
-        # product is a temporary, so no two blocks' products coexist
-        proj = (e2[:, None, :] @ (e1 @ cb).reshape(gs.size, A, 2 * K))[:, 0, :]
-        vals = half * ((proj[:, :K] * moments).sum(axis=1)
-                       + (np.conj(proj[:, K:]) * moments * _K_PARITY).sum(axis=1))
-        parts.append(pairwise_sum(vals))
-    total = reduce_parts(parts)
-    return ZeroSumBound(value=complex(total), n_zeros=int(g.size), t=t,
+        m = gs.size
+        e1 = _carriers(gs, 0.0, 2.0 * half, e1_buf[:B * m].reshape(B, m))
+        e2_conj = _carriers(gs, -c0, -2.0 * half * B,
+                            e2_buf[:A * m].reshape(A, m))
+        # q = conj(E2[a] i^k j_k); over each zero's (re, im) pair,
+        # Re E1 Re(E2 i^k j_k) - Im E1 Im(E2 i^k j_k) = Re(E1 E2 i^k j_k)
+        q = q_buf[:A * K * m].reshape(A, K, m)
+        np.multiply(e2_conj[:, None, :], bessel_rows(gs * half) * _CONJ_PHASE,
+                    out=q)
+        q = q.reshape(A * K, m)
+        for z in range(0, m, chunk):
+            np.matmul(e1[:, z:z + chunk].view(np.float64),
+                      q[:, z:z + chunk].view(np.float64).T, out=gemm)
+            w += gemm
+    # a zero and its conjugate add half c_jk 2 Re(e^{i c_j gamma} 2 i^k j_k)
+    re, im = 4.0 * half * (cols @ w.ravel())
+    return ZeroSumBound(value=complex(re, im), n_zeros=int(g.size), t=t,
                         normalizer=normalizer(t, epsilon),
                         n_panels=n_panels)

@@ -27,7 +27,6 @@ from primeorbits.ergodic import (
     oscillation,
     rotation_points,
     variation2,
-    weight_bridge,
     weighted_average,
 )
 from primeorbits.primes import primes_upto
@@ -150,22 +149,6 @@ def test_weighted_average_constant():
     p = primes_upto(500)
     vals = np.full(p.size, 0.7)
     assert weighted_average(vals, p) == pytest.approx(0.7, rel=1e-14)
-
-
-def test_weight_bridge_gap_within_bound():
-    h = pure_power(1.2)
-    p = primes_upto(2000)
-    sys_ = RotationSystem(golden_surrogate(), halfline_observable, 0.2)
-    vals = sys_.orbit_values(h, 2000)
-    out = weight_bridge(vals, p)
-    assert out["gap"] == pytest.approx(abs(out["D"] - out["A"]), rel=1e-14)
-    assert out["gap"] <= out["bound"] + 1e-12
-
-
-def test_weight_bridge_constant_orbit():
-    p = primes_upto(300)
-    out = weight_bridge(np.ones(p.size), p)
-    assert out["gap"] == pytest.approx(0.0, abs=1e-14)
 
 
 # ----------------------------------------------------------- lambda weights

@@ -267,13 +267,16 @@ def test_legendre_moments_bit_identical_to_scipy_above_16():
     w = np.concatenate([[np.nextafter(16.0, 17.0), 16.5, 1e4, 12345.678, 1e6],
                         np.linspace(16.25, 3e3, 4000)])
     want = _PHASE * spherical_jn(_K, w[:, None])
+    assert np.array_equal(expsum.bessel_rows(w), spherical_jn(_K[:, None], w))
     assert np.array_equal(expsum.legendre_moments(w), want)
     assert np.array_equal(expsum.legendre_moments(-w), np.conj(want))
-    # a call that mixes both recurrences gives each point its own row
+    # a call that mixes both recurrences gives each point its own row, and
+    # the moments are the real rows times 2 i^k
     mixed = np.array([0.0, 20.0, 3.0, 400.0])
     rows = expsum.legendre_moments(mixed)
     for x, row in zip(mixed, rows):
         assert np.array_equal(row, expsum.legendre_moments(np.array([x]))[0])
+    assert np.array_equal(rows, _PHASE * expsum.bessel_rows(mixed).T)
 
 
 def test_legendre_moments_warn_nowhere():

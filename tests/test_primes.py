@@ -11,7 +11,6 @@ from primeorbits.primes import (
     chebyshev_theta,
     divisors,
     factorize,
-    is_prime,
     mobius,
     prime_count,
     primes_upto,
@@ -208,12 +207,6 @@ def test_factorize_and_divisors():
 @settings(max_examples=60, deadline=None)
 def test_divisors_brute_force(n):
     assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
-
-
-def test_is_prime_agrees_with_sieve():
-    ps = set(sieve_range(0, 2000).tolist())
-    for n in range(2001):
-        assert is_prime(n) == (n in ps)
 
 
 def test_theta_pi_prefix():

@@ -265,6 +265,17 @@ def test_inverse_blocks_are_kept_and_counted():
     assert InverseHandle(pure_power(1.2)).node_evals == 0
 
 
+def test_one_inverse_handle_per_function():
+    h = log_power(1.15, a=0.5)
+    assert h.inverse is h.inverse
+    h.inverse.d1(np.array([1e3]))
+    twin = log_power(1.15, a=0.5)
+    # the kept handle changes neither equality nor hash, so h still keys
+    # the same table entries, and a new function starts with no blocks
+    assert twin == h and hash(twin) == hash(h)
+    assert (h.inverse.blocks_built, twin.inverse.blocks_built) == (1, 0)
+
+
 def test_value_and_d1_keeps_long_double():
     h = log_power(1.15, a=0.5)
     x = np.geomspace(h.x0, 1e9, 9)

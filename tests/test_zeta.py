@@ -258,18 +258,22 @@ def _xi_for_panels(h, t, panels):
     return (panels - 8.5) / (4.0 * (h.value(t) - h.value(t / 2.0)))
 
 
-# every panel count gives A >= 3 rows of 34 complex columns per zero
-_MIN_ZERO_BYTES = 3 * 34 * 16
+# a block's tables take 16 ((17 + 1) A + B + 2 * 17) bytes per zero, and
+# every panel count P >= 8 gives A >= 1 and (17 + 1) A + B >= 18 + 8
+_MIN_ZERO_BYTES = 16 * (18 + 8 + 34)
 
 
-@pytest.mark.parametrize("panels, sign", [(8, 0), (100, 1), (100, -1),
-                                          (101, 1), (101, -1)])
+@pytest.mark.parametrize("panels, sign", [(8, 0), (9, 1), (100, 1), (100, -1),
+                                          (101, 1), (101, -1), (1531, 1)])
 @pytest.mark.parametrize("T", [15.0, 1e3, 1e4])
 def test_zero_osc_sum_matches_direct_kernel(panels, sign, T):
-    # P = 8 is the fewest panels, 100 a perfect square, 101 a prime; the
-    # cutoffs give 1 zero, 649 zeros and more zeros than one block holds
+    # P = 8 is the fewest panels, 9 the fewest at xi != 0, 100 a perfect
+    # square, 101 a prime and 1531 the major-arc cutoff; 101 and 1531
+    # leave padded panels (A B > P); the cutoffs give 1 zero, 649 zeros
+    # and more zeros than one block holds
     t = 1e4
-    xi = sign * _xi_for_panels(H11, t, panels)
+    xi = sign * min(_xi_for_panels(H11, t, panels),
+                    t ** -expsum.theta1_default(1.1))
     r = zeta.zero_osc_sum(H11, t, xi, T, TAB)
     want, n = _direct_osc_sum(H11, t, xi, T, TAB)
     assert r.n_panels == n == panels
@@ -279,6 +283,33 @@ def test_zero_osc_sum_matches_direct_kernel(panels, sign, T):
     assert abs(r.value - want) <= 1e-12 * r.normalizer
     if sign == 0:
         assert abs(r.value.imag) <= 1e-9 * max(1.0, abs(r.value.real))
+
+
+def test_carriers_match_direct_exponentials_at_largest_phase():
+    # both power tables of zero_osc_sum for x^1.1 at t = 1e5 (481 panels,
+    # A = 5 by B = 97), E2 also conjugated as the kernel takes it, every
+    # zero of the table: gamma c_j reaches 5.2e5 rad, and each carrier
+    # stays within 4 (|phase| + 1) u of a direct exponential
+    t = 1e5
+    c0, half, panels = zeta._osc_panels(
+        H11, t, 0.06 * t ** -expsum.theta1_default(1.1))
+    A, B = 5, 97
+    assert panels == 481 and (A - 1) * B < panels <= A * B
+    u = np.finfo(np.float64).eps / 2.0
+    worst, largest = 0.0, 0.0
+    for start, step, count in [(0.0, 2.0 * half, B), (c0, 2.0 * half * B, A),
+                               (-c0, -2.0 * half * B, A)]:
+        offsets = start + step * np.arange(count)
+        for lo in range(0, TAB.count, 4096):
+            g = TAB.gammas[lo:lo + 4096]
+            got = zeta._carriers(g, start, step,
+                                 np.empty((count, g.size), dtype=np.complex128))
+            phase = np.outer(offsets, g)
+            err = np.abs(got - np.exp(1j * phase)) / ((np.abs(phase) + 1.0) * u)
+            worst = max(worst, float(err.max()))
+            largest = max(largest, float(np.abs(phase).max()))
+    assert largest > 5e5
+    assert worst <= 4.0
 
 
 def test_zero_osc_sum_memory_below_carrier_matrix():
