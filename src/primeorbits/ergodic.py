@@ -34,7 +34,8 @@ def golden_surrogate() -> Fraction:
 
 
 def orbit_indices(h: RegVarFunction, N: int) -> np.ndarray:
-    """floor(h(p)) over primes p <= N, read-only, from expsum's table."""
+    """floor(h(p)) over primes p <= N, read-only, from h's prime floors
+    (expsum.prime_floors)."""
     if N < 2:
         raise ValueError("need N >= 2")
     return prime_floors(h, N)[1]

@@ -23,10 +23,10 @@ modulo 1 in double-double arithmetic and exponentiated.  Every
 accumulation uses the fixed-shape pairwise tree from accum, so results
 are reproducible bit for bit and conjugate-symmetric in xi.
 
-One table is kept per function h: floor(h(p)) over the primes of
-primes.primes_upto.  prime_floors hands out read-only prefix views; a
-longer request computes only the missing tail.  The tables of the four
-most recently used functions are kept.
+Each function h keeps floor(h(p)) over the primes of primes.primes_upto
+on itself (h.tables), so the floors are freed with h.  prime_floors
+hands out read-only prefix views; a longer request computes only the
+missing tail.
 
 The approximant sums its terms n < M directly, M = _head_size(h) (256
 for the pure powers), with weights phi'(n) from regvar.InverseHandle.d1,
@@ -38,10 +38,10 @@ of phi' at both ends, which InverseHandle.taylor gives as Taylor jets.
 The order p is the smallest whose remainder bound is within 2^-52 of
 phi(floor(h(N))) - phi(M), so the sum matches the term-by-term one
 within a few u times N, and its cost does not grow with h(N).  For a
-non-pure h, one handle per sum builds the Chebyshev blocks of phi' that
-the head, the integral and the jets read; the `# work:` note counts the
-blocks, the long-double evaluations of h at their nodes, the head terms
-and the orders p.
+non-pure h, h.inverse builds each Chebyshev block of phi' that the head,
+the integral and the jets read once over all of h's calls; the `# work:`
+note counts the blocks a call added, the long-double evaluations of h at
+their nodes, the head terms and the orders p.
 
 osc_integral, the smooth integral of e(xi h(s)), is a Filon quadrature
 in y = h(s): phi' is fitted on a few panels geometric in y and each
@@ -55,7 +55,6 @@ Miller's downward below, within 1.7e-16 of 40-digit values.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -70,7 +69,6 @@ EPSILON = 1.0 / 12.0  # default subpolynomial-decay parameter
 GUARD = 1.0e-9
 
 _CHUNK = 1 << 20
-_KEEP = 4  # functions whose tables are kept, least recently used out first
 
 
 def theta1_default(c: float) -> float:
@@ -155,24 +153,17 @@ def guarded_floor(h: RegVarFunction, n: np.ndarray) -> tuple[np.ndarray, int]:
 
 # -- per-function floor tables ------------------------------------------------
 
-_tables: OrderedDict = OrderedDict()  # h -> floor(h(p)) over cached primes
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
-
 
 def prime_floors(h: RegVarFunction, N: float,
                  work: SumWork | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(primes p <= N, floor(h(p))), both read-only.
 
-    Growth copies the old prefix and floors the missing tail chunk by
-    chunk into one new array.
+    The floors live on h (h.tables.prime_floors).  Growth copies the old
+    prefix and floors the missing tail chunk by chunk into one new array,
+    frozen before it replaces the old one.
     """
     p = primes.primes_upto(int(N))
-    fl = _tables.get(h, np.empty(0, np.int64))
+    fl = h.tables.prime_floors
     if p.size > fl.size:
         new = np.empty(p.size, np.int64)
         new[:fl.size] = fl
@@ -182,12 +173,9 @@ def prime_floors(h: RegVarFunction, N: float,
             if work is not None:
                 work.floor_points += hi - lo
                 work.recomputes += bad
-        fl = new
-    _tables[h] = fl
-    _tables.move_to_end(h)
-    if len(_tables) > _KEEP:
-        _tables.popitem(last=False)
-    return _frozen(p), _frozen(fl[:p.size])
+        new.flags.writeable = False
+        h.tables.prime_floors = fl = new
+    return p, fl[:p.size]
 
 
 # -- sums ---------------------------------------------------------------------

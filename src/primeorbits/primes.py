@@ -83,12 +83,15 @@ _cache: dict = {"hi": 0, "primes": np.empty(0, dtype=np.int64)}
 
 
 def primes_upto(n: int, threads: int = 1) -> np.ndarray:
-    """Primes <= n from a grow-on-demand module cache."""
+    """Primes <= n from a grow-on-demand module cache, as a read-only
+    view of it."""
     n = int(n)
     if n >= _cache["hi"]:
         new_hi = max(n + 1, 2 * _cache["hi"], 1 << 16)
         tail = sieve_range(_cache["hi"], new_hi, threads=threads)
-        _cache["primes"] = np.concatenate([_cache["primes"], tail])
+        table = np.concatenate([_cache["primes"], tail])
+        table.flags.writeable = False
+        _cache["primes"] = table
         _cache["hi"] = new_hi
     k = np.searchsorted(_cache["primes"], n, side="right")
     return _cache["primes"][:k]

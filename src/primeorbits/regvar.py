@@ -64,7 +64,8 @@ def _as_array(x) -> tuple[np.ndarray, bool]:
 
 @dataclass(frozen=True)
 class RegVarFunction:
-    """One catalog member; hashable so downstream caches can key on it."""
+    """One catalog member.  Equal parameters make equal functions; the
+    tables of each object (`tables`) are its own."""
 
     kind: str
     c: float
@@ -80,10 +81,16 @@ class RegVarFunction:
         return 1.0 / self.c
 
     @cached_property
+    def tables(self) -> FunctionTables:
+        """The one FunctionTables record of this function, made on first
+        use and freed with it."""
+        return FunctionTables(self)
+
+    @property
     def inverse(self) -> InverseHandle:
-        """The one InverseHandle of this function, made on first use, so
-        every caller reads the same interpolant blocks."""
-        return InverseHandle(self)
+        """The one InverseHandle of this function, so every caller reads
+        the same interpolant blocks."""
+        return self.tables.inverse
 
     # -- theta and derivatives, closed form per kind --------------------
 
@@ -364,7 +371,6 @@ _MAX_NODE_STEPS = 40
 _GATHER = 4096
 
 
-@dataclass(frozen=True)
 class InverseHandle:
     """phi = h^{-1} on [h(x0), infinity), clamped to x0 below that.
 
@@ -384,23 +390,25 @@ class InverseHandle:
     coefficients exceed 2**-52 is split in halves until they do not.
     Blocks are built when a call first needs them, all of that call's
     missing blocks in one vectorized pass per split round, and kept on
-    the handle; RegVarFunction.inverse keeps one handle per function, so
-    each block is built once.  phi and phi' depend on y alone: the same y
-    gives the same bits whatever else a call asks for.  At and below
-    h(x0), phi(y) = x0 and phi'(y) = 1/h'(x0) exactly.
+    the handle; h keeps one handle (h.inverse), so each block is built
+    once per function.  phi and phi' depend on y alone: the same y gives
+    the same bits whatever else a call asks for.  At and below h(x0),
+    phi(y) = x0 and phi'(y) = 1/h'(x0) exactly.
     """
 
-    h: RegVarFunction
-    _blocks: dict = field(default_factory=dict, compare=False, repr=False)
-    _evals: list = field(default_factory=lambda: [0], compare=False, repr=False)
+    def __init__(self, h: RegVarFunction):
+        self.h = h
+        self._ylo = h.value(h.x0)          # h(x0): phi is clamped at and below it
+        self._d1_lo = 1.0 / h.d1(h.x0)     # phi' there
+        self._blocks: dict[int, list] = {}
+        self.node_evals = 0  # long-double evaluations of h and h' by node solves
 
     def value(self, y):
         y, scalar = _as_array(y)
         h, y1 = self.h, np.atleast_1d(y).ravel()
-        ylo = h.value(h.x0)
         if h.kind == "pure":
-            x = np.maximum((np.maximum(y1, ylo) / h.coeff) ** h.gamma, h.x0)
-            x = np.where(y1 <= ylo, h.x0, x)
+            x = np.maximum((np.maximum(y1, self._ylo) / h.coeff) ** h.gamma, h.x0)
+            x = np.where(y1 <= self._ylo, h.x0, x)
         else:
             x = self._interpolate(y1, 0, h.gamma, h.x0)
         return x[0].item() if scalar else x.reshape(y.shape)
@@ -413,9 +421,9 @@ class InverseHandle:
             with np.errstate(divide="ignore", invalid="ignore"):
                 d = y1 ** (h.gamma - 1.0)  # y <= 0 is overwritten below
             d *= h.gamma * h.coeff ** -h.gamma
-            np.putmask(d, y1 <= h.value(h.x0), 1.0 / h.d1(h.x0))
+            np.putmask(d, y1 <= self._ylo, self._d1_lo)
         else:
-            d = self._interpolate(y1.ravel(), 1, h.gamma - 1.0, 1.0 / h.d1(h.x0))
+            d = self._interpolate(y1.ravel(), 1, h.gamma - 1.0, self._d1_lo)
         return d[0].item() if scalar else d.reshape(y.shape)
 
     def taylor(self, y: np.ndarray, order: int) -> np.ndarray:
@@ -450,11 +458,6 @@ class InverseHandle:
         """Dyadic blocks this handle holds interpolants for."""
         return len(self._blocks)
 
-    @property
-    def node_evals(self) -> int:
-        """Long-double evaluations of h and h' its node solves took."""
-        return self._evals[0]
-
     def _interpolate(self, y: np.ndarray, row: int, power: float,
                      clamp: float) -> np.ndarray:
         """exp(p(r)) * y**power, p interpolant `row` of y's piece, and
@@ -468,23 +471,21 @@ class InverseHandle:
         coefficients and runs it once.  The arithmetic is the same either
         way.
         """
-        h = self.h
-        ylo = h.value(h.x0)
         big = y.size > _GATHER
         order = None
         if big and np.any(y[1:] < y[:-1]):
             order = np.argsort(y, kind="stable")
             y = y[order]
         out = np.empty(y.size)
-        above = (slice(int(np.searchsorted(y, ylo, side="right")), None) if big
-                 else np.flatnonzero(y > ylo))
+        above = (slice(int(np.searchsorted(y, self._ylo, side="right")), None)
+                 if big else np.flatnonzero(y > self._ylo))
         out[...] = clamp
         tail = y[above]
         if tail.size:
             blocks = np.frexp(tail[[0, -1]] if big else tail)[1] - 1
             edges, scales, shifts, coef = self._pieces(
                 range(int(blocks.min()), int(blocks.max()) + 1) if big
-                else sorted(set(blocks.tolist())), ylo)
+                else sorted(set(blocks.tolist())))
             r = np.frexp(tail)[0]
             r *= 2.0
             np.log2(r, out=r)            # r = log2(y) - j, in [0, 1)
@@ -508,24 +509,24 @@ class InverseHandle:
         back[order] = out
         return back
 
-    def _pieces(self, blocks, ylo: float):
+    def _pieces(self, blocks):
         """Left edges in y, t maps and coefficients of the pieces of the
         given blocks, in order; blocks not yet held are built first, in
         one _build call."""
         missing = [j for j in blocks if j not in self._blocks]
         if missing:
-            self._build(missing, ylo)
+            self._build(missing)
         pieces = [p for j in blocks for p in self._blocks[j]]
         edges, scales, shifts, coef = zip(*pieces)
         return (np.array(edges), np.array(scales), np.array(shifts),
                 np.array(coef))
 
-    def _build(self, blocks: list[int], ylo: float) -> None:
+    def _build(self, blocks: list[int]) -> None:
         """Interpolants of the given blocks.  Each round fits all pending
         pieces from one long-double Newton solve at their nodes; a piece
         whose last two coefficients exceed _TAIL is halved for the next
         round, so pieces shrink only toward a singularity near h(x0)."""
-        h, n = self.h, _DEGREE + 1
+        h, ylo, n = self.h, self._ylo, _DEGREE + 1
         ld = np.longdouble
         # first-kind nodes cos(theta_k) and T_i(cos theta_k) = cos(i theta_k),
         # with pi in long double: the discrete orthogonality needs it
@@ -581,7 +582,7 @@ class InverseHandle:
         close = done = np.zeros(x.shape, dtype=bool)
         for _ in range(_MAX_NODE_STEPS):
             hv, hd = h.value_and_d1(x)
-            self._evals[0] += x.size
+            self.node_evals += x.size
             now = close & ~done
             root[now], slope[now] = x[now], hd[now]
             done = done | now
@@ -597,6 +598,18 @@ class InverseHandle:
     def doubling_constant(self) -> float:
         """Upper bound 2**(-gamma/2) for phi(y)/phi(2y) at large y."""
         return 2.0 ** (-self.h.gamma / 2.0)
+
+
+class FunctionTables:
+    """Everything derived from one function h alone, made on first use
+    (h.tables) and freed with h: the InverseHandle of phi = h^{-1}, and
+    floor(h(p)) over the first primes of primes.primes_upto, read-only,
+    which expsum.prime_floors grows."""
+
+    def __init__(self, h: RegVarFunction):
+        self.inverse = InverseHandle(h)
+        self.prime_floors = np.empty(0, dtype=np.int64)
+        self.prime_floors.flags.writeable = False
 
 
 def _clenshaw(c: list[float], scale: float, shift: float, r: np.ndarray,

@@ -212,20 +212,6 @@ def _convolve_exact(a: np.ndarray, b: np.ndarray,
     return out, len(parts), worst
 
 
-def triple_count(hist1: np.ndarray, hist2: np.ndarray, hist3: np.ndarray,
-                 lam: int) -> int | float:
-    """Coefficient of lambda in the threefold histogram convolution.
-
-    Integer histograms stay exact end to end (guarded against overflow);
-    real weighted histograms go through float convolution.
-    """
-    if lam < 0 or lam >= max(hist1.size + hist2.size + hist3.size - 2, 1):
-        return 0
-    full = triple_counts_all(hist1, hist2, hist3, lam)
-    val = full[lam]
-    return int(val) if np.issubdtype(full.dtype, np.integer) else float(val)
-
-
 def triple_counts_all(hist1: np.ndarray, hist2: np.ndarray,
                       hist3: np.ndarray, lambda_max: int,
                       work: list | None = None) -> np.ndarray:

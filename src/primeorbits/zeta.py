@@ -84,14 +84,17 @@ def theta3_default(c: float, theta1: float | None = None) -> float:
 
 @dataclass(frozen=True)
 class ZetaZeroTable:
-    """Ascending positive zero ordinates with an assumed common real part."""
+    """Ascending positive zero ordinates with an assumed common real part.
+
+    `gammas` is a read-only copy of the ordinates it was given."""
 
     gammas: np.ndarray
     source: str = "unknown"
     assumed_beta: float = 0.5
 
     def __post_init__(self):
-        g = np.asarray(self.gammas, dtype=np.float64)
+        g = np.array(self.gammas, dtype=np.float64)
+        g.flags.writeable = False
         object.__setattr__(self, "gammas", g)
         if g.size == 0:
             raise ValueError("empty zero table")

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 import time
 import tracemalloc
 import warnings
-from collections import OrderedDict
+import weakref
 from pathlib import Path
 
 import mpmath
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeorbits import accum, ergodic, expsum, primes, waring
+from primeorbits import accum, ergodic, expsum, primes, waring, zeta
 from primeorbits.primes import chebyshev_psi, chebyshev_theta
 from primeorbits.regvar import (InverseHandle, exp_log, iterated_log, log_power,
                                 make_catalog, pure_power)
@@ -353,30 +354,37 @@ def _sums(h, N, xi):
 
 
 @pytest.fixture
-def small_store(monkeypatch):
-    # an empty store and a small chunk, so growth starts mid-chunk and
-    # spans several chunks
-    monkeypatch.setattr(expsum, "_tables", OrderedDict())
+def small_chunk(monkeypatch):
+    # a small chunk, so growth starts mid-chunk and spans several chunks
     monkeypatch.setattr(expsum, "_CHUNK", 1000)
 
 
-def test_tables_same_sums_cold_grown_and_evicted(small_store):
+def test_tables_same_sums_cold_grown_and_fresh(small_chunk):
+    cold = _sums(log_power(1.15, a=0.5), 5000, 0.0123)
+    cold_big = _sums(log_power(1.15, a=0.5), 20000, -0.271)
     h = log_power(1.15, a=0.5)
-    cold = _sums(h, 5000, 0.0123)
-    cold_big = _sums(h, 20000, -0.271)
-    expsum._tables.clear()
     assert _sums(h, 5000, 0.0123) == cold
     # growing from the 5000 tables computes only the tail
     assert _sums(h, 20000, -0.271) == cold_big
     assert _sums(h, 5000, 0.0123) == cold
-    for c in (1.3, 1.4, 1.5, 1.6):
-        _sums(pure_power(c), 3000, 0.1)
-    assert h not in expsum._tables
-    assert len(expsum._tables) == expsum._KEEP
-    assert _sums(h, 5000, 0.0123) == cold
 
 
-def test_tables_grow_by_tail_only(small_store, monkeypatch):
+def test_tables_are_freed_with_their_function():
+    h = log_power(1.15, a=0.5)
+    expsum.approx_error(h, 5000, 0.0123)
+    p, fl = expsum.prime_floors(h, 5000)
+    assert h.inverse.blocks_built > 0 and fl.size == p.size > 0
+    floors = weakref.ref(h.tables.prime_floors)
+    # an equal function has tables of its own, empty until used
+    twin = log_power(1.15, a=0.5)
+    assert twin == h
+    assert twin.inverse.blocks_built == 0 and twin.tables.prime_floors.size == 0
+    del h, fl
+    gc.collect()
+    assert floors() is None
+
+
+def test_tables_grow_by_tail_only(small_chunk, monkeypatch):
     h = pure_power(1.3)
     calls = []
     real = expsum.guarded_floor
@@ -395,7 +403,7 @@ def test_tables_grow_by_tail_only(small_store, monkeypatch):
     assert calls == [pi5, 1000, pi20 - pi5 - 1000]
 
 
-def test_orbit_and_histogram_match_direct_floors(small_store):
+def test_orbit_and_histogram_match_direct_floors(small_chunk):
     h = exp_log(1.1, a=0.3, b=0.5)
     expsum.prime_floors(h, 60000)  # later requests are prefix views
     p = primes.primes_upto(30000)
@@ -410,12 +418,20 @@ def test_orbit_and_histogram_match_direct_floors(small_store):
     assert np.array_equal(waring.prime_weighted_histogram(h, lmax), want)
 
 
-def test_tables_are_read_only(small_store):
+def test_tables_are_read_only():
     p, fl = expsum.prime_floors(H12, 1000)
-    tables = [p, fl, ergodic.orbit_indices(H12, 1000)]
+    given = np.array([zeta._FIRST_GAMMA, 21.0, 25.0])
+    zeros = zeta.ZetaZeroTable(given)
+    tables = [p, fl, ergodic.orbit_indices(H12, 1000), primes.primes_upto(100),
+              zeros.gammas, zeta.load_zeros().gammas]
     for t in tables:
         with pytest.raises(ValueError):
-            t[0] = 1
+            t[0] = 4
+    # the shared tables are unchanged, and the caller's array is not frozen
+    assert primes.primes_upto(10).tolist() == [2, 3, 5, 7]
+    assert chebyshev_theta(10) == pytest.approx(math.log(210.0), rel=1e-14)
+    given[1] = 22.0
+    assert zeros.gammas.tolist() == [zeta._FIRST_GAMMA, 21.0, 25.0]
 
 
 # -- streamed approximant -----------------------------------------------------
@@ -563,7 +579,6 @@ def _best_time(fn, repeat=5):
 
 
 def test_approximant_memory_does_not_grow_with_terms(monkeypatch):
-    monkeypatch.setattr(expsum, "_tables", OrderedDict())
     monkeypatch.setattr(expsum, "_CHUNK", 1 << 14)
     h = pure_power(1.2)
     expsum.approximant_sum(h, 1e3, 0.01)  # first-call allocations

@@ -20,7 +20,6 @@ from primeorbits.waring import (
     gamma_fn,
     main_term,
     prime_weighted_histogram,
-    triple_count,
     triple_counts_all,
 )
 
@@ -147,10 +146,9 @@ def test_triple_count_diagonal_examples():
     h = pure_power(1.2)
     gs = [floor_image_histogram(h, 10) for _ in range(3)]
     # only (1,1,1) sums to 3; nothing reaches 2
-    assert triple_count(*gs, 3) == 1
-    assert triple_count(*gs, 2) == 0
-    assert triple_count(*gs, -1) == 0
-    assert triple_count(*gs, 10 ** 6) == 0
+    counts = triple_counts_all(*gs, 10)
+    assert counts[3] == 1
+    assert counts[:3].tolist() == [0, 0, 0]
 
 
 @pytest.mark.parametrize("cs,lmax", [
@@ -197,8 +195,8 @@ def test_permutation_symmetry():
     for perm in itertools.permutations(cs):
         gs = [floor_image_histogram(pure_power(c), 200) for c in perm]
         ws = [prime_weighted_histogram(pure_power(c), 200) for c in perm]
-        g_vals = [triple_count(*gs, lam) for lam in lams]
-        w_vals = [triple_count(*ws, lam) for lam in lams]
+        g_vals = triple_counts_all(*gs, 200)[lams].tolist()
+        w_vals = triple_counts_all(*ws, 200)[lams]
         if base_g is None:
             base_g, base_w = g_vals, w_vals
         else:
@@ -266,8 +264,6 @@ def test_float_histograms_take_float_path():
     w = prime_weighted_histogram(h, 10)
     mixed = triple_counts_all(g, g, w, 10)
     assert mixed.dtype == np.float64
-    val = triple_count(g, g, w, 7)
-    assert isinstance(val, float)
 
 
 # -------------------------------------------------------- gamma machinery
@@ -327,9 +323,10 @@ def test_count_report_field_consistency():
     rows = count_report(cfg, [50, 200])
     gs = [floor_image_histogram(h, 200) for _ in range(3)]
     ws = [prime_weighted_histogram(h, 200) for _ in range(3)]
+    r_all, R_all = triple_counts_all(*gs, 200), triple_counts_all(*ws, 200)
     for row in rows:
-        assert row.r == triple_count(*gs, row.lam)
-        assert row.R == pytest.approx(triple_count(*ws, row.lam), rel=1e-12)
+        assert row.r == r_all[row.lam]
+        assert row.R == pytest.approx(R_all[row.lam], rel=1e-12)
         assert row.main_term == pytest.approx(main_term(cfg, float(row.lam)),
                                               rel=1e-12)
         assert row.ratio_r == pytest.approx(row.r / row.main_term, rel=1e-12)

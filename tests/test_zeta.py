@@ -176,8 +176,11 @@ def test_zero_osc_sum_validations():
 
 
 def test_zero_osc_sum_budget(monkeypatch):
-    # a cap worth 4 panels refuses the request's 10^3-odd panels
-    monkeypatch.setattr(zeta, "_MAX_BYTES", zeta._BLOCK_BYTES + 4 * zeta._PANEL_BYTES)
+    # a cap worth one block and 16 panels runs a request of at most 16
+    # panels (never fewer than 8) and refuses one of 10^3-odd panels
+    monkeypatch.setattr(zeta, "_MAX_BYTES", zeta._BLOCK_PEAK + 16 * zeta._PANEL_BYTES)
+    r = zeta.zero_osc_sum(H11, 1e3, 1e-6, 100.0, TAB)
+    assert 8 <= r.n_panels <= 16 and np.isfinite(r.value.real)
     with pytest.raises(ValueError, match="budget"):
         zeta.zero_osc_sum(H11, 1e5, 1e5 ** (-0.51), 100.0, TAB)
 
