@@ -92,10 +92,12 @@ def chunked(n: int, size: int = 1 << 20):
 
 def _two_prod_into(a: np.ndarray, b: float, hi: np.ndarray, lo: np.ndarray,
                    t: np.ndarray, s: np.ndarray) -> None:
-    """two_prod into hi and lo, with t and s as scratch of a's length.
+    """Error-free product a*b = hi + lo exactly (Dekker splitting), into
+    hi and lo, with t and s as scratch of a's length.
 
-    Every rounding is one of the expression in two_prod, taken in the
-    same order, so the bits are the same.
+    With ca = (2**27 + 1)*a, ahi = ca - (ca - a), alo = a - ahi and bhi,
+    blo split alike: hi = a*b, lo = ((ahi*bhi - hi) + ahi*blo + alo*bhi)
+    + alo*blo, every rounding taken in that order.
     """
     split = 134217729.0  # 2**27 + 1
     cb = split * b
@@ -116,23 +118,15 @@ def _two_prod_into(a: np.ndarray, b: float, hi: np.ndarray, lo: np.ndarray,
     np.add(s, lo, out=lo)               # (...) + alo*blo
 
 
-def two_prod(a: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Error-free product: a*b = hi + lo exactly (Dekker splitting).
-
-    With ca = (2**27 + 1)*a, ahi = ca - (ca - a), alo = a - ahi and bhi,
-    blo split alike: hi = a*b, lo = ((ahi*bhi - hi) + ahi*blo + alo*bhi)
-    + alo*blo.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    hi, lo, t, s = (np.empty_like(a) for _ in range(4))
-    _two_prod_into(a, b, hi, lo, t, s)
-    return hi, lo
-
-
 def _frac_blocks(n: np.ndarray, xi: float):
-    """Yield (lo, hi, f), f = frac_mod1(n.ravel()[lo:hi], xi), block by block.
+    """Yield (lo, hi, f), f the fractional part of n.ravel()[lo:hi] * xi,
+    block by block.
 
-    f and the scratch are _BLOCK-sized buffers reused for every block.
+    n is an exact-integer-valued float array.  The naive product n*xi
+    loses the low bits that determine the phase once n*xi is large; the
+    double-double product restores them: with hi + lo = n*xi exactly,
+    f = hi - floor(hi), f = f + lo, f -= floor(f).  f and the scratch are
+    _BLOCK-sized buffers reused for every block.
     """
     a = np.asarray(n, dtype=np.float64).ravel()
     bufs = [np.empty(min(a.size, _BLOCK)) for _ in range(4)]
@@ -145,21 +139,6 @@ def _frac_blocks(n: np.ndarray, xi: float):
         np.floor(f, out=p_hi)
         f -= p_hi                       # f -= floor(f)
         yield lo, hi, f
-
-
-def frac_mod1(n: np.ndarray, xi: float) -> np.ndarray:
-    """Fractional part of n*xi computed in double-double precision.
-
-    n is an exact-integer-valued float array.  The naive product n*xi
-    loses the low bits that determine the phase once n*xi is large; the
-    two_prod correction restores them: with hi + lo = n*xi exactly,
-    f = hi - floor(hi), f = f + lo, f -= floor(f).
-    """
-    out = np.empty(np.shape(n))
-    flat = out.reshape(-1)
-    for lo, hi, f in _frac_blocks(n, xi):
-        flat[lo:hi] = f
-    return out
 
 
 def phase(n: np.ndarray, xi: float) -> np.ndarray:

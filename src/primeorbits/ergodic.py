@@ -120,22 +120,15 @@ def lambda_weight_sum(k: int) -> float:
     return float(kahan_sum(lambda_weights(k)))
 
 
-def average_multi_rotation(alphas, f, x, h_list, Ns, factors=None) -> float:
-    """Multiparameter rotation average on the k-torus, k in {1, 2}.
-
-    With factors=(f1, f2) a product observable splits into the product of
-    one-parameter averages; otherwise the double loop is evaluated on the
-    full prime grid (capped at N_i <= 10^4).
+def average_multi_rotation(alphas, f, x, h_list, Ns) -> float:
+    """Multiparameter rotation average on the k-torus, k in {1, 2}; for
+    k = 2 the double loop over the full prime grid (capped at N_i <= 10^4).
     """
     k = len(alphas)
     if k == 1:
         return average_rotation(alphas[0], f, x[0], h_list[0], Ns[0])
     if k != 2:
         raise ValueError("only k in {1, 2} supported")
-    if factors is not None:
-        f1, f2 = factors
-        return (average_rotation(alphas[0], f1, x[0], h_list[0], Ns[0])
-                * average_rotation(alphas[1], f2, x[1], h_list[1], Ns[1]))
     if max(Ns) > 10 ** 4:
         raise ValueError("direct double loop capped at N_i <= 10^4")
     y1 = rotation_points(alphas[0], x[0], orbit_indices(h_list[0], Ns[0]))

@@ -15,25 +15,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .accum import kahan_sum, pairwise_sum
+from .accum import pairwise_sum
 
 SEGMENT = 1 << 20  # odd numbers per block, ~1 MiB of flags
-
-
-def _simple_sieve(n: int) -> np.ndarray:
-    """All primes <= n by a dense odd-only sieve."""
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    if n < 3:
-        return np.array([2], dtype=np.int64)
-    m = (n - 1) // 2  # flags for 3, 5, ..., indices i -> 2i+3
-    flags = np.ones(m, dtype=bool)
-    for i in range(min(int(math.isqrt(n)) // 2 + 1, m)):
-        if flags[i]:
-            p = 2 * i + 3
-            start = (p * p - 3) // 2
-            flags[start::p] = False
-    return np.concatenate([[2], 2 * np.flatnonzero(flags) + 3]).astype(np.int64)
 
 
 def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
@@ -60,13 +44,20 @@ def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 
+def _base_primes(n: int) -> np.ndarray:
+    """All primes <= n, by _sieve_segment over the primes <= sqrt(n) found
+    the same way; below 9 no odd number is composite, so none are needed."""
+    base = _base_primes(math.isqrt(n)) if n >= 9 else np.empty(0, dtype=np.int64)
+    return _sieve_segment(0, n + 1, base)
+
+
 def sieve_range(lo: int, hi: int, threads: int = 1) -> np.ndarray:
     """Primes in [lo, hi), segmented; deterministic for any thread count."""
     lo = max(int(lo), 0)
     hi = int(hi)
     if hi <= lo:
         return np.empty(0, dtype=np.int64)
-    base = _simple_sieve(math.isqrt(max(hi - 1, 1)))
+    base = _base_primes(math.isqrt(max(hi - 1, 1)))
     bounds = list(range(lo, hi, 2 * SEGMENT)) + [hi]
     jobs = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
     if threads > 1 and len(jobs) > 1:

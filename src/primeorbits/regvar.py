@@ -2,17 +2,15 @@
 
 A member h of the class handled here has the shape
 
-    h(x) = coeff * x**c * exp(integral of theta(t)/t)
+    h(x) = x**c * exp(integral of theta(t)/t)
 
 with index c in (1, 2) and a slowly decaying perturbation theta.  Each
-catalog kind stores theta and its first two derivatives in closed form,
-so all derivatives of h up to order three follow from exact algebraic
-relations rather than numerical differentiation:
+catalog kind stores theta and its first derivative in closed form, so the
+derivatives of h that construction and the inverse need follow from exact
+algebraic relations rather than numerical differentiation:
 
     h'(x)   = h(x) * (c + theta(x)) / x
     h''(x)  = h(x) * ((c+theta)*(c+theta-1) + x*theta') / x**2
-    h'''(x) = h(x) * (g*(c+theta-2) + x*g') / x**3,
-              g = (c+theta)*(c+theta-1) + x*theta',  g' = 2*(c+theta)*theta' + x*theta''
 
 Below x0 every member is extended by the constant h(x0); the domain of
 interest is [x0, infinity) where h' > 0, h'' > 0 and |theta| < c - 1.
@@ -41,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable
 
 import mpmath
 import numpy as np
@@ -69,7 +66,6 @@ class RegVarFunction:
 
     kind: str
     c: float
-    coeff: float = 1.0
     a: float = 0.0
     b: float = 0.0
     depth: int = 0
@@ -143,10 +139,10 @@ class RegVarFunction:
         value and eval_mp share it, so the formula of each kind is written
         once."""
         if self.kind == "logpow":
-            return self.coeff * exp(self.c * L + self.a * log(L))
+            return exp(self.c * L + self.a * log(L))
         if self.kind == "explog":
-            return self.coeff * exp(self.c * L + self.a * L ** self.b)
-        h = self.coeff * exp(self.c * L)
+            return exp(self.c * L + self.a * L ** self.b)
+        h = exp(self.c * L)
         if self.kind == "itlog":
             lk = L
             for _ in range(1, self.depth):
@@ -165,18 +161,6 @@ class RegVarFunction:
         xx = np.maximum(x, self.x0)
         d = self.value(xx) * (self.c + self.theta(xx)) / xx
         return d.item() if scalar else d
-
-    def d2(self, x):
-        x, scalar = _as_array(x)
-        xx = np.maximum(x, self.x0)
-        ct = self.c + self.theta(xx)
-        g = ct * (ct - 1.0) + xx * self.theta_d1(xx)
-        d = self.value(xx) * g / (xx * xx)
-        return d.item() if scalar else d
-
-    def index(self, x):
-        """Local index x*h'(x)/h(x) = c + theta(x)."""
-        return self.c + self.theta(x)
 
     def value_and_d1(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fused h and h' for Newton on h, in the dtype of x: long double
@@ -248,8 +232,6 @@ def _scan_x0(h: RegVarFunction) -> float:
 def _finish(h: RegVarFunction) -> RegVarFunction:
     if not 1.0 < h.c < 2.0:
         raise ValueError("index c must lie in (1, 2)")
-    if h.coeff <= 0.0:
-        raise ValueError("leading coefficient must be positive")
     out = replace(h, x0=_scan_x0(h))
     chk = max(_THETA_CHECKPOINT, out.x0)
     worst = np.abs(out.theta(chk * 2.0 ** (np.arange(41) / 2.0))).max()
@@ -260,29 +242,28 @@ def _finish(h: RegVarFunction) -> RegVarFunction:
     return out
 
 
-def pure_power(c: float, coeff: float = 1.0) -> RegVarFunction:
-    """h(x) = coeff * x**c."""
-    return _finish(RegVarFunction("pure", c, coeff))
+def pure_power(c: float) -> RegVarFunction:
+    """h(x) = x**c."""
+    return _finish(RegVarFunction("pure", c))
 
 
-def log_power(c: float, a: float = 0.5, coeff: float = 1.0) -> RegVarFunction:
-    """h(x) = coeff * x**c * log(x)**a,  theta(x) = a/log(x)."""
-    return _finish(RegVarFunction("logpow", c, coeff, a=a))
+def log_power(c: float, a: float = 0.5) -> RegVarFunction:
+    """h(x) = x**c * log(x)**a,  theta(x) = a/log(x)."""
+    return _finish(RegVarFunction("logpow", c, a=a))
 
 
-def exp_log(c: float, a: float = 0.3, b: float = 0.5,
-            coeff: float = 1.0) -> RegVarFunction:
-    """h(x) = coeff * x**c * exp(a*log(x)**b) with 0 < b < 1."""
+def exp_log(c: float, a: float = 0.3, b: float = 0.5) -> RegVarFunction:
+    """h(x) = x**c * exp(a*log(x)**b) with 0 < b < 1."""
     if not 0.0 < b < 1.0:
         raise ValueError("need 0 < b < 1")
-    return _finish(RegVarFunction("explog", c, coeff, a=a, b=b))
+    return _finish(RegVarFunction("explog", c, a=a, b=b))
 
 
-def iterated_log(c: float, depth: int = 2, coeff: float = 1.0) -> RegVarFunction:
-    """h(x) = coeff * x**c * log_depth(x), the depth-times iterated log."""
+def iterated_log(c: float, depth: int = 2) -> RegVarFunction:
+    """h(x) = x**c * log_depth(x), the depth-times iterated log."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    return _finish(RegVarFunction("itlog", c, coeff, depth=depth))
+    return _finish(RegVarFunction("itlog", c, depth=depth))
 
 
 def make_catalog() -> list[RegVarFunction]:
@@ -374,8 +355,8 @@ _GATHER = 4096
 class InverseHandle:
     """phi = h^{-1} on [h(x0), infinity), clamped to x0 below that.
 
-    A pure power coeff * x**c has phi(y) = (y/coeff)**gamma and
-    phi'(y) = gamma * coeff**-gamma * y**(gamma - 1) in closed form.
+    A pure power x**c has phi(y) = y**gamma and
+    phi'(y) = gamma * y**(gamma - 1) in closed form.
 
     Every other kind reads phi and phi' off Chebyshev interpolants, one
     pair per dyadic block 2**j <= y < 2**(j+1) (the first block starts at
@@ -407,7 +388,7 @@ class InverseHandle:
         y, scalar = _as_array(y)
         h, y1 = self.h, np.atleast_1d(y).ravel()
         if h.kind == "pure":
-            x = np.maximum((np.maximum(y1, self._ylo) / h.coeff) ** h.gamma, h.x0)
+            x = np.maximum(np.maximum(y1, self._ylo) ** h.gamma, h.x0)
             x = np.where(y1 <= self._ylo, h.x0, x)
         else:
             x = self._interpolate(y1, 0, h.gamma, h.x0)
@@ -420,7 +401,7 @@ class InverseHandle:
         if h.kind == "pure":
             with np.errstate(divide="ignore", invalid="ignore"):
                 d = y1 ** (h.gamma - 1.0)  # y <= 0 is overwritten below
-            d *= h.gamma * h.coeff ** -h.gamma
+            d *= h.gamma
             np.putmask(d, y1 <= self._ylo, self._d1_lo)
         else:
             d = self._interpolate(y1.ravel(), 1, h.gamma - 1.0, self._d1_lo)
@@ -577,7 +558,7 @@ class InverseHandle:
         other nodes solved with it.
         """
         h = self.h
-        x = np.maximum((y / h.coeff) ** h.gamma, h.x0)
+        x = np.maximum(y ** h.gamma, h.x0)
         root, slope = np.empty_like(x), np.empty_like(x)
         close = done = np.zeros(x.shape, dtype=bool)
         for _ in range(_MAX_NODE_STEPS):

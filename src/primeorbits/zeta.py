@@ -41,7 +41,6 @@ formed.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +70,6 @@ _BLOCK_PEAK = 5 * _BLOCK_BYTES // 4
 _PANEL_BYTES = 1100
 # largest estimated peak, panels x _PANEL_BYTES + _BLOCK_PEAK, it accepts
 _MAX_BYTES = 1 << 29
-
-ZERO_TABLE_ENV = "PRIMEORBITS_ZERO_TABLE"
 
 
 def theta3_default(c: float, theta1: float | None = None) -> float:
@@ -135,10 +132,9 @@ def _packaged_table_path() -> str:
 def load_zeros(path: str | None = None, assumed_beta: float = 0.5) -> ZetaZeroTable:
     """Read a zero table: one decimal ordinate per line, '#' comments.
 
-    Resolution order: explicit path, then the PRIMEORBITS_ZERO_TABLE
-    environment variable, then the packaged table.
+    The table is the file at path, or the packaged table without one.
     """
-    source = path or os.environ.get(ZERO_TABLE_ENV) or _packaged_table_path()
+    source = path or _packaged_table_path()
     with open(source) as fh:
         lines = fh.read().split("\n")
     data = [s for s in map(str.strip, lines) if s and s[0] != "#"]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from primeorbits import cli, ergodic, expsum, primes, vaughan, zeta
+from primeorbits import cli, ergodic, expsum, primes, vaughan
 from primeorbits.regvar import pure_power
 
 
@@ -188,6 +188,23 @@ def test_explicit_empty_zero_file(tmp_path):
     empty = tmp_path / "zeros.txt"
     empty.write_text("")
     assert cli.main(["explicit", "--zero-table", str(empty)]) == 1
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["--x", "30000000", "--T", "1e7"], "beyond table coverage"),
+    (["--x", "1e12", "--T", "100"], "bytes of prime tables"),
+    (["--x", "1000,10000", "--T", "100,2000"], "need 2 <= T <= min x"),
+])
+def test_explicit_refuses_before_any_sieve(tmp_path, monkeypatch, capsys,
+                                           args, reason):
+    def sieve(*a, **k):
+        raise AssertionError("sieved before refusing")
+
+    monkeypatch.setattr(primes, "sieve_range", sieve)
+    out = tmp_path / "e.txt"
+    assert cli.main(["explicit", *args, "--out", str(out)]) == 1
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_vaughan_check_passes(tmp_path):

@@ -195,18 +195,6 @@ def test_multi_rotation_k1_delegates():
     assert multi == direct
 
 
-def test_multi_rotation_separable_product():
-    h = pure_power(1.2)
-    f1 = lambda y: np.cos(2 * np.pi * np.asarray(y))
-    f2 = lambda y: np.asarray(y, dtype=np.float64)
-    alphas = [golden_surrogate(), Fraction(1, 7)]
-    prod = average_multi_rotation(alphas, None, [0.1, 0.4], [h, h],
-                                  [300, 500], factors=(f1, f2))
-    a1 = average_rotation(alphas[0], f1, 0.1, h, 300)
-    a2 = average_rotation(alphas[1], f2, 0.4, h, 500)
-    assert prod == pytest.approx(a1 * a2, rel=1e-15)
-
-
 def test_multi_rotation_direct_ones():
     h = pure_power(1.2)
     f = lambda y1, y2: np.ones(np.broadcast(y1, y2).shape)

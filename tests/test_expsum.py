@@ -138,10 +138,10 @@ def test_approximant_tail_bound():
 
 
 def test_approximant_never_empty_for_valid_h():
-    # construction pushes x0 up until h(x0) >= 1, so even a tiny leading
-    # coefficient leaves at least one integer below h(N) for every N
-    h = pure_power(1.2, coeff=0.5)
-    assert h.value(h.x0) >= 1.0
+    # construction pushes x0 up until h(x0) >= 1, so at least one integer
+    # lies below h(N) for every N, also where h(x0) is exactly 1
+    h = pure_power(1.2)
+    assert h.value(h.x0) == 1.0
     r = expsum.approximant_sum(h, 0.9, 0.2)
     assert r.n_terms >= 1
 
@@ -438,17 +438,18 @@ def test_tables_are_read_only():
 
 
 @pytest.mark.parametrize("c", [1.01, 1.2, 1.5, 1.95])
-@pytest.mark.parametrize("coeff", [1.0, 0.5])
-def test_pure_phi_closed_form_matches_newton(c, coeff):
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_pure_phi_closed_form_matches_newton(c, scale):
     # the approximant's pure-power weights: the closed form, within 2e-15 of
-    # 40-digit values and 1e-14 of phi' = 1/h'(x) after ten Newton steps
-    h = pure_power(c, coeff=coeff)
+    # 40-digit values and 1e-14 of phi' = 1/h'(x) after ten Newton steps, on
+    # the integers and a geometric grid, both as they are and halved
+    h = pure_power(c)
     ylo = h.value(h.x0)
     y = np.concatenate([[0.5, 1.0, ylo, np.nextafter(ylo, np.inf)],
-                        np.geomspace(ylo, 2.0 ** 28, 4000),
-                        np.arange(1.0, 3000.0)])
+                        scale * np.geomspace(ylo, 2.0 ** 28, 4000),
+                        scale * np.arange(1.0, 3000.0)])
     got = InverseHandle(h).d1(y)
-    x = np.maximum((np.maximum(y, ylo) / h.coeff) ** h.gamma, h.x0)
+    x = np.maximum(np.maximum(y, ylo) ** h.gamma, h.x0)
     for _ in range(10):
         hv, hd = h.value_and_d1(x)
         x = np.maximum(x - (hv - y) / hd, h.x0)
@@ -459,7 +460,7 @@ def test_pure_phi_closed_form_matches_newton(c, coeff):
     with mpmath.workdps(40):
         g = mpmath.mpf(1) / mpmath.mpf(c)
         for yi, di in zip(y[y > ylo][::40], got[y > ylo][::40]):
-            want = g * mpmath.mpf(coeff) ** -g * mpmath.mpf(yi) ** (g - 1)
+            want = g * mpmath.mpf(yi) ** (g - 1)
             assert abs(di - want) <= 2e-15 * want
 
 

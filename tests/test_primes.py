@@ -34,6 +34,14 @@ def test_sieve_basic_ranges():
     assert list(sieve_range(1, 10)) == [2, 3, 5, 7]
     assert sieve_range(1, 1).size == 0
     assert list(sieve_range(90, 100)) == [97]
+    # base primes come from the same sieve, recursing over sqrt(n) down to
+    # n < 9: all n < 200 and n around p^2 and 2^k, and windows below hi
+    # where the largest base prime sqrt(hi - 1) crosses those points
+    for n in [*range(200), 961, 1024, 3162, 3163]:
+        assert list(primes._base_primes(n)) == trial_primes(0, n)
+    for r in (3, 7, 31, 32, 961, 1024, 3162, 3163):
+        for hi in (r * r - 1, r * r, r * r + 1, r * r + 2):
+            assert list(sieve_range(hi - 30, hi)) == trial_primes(hi - 30, hi - 1)
 
 
 def test_sieve_half_open():

@@ -60,14 +60,6 @@ def test_load_parse_error_reports_line(tmp_path):
         zeta.load_zeros(str(p))
 
 
-def test_load_env_var_fallback(tmp_path, monkeypatch):
-    p = tmp_path / "z.txt"
-    p.write_text("14.134725142\n21.022039639\n25.010857580\n")
-    monkeypatch.setenv(zeta.ZERO_TABLE_ENV, str(p))
-    t = zeta.load_zeros()
-    assert t.count == 3
-
-
 def test_load_missing_file():
     with pytest.raises(OSError):
         zeta.load_zeros("/nonexistent/zeros.txt")
