@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,6 +110,37 @@ def test_chunked_covers_range():
     spans = list(chunked(10, 3))
     assert spans == [(0, 3), (3, 6), (6, 9), (9, 10)]
     assert list(chunked(0)) == []
+
+
+@given(
+    st.integers(min_value=1, max_value=2**52),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_two_prod_exact(n, b):
+    # the kernel under phase: hi + lo = n*b with no rounding at all
+    a = np.array([float(n)])
+    hi, lo, t, s = (np.empty(1) for _ in range(4))
+    accum._two_prod_into(a, b, hi, lo, t, s)
+    # oracle: exact rational arithmetic
+    exact = Fraction(n) * Fraction(b)
+    err = (Fraction(float(hi[0])) + Fraction(float(lo[0]))) - exact
+    assert err == 0
+
+
+def test_frac_mod1_recovers_lost_bits():
+    # n*xi ~ 1e12 so the naive product keeps only ~4 fractional bits
+    n = np.array([1320964531.0])
+    xi = 987.6543218765432
+    import mpmath
+
+    mpmath.mp.dps = 40
+    exact = float(mpmath.frac(mpmath.mpf(int(n[0])) * mpmath.mpf(xi)))
+    (_, _, f), = accum._frac_blocks(n, xi)
+    got = float(f[0])
+    assert abs(got - exact) < 1e-12
+    naive = (n[0] * xi) % 1.0
+    assert abs(naive - exact) > 1e-7  # the plain product really is broken here
 
 
 def test_phase_conjugate_symmetry_bitwise():
