@@ -81,7 +81,7 @@ def kahan_sum(values: Iterable[float]) -> float:
     return s + comp
 
 
-def chunked(n: int, size: int = 1 << 20):
+def chunked(n: int, size: int):
     """Yield (lo, hi) index ranges covering range(n) in fixed-size blocks."""
     lo = 0
     while lo < n:

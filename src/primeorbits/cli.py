@@ -51,20 +51,23 @@ def _function_from(cfg: dict) -> RegVarFunction:
 
 _MEMORY_CAP = 2 << 30  # bytes one run's tables may plan to hold
 _TERM_CAP = 1 << 28  # approximant terms h(N) of one expsum row
-# an ergodic orbit holds the primes, their floors and the orbit values
-_ORBIT_BYTES_PER_PRIME = 24
-# explicit's peak per prime p <= x: the sieve's parts, their join and the
-# grown cache, then log p (tracemalloc: 24.1-24.3 at x = 1e7 to 1e8)
-_PSI_BYTES_PER_PRIME = 32
+# bytes per prime p <= x of the prime tables of one run: explicit's peak
+# is the sieve's parts, their join and the grown cache, then log p
+# (tracemalloc: 24.1-24.3 at x = 1e7 to 1e8); an ergodic orbit holds the
+# primes, their floors and the orbit values, 24
+_BYTES_PER_PRIME = 32
 
 
-def _prime_table_bits(log2_x: float, per_prime: int) -> float:
-    """log2 of the bytes that per_prime bytes for each prime p <= x take,
-    x = 2**log2_x, from pi(x) < 1.25506 x / log x (Rosser-Schoenfeld).  In
-    log2 so that a huge x stays finite; an infinite x gives nan, which
-    no cap admits."""
-    return (log2_x - math.log2(log2_x)
-            + math.log2(per_prime * 1.25506 / math.log(2.0)))
+def _check_prime_tables(what: str, log2_x: float) -> None:
+    """Refuse a run whose prime tables, _BYTES_PER_PRIME for each prime
+    p <= x = 2**log2_x, would exceed _MEMORY_CAP.  pi(x) < 1.25506 x / log x
+    (Rosser-Schoenfeld); the bytes are taken in log2 so that a huge x
+    stays finite, and an infinite x gives nan, which is refused."""
+    bits = (log2_x - math.log2(log2_x)
+            + math.log2(_BYTES_PER_PRIME * 1.25506 / math.log(2.0)))
+    if not bits <= math.log2(_MEMORY_CAP):
+        raise ValueError(f"{what} needs about 2^{bits:.1f} bytes of prime "
+                         f"tables, over the {_MEMORY_CAP / 2 ** 30:g} GiB cap")
 
 
 def _checked(parse, ok, why: str):
@@ -204,11 +207,7 @@ def _validate(cfg: dict) -> None:
         h, jmin, jmax = _function_from(cfg), cfg["jmin"], cfg["jmax"]
         if not 1 <= jmin <= jmax:
             raise ValueError(f"need 1 <= jmin <= jmax, got {jmin}, {jmax}")
-        bits = _prime_table_bits(jmax, _ORBIT_BYTES_PER_PRIME)
-        if bits > math.log2(_MEMORY_CAP):
-            raise ValueError(f"jmax={jmax} needs about 2^{bits:.1f} bytes of "
-                             f"orbit arrays, over the "
-                             f"{_MEMORY_CAP / 2 ** 30:g} GiB cap")
+        _check_prime_tables(f"jmax={jmax}", jmax)
         if h.value(2.0 ** jmax) >= 2.0 ** 53:
             raise ValueError(f"jmax={jmax}: h(2^{jmax}) reaches 2^53, where "
                              "a double has no fractional bit left")
@@ -217,11 +216,7 @@ def _validate(cfg: dict) -> None:
         if not 2.0 <= Ts[0] <= Ts[-1] <= xs[0]:
             raise ValueError(f"need 2 <= T <= min x = {xs[0]:g}, got T from "
                              f"{Ts[0]:g} to {Ts[-1]:g}")
-        bits = _prime_table_bits(math.log2(xs[-1]), _PSI_BYTES_PER_PRIME)
-        if not bits <= math.log2(_MEMORY_CAP):
-            raise ValueError(f"x={xs[-1]:g} needs about 2^{bits:.1f} bytes of "
-                             f"prime tables, over the "
-                             f"{_MEMORY_CAP / 2 ** 30:g} GiB cap")
+        _check_prime_tables(f"x={xs[-1]:g}", math.log2(xs[-1]))
     if cfg["subcommand"] == "vaughan-check":
         if cfg["nmax"] <= max(cfg["v"]):
             raise ValueError(f"nmax={cfg['nmax']} must exceed the largest "

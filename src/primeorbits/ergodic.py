@@ -27,6 +27,13 @@ from .regvar import RegVarFunction
 # denominator exceeds 1e12, and |alpha - (sqrt(5)-1)/2| < 1/F62^2 ~ 6e-26
 _F61 = 2504730781961
 _F62 = 4052739537881
+# rotation_points splits n < 2^54 into three 18-bit digits; each digit
+# times (p 2^(18k) mod q) is below 2^61 for q < 2^43, so three fit int64
+_DIGIT_BITS = 18
+_MAX_INDEX = 1 << 3 * _DIGIT_BITS
+_MAX_DENOMINATOR = 1 << 43
+# seeded random increasing sequences in the O^2 ensemble of a report
+_RANDOM_SEQUENCES = 100
 
 
 def golden_surrogate() -> Fraction:
@@ -44,12 +51,23 @@ def orbit_indices(h: RegVarFunction, N: int) -> np.ndarray:
 def rotation_points(alpha: Fraction, x: float, indices: np.ndarray) -> np.ndarray:
     """(x + n*alpha) mod 1 for each orbit index n, n*alpha reduced exactly.
 
-    n * numerator overflows int64 for large orbits, hence the Python-int
-    loop; only the final division by the denominator rounds.
+    n p mod q, alpha = p/q, is summed in int64 from the 18-bit digits of
+    n against p 2^(18k) mod q, which needs 0 <= n < 2^54 and q < 2^43;
+    only the final division by q rounds.
     """
     p, q = alpha.numerator, alpha.denominator
-    fracs = np.array([(int(n) * p) % q for n in indices], dtype=np.float64)
-    return (x + fracs / q) % 1.0
+    if q >= _MAX_DENOMINATOR:
+        raise ValueError(f"denominator {q} not below 2^43")
+    n = np.asarray(indices)
+    if n.size and not (0 <= n.min() and n.max() < _MAX_INDEX):
+        raise ValueError("orbit indices must lie in [0, 2^54)")
+    n = n.astype(np.int64)
+    mask = (1 << _DIGIT_BITS) - 1
+    rem = np.zeros(n.shape, dtype=np.int64)
+    for k in range(3):
+        shift = k * _DIGIT_BITS
+        rem += ((n >> shift) & mask) * ((p << shift) % q)
+    return (x + (rem % q).astype(np.float64) / q) % 1.0
 
 
 @dataclass(frozen=True)
@@ -121,14 +139,11 @@ def lambda_weight_sum(k: int) -> float:
 
 
 def average_multi_rotation(alphas, f, x, h_list, Ns) -> float:
-    """Multiparameter rotation average on the k-torus, k in {1, 2}; for
-    k = 2 the double loop over the full prime grid (capped at N_i <= 10^4).
-    """
-    k = len(alphas)
-    if k == 1:
-        return average_rotation(alphas[0], f, x[0], h_list[0], Ns[0])
-    if k != 2:
-        raise ValueError("only k in {1, 2} supported")
+    """Two-parameter rotation average on the 2-torus: the double loop over
+    the full prime grid (capped at N_i <= 10^4).  A one-parameter average
+    is average_rotation."""
+    if len(alphas) != 2:
+        raise ValueError("only k = 2 parameters supported")
     if max(Ns) > 10 ** 4:
         raise ValueError("direct double loop capped at N_i <= 10^4")
     y1 = rotation_points(alphas[0], x[0], orbit_indices(h_list[0], Ns[0]))
@@ -149,12 +164,11 @@ def average_multi_shift(f: dict, x, h_list, Ns) -> float:
     Each support point (i, j) is hit by the pairs (a, b) of orbit indices
     with x - (a, b) = (i, j), and their number is the product of the
     counts of x[0] - i and x[1] - j in the two sorted orbits; so the cost
-    is the support size times log pi(N), not pi(N1) pi(N2).
+    is the support size times log pi(N), not pi(N1) pi(N2).  A
+    one-parameter average is average_shift.
     """
-    if len(Ns) == 1:
-        g = {i: v for (i,), v in f.items()} if all(
-            isinstance(key, tuple) for key in f) else f
-        return average_shift(g, x[0], h_list[0], Ns[0])
+    if len(Ns) != 2:
+        raise ValueError("only k = 2 parameters supported")
     # floors of an increasing h at increasing primes: already sorted
     n1 = orbit_indices(h_list[0], Ns[0])
     n2 = orbit_indices(h_list[1], Ns[1])
@@ -243,7 +257,7 @@ def _dyadic_subsequence(m: int) -> np.ndarray:
 
 
 def convergence_report(system, h: RegVarFunction, N_grid,
-                       seed: int = 0, n_random: int = 100) -> OscillationReport:
+                       seed: int = 0) -> OscillationReport:
     """Average trajectory along N_grid with O^2 / V^2 diagnostics.
 
     One orbit at max(N_grid) is computed and prefix-sliced per N; the I
@@ -264,7 +278,7 @@ def convergence_report(system, h: RegVarFunction, N_grid,
     i_dyadic = grid[_dyadic_subsequence(grid.size)]
     o2_dyadic = oscillation(grid, traj, i_dyadic)
     o2_random = []
-    for _ in range(n_random):
+    for _ in range(_RANDOM_SEQUENCES):
         size = int(rng.integers(2, grid.size + 1))
         pick = np.sort(rng.choice(grid.size, size=size, replace=False))
         o2_random.append(oscillation(grid, traj, grid[pick]))

@@ -380,7 +380,10 @@ def approx_error(h: RegVarFunction, N: float, xi: float,
 # -- minor-arc scanning ------------------------------------------------------
 
 
-def sample_frequencies(N: float, theta1: float, count: int = 24) -> np.ndarray:
+_SAMPLES = 24  # candidate frequencies per N before the minor-arc filter
+
+
+def sample_frequencies(N: float, theta1: float) -> np.ndarray:
     """Deterministic minor-arc frequencies: near-rationals plus a
     golden-ratio low-discrepancy sweep, all with ||xi|| > N**(-theta1)."""
     cut = float(N) ** (-theta1)
@@ -391,7 +394,7 @@ def sample_frequencies(N: float, theta1: float, count: int = 24) -> np.ndarray:
         pts.extend([r - delta, r + delta])
     g = (math.sqrt(5.0) - 1.0) / 2.0
     j = 1
-    while len(pts) < count:
+    while len(pts) < _SAMPLES:
         pts.append((j * g) % 1.0)
         j += 1
     # map to [-1/2, 1/2) and keep the minor-arc condition
@@ -408,15 +411,14 @@ class ArcProfile:
     n_grid: tuple
     theta1: float
     chi: float
-    epsilon: float
     xi_samples: tuple          # one tuple of frequencies per N
     abs_values: tuple          # matching |S| magnitudes
     max_abs: tuple             # per-N maxima
     slope: float               # least-squares log-log slope of max_abs
 
 
-def minor_arc_scan(h: RegVarFunction, n_grid, theta1: float | None = None,
-                   samples=None) -> ArcProfile:
+def minor_arc_scan(h: RegVarFunction, n_grid,
+                   theta1: float | None = None) -> ArcProfile:
     """Max prime-sum magnitude over minor-arc frequencies, per N."""
     if theta1 is None:
         theta1 = theta1_default(h.c)
@@ -428,8 +430,7 @@ def minor_arc_scan(h: RegVarFunction, n_grid, theta1: float | None = None,
         raise ValueError("need at least two N values for a slope")
     all_xi, all_abs, maxima = [], [], []
     for n in n_grid:
-        xs = (np.asarray(samples, dtype=np.float64) if samples is not None
-              else sample_frequencies(n, theta1))
+        xs = sample_frequencies(n, theta1)
         if xs.size < 16:
             raise ValueError("need at least 16 frequency samples")
         mags = np.array([abs(prime_floor_sum(h, n, float(x)).value) for x in xs])
@@ -437,7 +438,7 @@ def minor_arc_scan(h: RegVarFunction, n_grid, theta1: float | None = None,
         all_abs.append(tuple(mags.tolist()))
         maxima.append(float(mags.max()))
     slope = float(np.polyfit(np.log(n_grid), np.log(maxima), 1)[0])
-    return ArcProfile(tuple(n_grid), float(theta1), float(chi), EPSILON,
+    return ArcProfile(tuple(n_grid), float(theta1), float(chi),
                       tuple(all_xi), tuple(all_abs), tuple(maxima), slope)
 
 
@@ -618,18 +619,15 @@ class BlockCheck:
     abs_error: float
     normalizer: float
     ratio: float
-    epsilon: float
 
 
-def dyadic_block_check(h: RegVarFunction, t: float, xi: float,
-                       epsilon: float = EPSILON) -> BlockCheck:
+def dyadic_block_check(h: RegVarFunction, t: float, xi: float) -> BlockCheck:
     """Compare the Lambda-weighted block sum on (t/2, t] with the plain
     oscillatory integral, normalized subpolynomially."""
     t = float(t)
     block, _ = von_mangoldt_block_sum(h, t / 2.0, t, xi)
     integral = osc_integral(h, t / 2.0, t, xi)
     err = abs(block - integral)
-    norm = normalizer(t, epsilon)
-    return BlockCheck(t, float(xi), block, integral, err, norm, err / norm,
-                      epsilon)
+    norm = normalizer(t)
+    return BlockCheck(t, float(xi), block, integral, err, norm, err / norm)
 

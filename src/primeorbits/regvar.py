@@ -158,8 +158,7 @@ class RegVarFunction:
 
     def d1(self, x):
         x, scalar = _as_array(x)
-        xx = np.maximum(x, self.x0)
-        d = self.value(xx) * (self.c + self.theta(xx)) / xx
+        d = self.value_and_d1(x)[1]
         return d.item() if scalar else d
 
     def value_and_d1(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

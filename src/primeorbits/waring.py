@@ -31,13 +31,6 @@ _BYTES_PER_ARG = 64      # floor evaluation and sieve per argument m
 _BYTES_PER_LAMBDA = 48   # the six float64/int64 histograms
 
 
-def gamma_fn(x: float) -> float:
-    """Euler Gamma on (0, 20], the range the main term needs."""
-    if not 0.0 < x <= 20.0:
-        raise ValueError(f"gamma_fn domain is (0, 20], got {x}")
-    return math.gamma(x)
-
-
 def assumption_check(gammas: tuple[float, float, float]) -> bool:
     """4(1-g1) + (45/4)(1-g2) + (45/4)(1-g3) < 1, the admissibility gate."""
     g1, g2, g3 = gammas
@@ -266,8 +259,8 @@ def _phi_d1_product(config: WaringConfig, lam: float) -> float:
 
 def gamma_constant(config: WaringConfig) -> float:
     g1, g2, g3 = config.gammas
-    return (gamma_fn(g1) * gamma_fn(g2) * gamma_fn(g3)
-            / gamma_fn(g1 + g2 + g3))
+    return (math.gamma(g1) * math.gamma(g2) * math.gamma(g3)
+            / math.gamma(g1 + g2 + g3))
 
 
 def main_term(config: WaringConfig, lam: float) -> float:

@@ -40,14 +40,15 @@ formed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .accum import pairwise_sum
-from .expsum import (_GL_U, _K_RANGE, _NODES_PER_PANEL, _PROJ, EPSILON,
-                     bessel_rows, normalizer, theta1_default)
+from .expsum import (_GL_U, _K_RANGE, _NODES_PER_PANEL, _PROJ, bessel_rows,
+                     normalizer, theta1_default)
 from .regvar import RegVarFunction
 
 _FIRST_GAMMA = 14.1347
@@ -72,11 +73,9 @@ _PANEL_BYTES = 1100
 _MAX_BYTES = 1 << 29
 
 
-def theta3_default(c: float, theta1: float | None = None) -> float:
+def theta3_default(c: float) -> float:
     """Height-cut exponent 1 - (1 - (c - theta1))/4 for the zero sums."""
-    if theta1 is None:
-        theta1 = theta1_default(c)
-    return 1.0 - (1.0 - (c - theta1)) / 4.0
+    return 1.0 - (1.0 - (c - theta1_default(c))) / 4.0
 
 
 @dataclass(frozen=True)
@@ -123,18 +122,21 @@ class ZetaZeroTable:
         return int(np.searchsorted(self.gammas, T, side="right"))
 
 
-def _packaged_table_path() -> str:
+@functools.cache
+def _packaged_table() -> ZetaZeroTable:
     from importlib.resources import files
 
-    return str(files("primeorbits").joinpath("data/zeta_zeros.txt"))
+    return _read_table(str(files("primeorbits").joinpath("data/zeta_zeros.txt")))
 
 
-def load_zeros(path: str | None = None, assumed_beta: float = 0.5) -> ZetaZeroTable:
-    """Read a zero table: one decimal ordinate per line, '#' comments.
+def load_zeros(path: str | None = None) -> ZetaZeroTable:
+    """The zero table in the file at path, or without one the packaged
+    table, read once per process and shared (a table is frozen)."""
+    return _read_table(path) if path else _packaged_table()
 
-    The table is the file at path, or the packaged table without one.
-    """
-    source = path or _packaged_table_path()
+
+def _read_table(source: str) -> ZetaZeroTable:
+    """One decimal ordinate per line, '#' comments."""
     with open(source) as fh:
         lines = fh.read().split("\n")
     data = [s for s in map(str.strip, lines) if s and s[0] != "#"]
@@ -152,7 +154,7 @@ def load_zeros(path: str | None = None, assumed_beta: float = 0.5) -> ZetaZeroTa
                     raise ValueError(f"{source}: parse error at line "
                                      f"{lineno}: {line[:40]!r}") from None
         raise
-    return ZetaZeroTable(gammas, source=source, assumed_beta=assumed_beta)
+    return ZetaZeroTable(gammas, source=source)
 
 
 def truncated_psi(x: float, T: float, table: ZetaZeroTable) -> float:
@@ -189,8 +191,7 @@ class ZeroSumBound:
         return abs(self.value) / self.normalizer
 
 
-def zero_power_sum(t: float, T1: float, table: ZetaZeroTable,
-                   epsilon: float = EPSILON) -> ZeroSumBound:
+def zero_power_sum(t: float, T1: float, table: ZetaZeroTable) -> ZeroSumBound:
     """(1/sqrt(T1)) * sum_{0<gamma<=T1} t^beta, against the normalizer.
 
     With a common assumed beta the sum collapses to N(T1) t^beta.
@@ -201,8 +202,7 @@ def zero_power_sum(t: float, T1: float, table: ZetaZeroTable,
         raise ValueError(f"need t >= 1, got {t}")
     n = table.count_upto(T1)
     value = n * t ** table.assumed_beta / math.sqrt(T1)
-    return ZeroSumBound(value=value, n_zeros=n, t=t,
-                        normalizer=normalizer(t, epsilon))
+    return ZeroSumBound(value=value, n_zeros=n, t=t, normalizer=normalizer(t))
 
 
 def _osc_panels(h: RegVarFunction, t: float,
@@ -256,7 +256,7 @@ def _carriers(g: np.ndarray, start: float, step: float,
 
 
 def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
-                 table: ZetaZeroTable, epsilon: float = EPSILON) -> ZeroSumBound:
+                 table: ZetaZeroTable) -> ZeroSumBound:
     """Sum over zeros gamma <= T of int_{t/2}^t s^{rho-1} e(h(s) xi) ds,
     including the conjugate zero of each, against the normalizer.
 
@@ -273,8 +273,7 @@ def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
     c0, half, n_panels = _osc_panels(h, t, xi)
     if g.size == 0:
         return ZeroSumBound(value=0.0 + 0.0j, n_zeros=0, t=t,
-                            normalizer=normalizer(t, epsilon),
-                            n_panels=n_panels)
+                            normalizer=normalizer(t), n_panels=n_panels)
 
     K = _NODES_PER_PANEL
     # panel j = a*B + b is centred at c_j = c0 + 2*half*j, so its carrier
@@ -318,5 +317,4 @@ def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
     # a zero and its conjugate add half c_jk 2 Re(e^{i c_j gamma} 2 i^k j_k)
     re, im = 4.0 * half * (cols @ w.ravel())
     return ZeroSumBound(value=complex(re, im), n_zeros=int(g.size), t=t,
-                        normalizer=normalizer(t, epsilon),
-                        n_panels=n_panels)
+                        normalizer=normalizer(t), n_panels=n_panels)

@@ -109,7 +109,7 @@ def test_reduce_parts_matches_sum():
 def test_chunked_covers_range():
     spans = list(chunked(10, 3))
     assert spans == [(0, 3), (3, 6), (6, 9), (9, 10)]
-    assert list(chunked(0)) == []
+    assert list(chunked(0, 3)) == []
 
 
 @given(

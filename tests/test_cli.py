@@ -354,7 +354,7 @@ def test_expsum_term_cap_is_h_of_max_N():
 
 @pytest.mark.parametrize("args", [
     ["--c", "1.9", "--jmax", "28"],  # h(2^28) = 2^53.2: no fractional bit
-    ["--jmax", "31"],                # about 2^31.5 bytes of orbit arrays
+    ["--jmax", "31"],                # about 2^31.9 bytes of prime tables
     ["--jmin", "12", "--jmax", "11"],
 ])
 def test_ergodic_refuses_oversized_jmax_before_work(tmp_path, monkeypatch,

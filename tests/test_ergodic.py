@@ -92,6 +92,29 @@ def test_rotation_points_exact_reduction(ns, x):
         assert y == pytest.approx(ref, abs=1e-12)
 
 
+def test_rotation_points_matches_python_int_loop():
+    # the former loop, n p mod q in Python ints, is the reference: the
+    # int64 digit route must give its bits, digit boundaries included
+    alpha = golden_surrogate()
+    p, q = alpha.numerator, alpha.denominator
+    ns = np.array([0, 1, 2 ** 18 - 1, 2 ** 18, 2 ** 36 + 5, 2 ** 54 - 1]
+                  + list(np.random.default_rng(3).integers(0, 2 ** 54, 50)))
+    want = np.array([(int(n) * p) % q for n in ns], dtype=np.float64)
+    assert np.array_equal(rotation_points(alpha, 0.35, ns),
+                          (0.35 + want / q) % 1.0)
+
+
+@pytest.mark.parametrize("alpha, ns", [
+    (golden_surrogate(), [-1]),
+    (golden_surrogate(), [2 ** 54]),
+    (golden_surrogate(), np.array([2 ** 70], dtype=object)),
+    (Fraction(1, 2 ** 43), [1]),
+])
+def test_rotation_points_refuses_outside_int64_route(alpha, ns):
+    with pytest.raises(ValueError):
+        rotation_points(alpha, 0.0, np.asarray(ns))
+
+
 # ---------------------------------------------------------------- averages
 
 def test_average_shift_all_ones():
@@ -187,14 +210,6 @@ def test_lambda_weights_rejects_small_k():
 
 # ----------------------------------------------------------- multiparameter
 
-def test_multi_rotation_k1_delegates():
-    h = pure_power(1.2)
-    f = lambda y: np.sin(2 * np.pi * np.asarray(y))
-    direct = average_rotation(golden_surrogate(), f, 0.1, h, 400)
-    multi = average_multi_rotation([golden_surrogate()], f, [0.1], [h], [400])
-    assert multi == direct
-
-
 def test_multi_rotation_direct_ones():
     h = pure_power(1.2)
     f = lambda y1, y2: np.ones(np.broadcast(y1, y2).shape)
@@ -209,7 +224,7 @@ def test_multi_rotation_caps_and_arity():
     with pytest.raises(ValueError, match="capped"):
         average_multi_rotation([Fraction(1, 3), Fraction(1, 5)], f,
                                [0.0, 0.0], [h, h], [100, 10 ** 4 + 1])
-    with pytest.raises(ValueError, match="k in"):
+    with pytest.raises(ValueError, match="k = 2"):
         average_multi_rotation([Fraction(1, 3)] * 3, f, [0.0] * 3,
                                [h] * 3, [100] * 3)
 
@@ -251,11 +266,11 @@ def test_multi_shift_runs_past_the_former_cap():
     assert got == pytest.approx(want, rel=1e-13)
 
 
-def test_multi_shift_single_parameter_path():
+def test_multi_shift_arity():
+    # a one-parameter average is average_shift's
     h = pure_power(1.2)
-    direct = average_shift({-2: 1.0, -6: 0.5}, 0, h, 50)
-    via_multi = average_multi_shift({(-2,): 1.0, (-6,): 0.5}, [0], [h], [50])
-    assert via_multi == direct
+    with pytest.raises(ValueError, match="k = 2"):
+        average_multi_shift({(-2,): 1.0}, [0], [h], [50])
 
 
 # --------------------------------------------------------------- O^2 / V^2

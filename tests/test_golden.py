@@ -1,0 +1,51 @@
+"""Golden data rows: nine CLI runs must print the rows they printed when
+the fixture was recorded, bit for bit.
+
+The runs are the six README commands and three non-pure expsum runs.
+Only data rows are compared (lines not starting with '#'); headers carry
+versions, paths and work notes.  To re-record after an intended change of
+results: PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from primeorbits import cli
+
+FIXTURE = Path(__file__).with_name("golden_rows.json")
+
+GOLDEN = [
+    ["expsum", "--c", "1.2", "--N", "10000,100000", "--xi", "zero,halfcut,cut"],
+    ["waring", "--c1", "1.01", "--c2", "1.01", "--c3", "1.01",
+     "--lam", "1000,10000"],
+    ["explicit", "--x", "1000,10000", "--T", "100,1000", "--check"],
+    ["vaughan-check", "--nmax", "10000", "--v", "2,5,10", "--check"],
+    ["ergodic", "--jmin", "10", "--jmax", "20", "--kgrid", "10,100,1000",
+     "--check"],
+    ["regvar-check", "--check"],
+    ["expsum", "--kind", "logpow", "--c", "1.15", "--N", "10000,100000"],
+    ["expsum", "--kind", "explog", "--c", "1.3", "--N", "10000,1000000",
+     "--xi", "zero,cut,0.3"],
+    ["expsum", "--kind", "itlog", "--c", "1.5", "--N", "10000,100000"],
+]
+
+
+def data_rows(argv: list[str], out: Path) -> list[str]:
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    return [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+
+
+@pytest.mark.parametrize("argv", GOLDEN, ids=" ".join)
+def test_golden_rows(tmp_path, argv):
+    want = json.loads(FIXTURE.read_text())[" ".join(argv)]
+    assert data_rows(argv, tmp_path / "run.txt") == want
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = {" ".join(argv): data_rows(argv, Path(tmp) / "run.txt")
+                for argv in GOLDEN}
+    FIXTURE.write_text(json.dumps(rows, indent=1) + "\n")

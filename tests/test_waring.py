@@ -17,7 +17,6 @@ from primeorbits.waring import (
     count_report,
     floor_image_histogram,
     gamma_constant,
-    gamma_fn,
     main_term,
     prime_weighted_histogram,
     triple_counts_all,
@@ -268,18 +267,6 @@ def test_float_histograms_take_float_path():
 
 # -------------------------------------------------------- gamma machinery
 
-def test_gamma_fn_values():
-    assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-15)
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    assert gamma_fn(3.0) == pytest.approx(2.0, rel=1e-15)
-
-
-@pytest.mark.parametrize("x", [0.0, -1.0, 20.5])
-def test_gamma_fn_domain(x):
-    with pytest.raises(ValueError, match="domain"):
-        gamma_fn(x)
-
-
 def test_assumption_check():
     assert assumption_check((1.0, 1.0, 1.0))
     g = 1.0 / 1.01
@@ -292,7 +279,7 @@ def test_gamma_constant_formal_limit():
     h = pure_power(1.2)
     cfg = WaringConfig(h, h, h, 10)
     g = 5.0 / 6.0
-    expect = gamma_fn(g) ** 3 / gamma_fn(3 * g)
+    expect = math.gamma(g) ** 3 / math.gamma(3 * g)
     assert gamma_constant(cfg) == pytest.approx(expect, rel=1e-15)
 
 
@@ -311,7 +298,7 @@ def test_main_term_closed_form():
     h = pure_power(c)
     cfg = WaringConfig(h, h, h, 10 ** 4)
     for lam in (100.0, 5000.0):
-        expect = (gamma_fn(g) ** 3 / gamma_fn(3 * g)) * g ** 3 * lam ** (3 * g - 1)
+        expect = (math.gamma(g) ** 3 / math.gamma(3 * g)) * g ** 3 * lam ** (3 * g - 1)
         assert main_term(cfg, lam) == pytest.approx(expect, rel=1e-12)
 
 

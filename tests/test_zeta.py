@@ -21,6 +21,12 @@ def test_packaged_table_loads():
     assert np.all(np.diff(TAB.gammas) > 0)
 
 
+def test_packaged_table_read_once():
+    # the packaged table is frozen, so every caller shares one read
+    assert zeta.load_zeros() is TAB
+    assert zeta.load_zeros(None) is TAB
+
+
 def test_table_validation_rejects_garbage():
     with pytest.raises(ValueError):
         zeta.ZetaZeroTable(np.array([]))
@@ -44,6 +50,9 @@ def test_load_two_line_file(tmp_path):
     t = zeta.load_zeros(str(p))
     assert t.count == 2
     assert t.gammas[1] == 21.022039639
+    # a path is read on every call
+    p.write_text("14.134725142\n")
+    assert zeta.load_zeros(str(p)).count == 1
 
 
 def test_load_empty_file(tmp_path):
@@ -120,10 +129,11 @@ def test_zero_power_sum_empty():
 
 
 def test_zero_power_sum_example():
-    r = zeta.zero_power_sum(1e6, 1e3, TAB, epsilon=0.0)
+    r = zeta.zero_power_sum(1e6, 1e3, TAB)
     assert r.n_zeros == 649
     want = 649 * 1e6**0.5 / math.sqrt(1e3)
     assert abs(r.value - want) < 1e-6
+    assert r.normalizer == expsum.normalizer(1e6)
     assert r.ratio <= 1.0
 
 
