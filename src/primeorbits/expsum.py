@@ -221,10 +221,8 @@ def prime_floor_sum(h: RegVarFunction, N: float, xi: float,
 def von_mangoldt_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
     """Same sum with Lambda weights over all n <= N."""
     N = int(N)
-    lam = primes.von_mangoldt_range(0, N + 1)
-    n = np.flatnonzero(lam)
+    n, w = primes.prime_powers(0, N + 1)
     fl, _ = guarded_floor(h, n)
-    w = lam[n]
     return ExpSumResult(_phase_sum(w.size, lambda lo, hi: w[lo:hi], fl, xi),
                         int(n.size), float(N), float(xi), "vonmangoldt")
 
@@ -602,12 +600,9 @@ def von_mangoldt_block_sum(h: RegVarFunction, P: float, P1: float,
                            freq: float) -> tuple[complex, int]:
     """Sum of Lambda(n) e(freq h(n)) over P < n <= P1, and the number of
     prime powers it ran over."""
-    lo = math.floor(P) + 1
-    lam = primes.von_mangoldt_range(lo, math.floor(P1) + 1)
-    n = np.flatnonzero(lam)
-    w = lam[n]
+    n, w = primes.prime_powers(math.floor(P) + 1, math.floor(P1) + 1)
     return (_phase_sum(w.size, lambda a, b: w[a:b],
-                       h.value((n + lo).astype(np.float64)), freq), int(n.size))
+                       h.value(n.astype(np.float64)), freq), int(n.size))
 
 
 @dataclass(frozen=True)

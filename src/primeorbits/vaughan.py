@@ -186,9 +186,10 @@ def lambda_via_vaughan_upto(nmax: int, v: float, w: float,
         t2[l::l] += pi[l]
         added += nmax // l
     # prime powers k > v with room for an l > w below nmax / k
-    for k in (np.flatnonzero(lam[n0:nmax // (iw + 1) + 1]) + n0).tolist():
+    ks, lam_k = primes.prime_powers(n0, nmax // (iw + 1) + 1)
+    for k, lk in zip(ks.tolist(), lam_k.tolist()):
         top = nmax // k
-        t3[k * (iw + 1)::k] += lam[k] * xi[iw + 1:top + 1]
+        t3[k * (iw + 1)::k] += lk * xi[iw + 1:top + 1]
         added += top - iw
     if work is not None:
         work.sieve_terms += added

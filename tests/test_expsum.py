@@ -345,6 +345,69 @@ def test_dyadic_block_finite_ratio():
     assert np.isfinite(b.ratio) and b.ratio >= 0.0
 
 
+def _dense_lambda(lo, hi):
+    """Lambda on [lo, hi) as von_mangoldt_range built it before it read
+    primes.prime_powers: a dense array written off the prime cache."""
+    arr = np.zeros(hi - lo, dtype=np.float64)
+    pr = primes.primes_upto(hi - 1)
+    pr = pr[np.searchsorted(pr, lo):]
+    arr[pr - lo] = np.log(pr.astype(np.float64))
+    for p in primes.primes_upto(math.isqrt(max(hi - 1, 0))).tolist():
+        pw = p * p
+        while pw < hi:
+            if pw >= lo:
+                arr[pw - lo] = math.log(p)
+            pw *= p
+    return arr
+
+
+def _dense_block_sum(h, P, P1, freq):
+    """von_mangoldt_block_sum before prime_powers: the dense window,
+    scanned for its non-zero entries."""
+    lo = math.floor(P) + 1
+    lam = _dense_lambda(lo, math.floor(P1) + 1)
+    n = np.flatnonzero(lam)
+    w = lam[n]
+    return (expsum._phase_sum(w.size, lambda a, b: w[a:b],
+                              h.value((n + lo).astype(np.float64)), freq),
+            int(n.size))
+
+
+def _dense_von_mangoldt_sum(h, N, xi):
+    """von_mangoldt_sum's value before prime_powers, the same way."""
+    N = int(N)
+    lam = _dense_lambda(0, N + 1)
+    n = np.flatnonzero(lam)
+    fl, _ = expsum.guarded_floor(h, n)
+    w = lam[n]
+    return expsum._phase_sum(w.size, lambda lo, hi: w[lo:hi], fl, xi)
+
+
+@pytest.mark.parametrize("h", [pure_power(1.2), log_power(1.15, a=0.5),
+                               exp_log(1.3, a=0.3, b=0.5)],
+                         ids=["pure", "logpow", "explog"])
+@pytest.mark.parametrize("P, P1", [(5e5, 1e6), (500.0, 1000.0), (1.5, 64.0),
+                                   (1e6, 3e6)])
+def test_von_mangoldt_sums_match_dense_reference(h, P, P1):
+    for xi in (0.0, 1e-3, -0.01):
+        assert (expsum.von_mangoldt_block_sum(h, P, P1, xi)
+                == _dense_block_sum(h, P, P1, xi))
+        assert (expsum.von_mangoldt_sum(h, P1, xi).value
+                == _dense_von_mangoldt_sum(h, P1, xi))
+
+
+def test_von_mangoldt_sums_build_no_dense_lambda(monkeypatch):
+    def refuse(lo, hi):
+        raise AssertionError("dense Lambda window built")
+
+    monkeypatch.setattr(primes, "von_mangoldt_range", refuse)
+    h = log_power(1.15, a=0.5)
+    b = expsum.dyadic_block_check(h, 1e6, 1e-3)
+    assert np.isfinite(b.ratio)
+    res = expsum.von_mangoldt_sum(h, 1e5, 1e-3)
+    assert res.n_terms == 9592 + 108  # pi(1e5) and the higher powers
+
+
 # -- per-function tables ------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ from primeorbits.primes import (
     factorize,
     mobius,
     prime_count,
+    prime_powers,
     primes_upto,
     sieve_range,
     spf_table,
@@ -182,6 +183,43 @@ def test_von_mangoldt_range_matches_pointwise(monkeypatch):
     assert lam[0] == math.log(lo)
     for n in range(lo, hi):
         assert abs(lam[n - lo] - von_mangoldt(n)) < 1e-12
+
+
+@pytest.mark.parametrize("lo, hi", [
+    # the windows of test_von_mangoldt_range_matches_pointwise
+    (1, 301), (0, 2), (0, 3), (-3, 2), (1000, 1100), (65500, 65600),
+    (6, 2), (7, 7),
+    # 2^10; 31^2; 2^20 with primes and composites around it
+    (1020, 1030), (961, 962), (2**20 - 3, 2**20 + 3)])
+def test_prime_powers_match_pointwise(lo, hi):
+    n, lam = prime_powers(lo, hi)
+    assert n.dtype == np.int64 and lam.dtype == np.float64
+    assert np.all(np.diff(n) > 0)
+    want = [m for m in range(max(lo, 2), hi) if von_mangoldt(m)]
+    assert n.tolist() == want
+    for m, value in zip(want, lam.tolist()):
+        (p, e), = factorize(m)
+        if e > 1:
+            assert value == math.log(p)  # bit for bit
+        else:
+            assert abs(value - math.log(p)) < 1e-12
+
+
+def test_prime_powers_from_empty_cache_sieve_once(monkeypatch):
+    calls = []
+
+    def recording(lo, hi, threads=1):
+        calls.append((lo, hi))
+        return sieve_range(lo, hi, threads)
+
+    monkeypatch.setattr(primes, "_cache",
+                        {"hi": 0, "primes": np.empty(0, dtype=np.int64)})
+    monkeypatch.setattr(primes, "sieve_range", recording)
+    lo, hi = 2**20 - 3, 2**20 + 3
+    n, lam = prime_powers(lo, hi)
+    assert calls == [(0, hi)]
+    assert n.tolist() == [lo, 2**20]  # 2^20 - 3 is prime
+    assert lam[1] == math.log(2)
 
 
 def test_spf_table_values():
