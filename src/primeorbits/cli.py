@@ -195,11 +195,20 @@ def parse_config(argv: list[str]) -> dict:
     return cfg
 
 
+def _check_above_x0(h: RegVarFunction, what: str, n_min: float) -> None:
+    """Refuse a grid reaching down to x0: at and below it h is the
+    constant h(x0), so its rows would measure the extension, not h."""
+    if n_min <= h.x0:
+        raise ValueError(f"{what} is at or below x0={h.x0:g} of {h.label()}, "
+                         f"where h is the constant h(x0)")
+
+
 def _validate(cfg: dict) -> None:
-    """Refuse, before any work, a request too large to run."""
+    """Refuse, before any work, a request too large to run or below x0."""
     if cfg["subcommand"] == "expsum":
-        n_max = max(cfg["N"])
-        terms = _function_from(cfg).value(float(n_max))
+        h, n_min, n_max = _function_from(cfg), min(cfg["N"]), max(cfg["N"])
+        _check_above_x0(h, f"N={n_min}", n_min)
+        terms = h.value(float(n_max))
         if terms > _TERM_CAP:
             raise ValueError(f"N={n_max} needs about {terms:.3g} "
                              f"approximant terms, over the 2^28 cap")
@@ -207,6 +216,7 @@ def _validate(cfg: dict) -> None:
         h, jmin, jmax = _function_from(cfg), cfg["jmin"], cfg["jmax"]
         if not 1 <= jmin <= jmax:
             raise ValueError(f"need 1 <= jmin <= jmax, got {jmin}, {jmax}")
+        _check_above_x0(h, f"jmin={jmin}", 2.0 ** jmin)
         _check_prime_tables(f"jmax={jmax}", jmax)
         if h.value(2.0 ** jmax) >= 2.0 ** 53:
             raise ValueError(f"jmax={jmax}: h(2^{jmax}) reaches 2^53, where "

@@ -102,7 +102,6 @@ class SumWork:
     approximant_direct: int = 0  # of those, the head terms summed directly
     em_order: int = 0           # Euler-Maclaurin orders p of the tails
     digit_terms: int = 0        # phase terms through accum.DigitPhase
-    direct_terms: int = 0       # phase terms through accum.phase
     table_entries: int = 0      # DigitPhase table entries built
     inverse_blocks: int = 0     # phi' interpolant blocks built (non-pure h)
     node_newton: int = 0        # long-double evaluations of h at their nodes
@@ -181,29 +180,26 @@ def prime_floors(h: RegVarFunction, N: float,
 # -- sums ---------------------------------------------------------------------
 
 
-def _phase_sum(size: int, weight, n: np.ndarray | None, xi: float,
+def _phase_sum(weight, n: np.ndarray, xi: float,
                work: SumWork | None = None) -> complex:
-    """Sum of w[i] e(n[i] xi), i < size, in fixed chunks.
+    """Sum of w[i] e(n[i] xi) over the entries of n, in fixed chunks.
 
     weight(lo, hi) returns w[lo:hi], so weights exist one chunk at a
-    time; n=None stands for 1, 2, ...  Integer arguments, n=None
-    included, go through one DigitPhase sized from the largest of them;
-    real ones through phase.
+    time.  Integer arguments go through one DigitPhase sized from the
+    largest of them; real ones through phase.
     """
-    if n is None or n.dtype.kind in "iu":
-        e = DigitPhase(xi, size if n is None else int(n.max(initial=0)))
+    if n.dtype.kind in "iu":
+        e = DigitPhase(xi, int(n.max(initial=0)))
         if work is not None:
-            work.digit_terms += size
+            work.digit_terms += n.size
             work.table_entries += e.entries
     else:
         e = partial(phase, xi=xi)
-        if work is not None:
-            work.direct_terms += size
     parts = []
-    for lo, hi in chunked(size, _CHUNK):
+    for lo, hi in chunked(n.size, _CHUNK):
         # the weights first, so their scratch is freed before z exists
         w = weight(lo, hi)
-        z = e(np.arange(lo + 1, hi + 1) if n is None else n[lo:hi])
+        z = e(n[lo:hi])
         z *= w
         parts.append(pairwise_sum(z))
     return complex(reduce_parts(parts))
@@ -213,7 +209,7 @@ def prime_floor_sum(h: RegVarFunction, N: float, xi: float,
                     work: SumWork | None = None) -> ExpSumResult:
     """Log-weighted exponential sum over primes up to N."""
     p, fl = prime_floors(h, N, work)
-    value = _phase_sum(p.size, lambda lo, hi: np.log(p[lo:hi].astype(np.float64)),
+    value = _phase_sum(lambda lo, hi: np.log(p[lo:hi].astype(np.float64)),
                        fl, xi, work)
     return ExpSumResult(value, int(p.size), float(N), float(xi), "prime")
 
@@ -223,7 +219,7 @@ def von_mangoldt_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
     N = int(N)
     n, w = primes.prime_powers(0, N + 1)
     fl, _ = guarded_floor(h, n)
-    return ExpSumResult(_phase_sum(w.size, lambda lo, hi: w[lo:hi], fl, xi),
+    return ExpSumResult(_phase_sum(lambda lo, hi: w[lo:hi], fl, xi),
                         int(n.size), float(N), float(xi), "vonmangoldt")
 
 
@@ -337,8 +333,9 @@ def approximant_sum(h: RegVarFunction, N: float, xi: float,
     blocks, evals = inv.blocks_built, inv.node_evals
     tail, M, p = _em_tail(inv, _head_size(h), lam, abs(x))
     head = M - 1 if M < lam else lam
-    value = tail + _phase_sum(head, lambda lo, hi: inv.d1(
-        np.arange(lo + 1, hi + 1, dtype=np.float64)), None, abs(x), work)
+    value = tail + _phase_sum(lambda lo, hi: inv.d1(
+        np.arange(lo + 1, hi + 1, dtype=np.float64)),
+        np.arange(1, head + 1), abs(x), work)
     if x < 0.0:
         value = value.conjugate()
     if work is not None:
@@ -601,8 +598,8 @@ def von_mangoldt_block_sum(h: RegVarFunction, P: float, P1: float,
     """Sum of Lambda(n) e(freq h(n)) over P < n <= P1, and the number of
     prime powers it ran over."""
     n, w = primes.prime_powers(math.floor(P) + 1, math.floor(P1) + 1)
-    return (_phase_sum(w.size, lambda a, b: w[a:b],
-                       h.value(n.astype(np.float64)), freq), int(n.size))
+    return (_phase_sum(lambda a, b: w[a:b], h.value(n.astype(np.float64)),
+                       freq), int(n.size))
 
 
 @dataclass(frozen=True)

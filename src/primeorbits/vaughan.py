@@ -16,8 +16,8 @@ with float weights, so the identity holds to rounding error.
 The scalar pi_vw, xi_w and lambda_via_vaughan transcribe the formulas
 literally, one integer at a time.  lambda_via_vaughan_upto and
 exp_sum_split read the same coefficients off arithmetic tables built
-once per call (mu up to w, Lambda, pi_vw up to vw, xi_w by Dirichlet
-sieving) and never factorize an integer.
+once per call (mu up to w, pi_vw up to vw, xi_w by Dirichlet sieving,
+Lambda only over the k that S3 reads) and never factorize an integer.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .expsum import _CHUNK, _phase_sum, von_mangoldt_block_sum
 from .regvar import RegVarFunction
 
 # bytes per n that a vaughan-check identity row holds at its peak: the
-# range form's Lambda, log k, t1, t2, t3 and xi_w tables and the sieve's
-# primes, plus the caller's Lambda and difference (tracemalloc: 60)
+# range form's log k, t1, t2, t3 and xi_w tables, plus the caller's
+# Lambda and difference (tracemalloc, primes cached: 48.7-50.7 at 1e6)
 IDENTITY_BYTES_PER_N = 80
 # terms of a bilinear sum gathered at once: the gather holds about 64
 # bytes a term at its peak, so a quarter of expsum's chunk is 17 MB
@@ -132,16 +132,15 @@ def _mobius_upto(n: int) -> np.ndarray:
     return mu
 
 
-def _pi_table(lam: np.ndarray, mu: np.ndarray, v: float, w: float,
-              top: int) -> np.ndarray:
-    """pi_vw(0..top) for top <= vw, added over r ascending as pi_vw adds,
-    so the values are pi_vw's bits.  lam and mu cover 0..min(v, top) and
+def _pi_table(mu: np.ndarray, v: float, w: float, top: int) -> np.ndarray:
+    """pi_vw(0..top) for top <= vw, added over the prime powers r <= v
+    ascending as pi_vw adds, so the values are pi_vw's bits.  mu covers
     0..min(w, top)."""
     pi = np.zeros(top + 1)
-    for r in range(2, min(math.floor(v), top) + 1):
-        if lam[r] != 0.0:
-            s = np.arange(1, min(math.floor(w), top // r) + 1)
-            pi[r * s] += lam[r] * mu[s]
+    rs, lam_r = primes.prime_powers(2, math.floor(v) + 1)
+    for r, lam in zip(rs.tolist(), lam_r.tolist()):
+        s = np.arange(1, min(math.floor(w), top // r) + 1)
+        pi[r * s] += lam * mu[s]
     return pi
 
 
@@ -170,10 +169,9 @@ def lambda_via_vaughan_upto(nmax: int, v: float, w: float,
     nmax, n0, iw = int(nmax), math.floor(v) + 1, math.floor(w)
     if nmax < n0:
         return np.empty(0)
-    lam = primes.von_mangoldt_range(0, nmax + 1)
     # no l above nmax divides an n <= nmax
     mu = _mobius_upto(min(iw, nmax))
-    pi = _pi_table(lam, mu, v, w, min(math.floor(v * w), nmax))
+    pi = _pi_table(mu, v, w, min(math.floor(v * w), nmax))
     xi = _xi_table(mu, w, nmax // n0)
     logk = np.log(np.arange(1, nmax + 1, dtype=np.float64))
     t1, t2, t3 = (np.zeros(nmax + 1) for _ in range(3))
@@ -264,8 +262,7 @@ class _Bilinear:
         parts = []
         for lo, hi in chunked(self.terms, _PIECE):
             vals, wts = self._terms(h, lo, hi, weight)
-            parts.append(_phase_sum(wts.size, lambda a, b: wts[a:b], vals,
-                                    freq))
+            parts.append(_phase_sum(lambda a, b: wts[a:b], vals, freq))
         if work is not None:
             work.phase_sums += len(parts)
         return complex(reduce_parts(parts))
@@ -284,14 +281,15 @@ def exp_sum_split(h: RegVarFunction, P: float, P1: float, xi: float, m: int,
     if P < v:
         raise ValueError("identity requires P >= v")
     freq = float(xi) + float(m)
-    iP1 = int(math.floor(P1))
-    lam = primes.von_mangoldt_range(0, iP1 + 1)
+    iP1, iw = math.floor(P1), math.floor(w)
     # an l above P1 has no k >= 1 with kl <= P1
-    mu = _mobius_upto(min(math.floor(w), iP1))
-    pi = _pi_table(lam, mu, v, w, min(math.floor(v * w), iP1))
+    mu = _mobius_upto(min(iw, iP1))
+    pi = _pi_table(mu, v, w, min(math.floor(v * w), iP1))
     l1 = np.arange(1, mu.size)
     l2 = np.arange(1, pi.size)
-    l3 = np.arange(math.floor(w) + 1, math.floor(P1 / v) + 1)
+    l3 = np.arange(iw + 1, math.floor(P1 / v) + 1)
+    # S3's k run up to P1 / l with every l > w
+    lam = primes.von_mangoldt_range(0, math.floor(P1 / (iw + 1)) + 1)
     xi_tab = _xi_table(mu, w, math.floor(P1 / v))
     low = l2 <= v
     sums = (

@@ -310,7 +310,7 @@ def test_expsum_work_note(tmp_path):
     assert note == {
         "floor_points": pi4, "recomputes": 0, "approximant_terms": terms,
         "approximant_direct": 4 * 255, "em_order": own.em_order,
-        "digit_terms": 2 * (pi1 + pi4) + 4 * 255, "direct_terms": 0,
+        "digit_terms": 2 * (pi1 + pi4) + 4 * 255,
         "table_entries": note["table_entries"],
         "inverse_blocks": 0, "node_newton": 0}
     assert own.em_order >= 4
@@ -364,6 +364,34 @@ def test_ergodic_refuses_oversized_jmax_before_work(tmp_path, monkeypatch,
     assert cli.main(["ergodic", *args, "--out", str(out)]) == 1
     assert calls == []
     assert not out.exists()
+
+
+def test_expsum_refuses_N_at_or_below_x0_before_work(tmp_path, monkeypatch,
+                                                    capsys):
+    # itlog c = 1.05 has x0 = 16384; at and below it h is the constant
+    # h(x0), so an N = 1e4 row would compare sums of that constant
+    calls = _sieve_calls(monkeypatch)
+    out = tmp_path / "e.txt"
+    argv = ["expsum", "--kind", "itlog", "--c", "1.05", "--N"]
+    assert cli.main(argv + ["16384,100000", "--out", str(out)]) == 1
+    assert "x0=16384" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+    assert cli.parse_config(argv + ["16385,100000"])["N"][0] == 16385
+
+
+def test_ergodic_refuses_jmin_at_or_below_x0_before_work(tmp_path,
+                                                        monkeypatch, capsys):
+    # logpow c = 1.05 has x0 = 32768 = 2^15: the smallest N is 2^jmin
+    calls = _sieve_calls(monkeypatch)
+    out = tmp_path / "erg.txt"
+    argv = ["ergodic", "--kind", "logpow", "--c", "1.05", "--jmax", "18",
+            "--jmin"]
+    assert cli.main(argv + ["15", "--out", str(out)]) == 1
+    assert "x0=32768" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+    assert cli.parse_config(argv + ["16"])["jmin"] == 16
 
 
 @pytest.mark.parametrize("kgrid", ["1", "1,10", "0,5"])

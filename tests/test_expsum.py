@@ -368,7 +368,7 @@ def _dense_block_sum(h, P, P1, freq):
     lam = _dense_lambda(lo, math.floor(P1) + 1)
     n = np.flatnonzero(lam)
     w = lam[n]
-    return (expsum._phase_sum(w.size, lambda a, b: w[a:b],
+    return (expsum._phase_sum(lambda a, b: w[a:b],
                               h.value((n + lo).astype(np.float64)), freq),
             int(n.size))
 
@@ -380,7 +380,7 @@ def _dense_von_mangoldt_sum(h, N, xi):
     n = np.flatnonzero(lam)
     fl, _ = expsum.guarded_floor(h, n)
     w = lam[n]
-    return expsum._phase_sum(w.size, lambda lo, hi: w[lo:hi], fl, xi)
+    return expsum._phase_sum(lambda lo, hi: w[lo:hi], fl, xi)
 
 
 @pytest.mark.parametrize("h", [pure_power(1.2), log_power(1.15, a=0.5),
@@ -541,7 +541,8 @@ def _direct_approximant(h, N, xi, weights=None):
     lam = int(expsum.guarded_floor(h, np.array([float(N)]))[0][0])
     if weights is None:
         weights = InverseHandle(h).d1(np.arange(1.0, lam + 1.0))
-    return expsum._phase_sum(lam, lambda lo, hi: weights[lo:hi], None, xi)
+    return expsum._phase_sum(lambda lo, hi: weights[lo:hi],
+                             np.arange(1, lam + 1), xi)
 
 
 def test_nonpure_approximant_is_the_chunked_newton_sum(monkeypatch):
@@ -687,12 +688,12 @@ def test_phase_sum_routes_by_dtype_and_counts_each():
     work = expsum.SumWork()
     w = np.ones(5000)
     m = np.arange(5000, dtype=np.int64)
-    ints = expsum._phase_sum(m.size, lambda lo, hi: w[lo:hi], m, 0.1, work)
-    reals = expsum._phase_sum(m.size, lambda lo, hi: w[lo:hi],
-                              m.astype(np.float64), 0.1, work)
+    ints = expsum._phase_sum(lambda lo, hi: w[lo:hi], m, 0.1, work)
+    reals = expsum._phase_sum(lambda lo, hi: w[lo:hi], m.astype(np.float64),
+                              0.1, work)
     dp = accum.DigitPhase(0.1, 4999)
     assert len(dp.tables) == 2
-    assert (work.digit_terms, work.direct_terms) == (5000, 5000)
+    assert work.digit_terms == 5000
     assert work.table_entries == dp.entries
     direct = complex(accum.pairwise_sum(accum.phase(m.astype(np.float64), 0.1)))
     assert reals == direct

@@ -1,7 +1,7 @@
-"""Golden data rows: nine CLI runs must print the rows they printed when
+"""Golden data rows: ten CLI runs must print the rows they printed when
 the fixture was recorded, bit for bit.
 
-The runs are the six README commands and three non-pure expsum runs.
+The runs are the six README commands and four non-pure expsum runs.
 Only data rows are compared (lines not starting with '#'); headers carry
 versions, paths and work notes.  To re-record after an intended change of
 results: PYTHONPATH=src python tests/test_golden.py
@@ -30,6 +30,8 @@ GOLDEN = [
     ["expsum", "--kind", "explog", "--c", "1.3", "--N", "10000,1000000",
      "--xi", "zero,cut,0.3"],
     ["expsum", "--kind", "itlog", "--c", "1.5", "--N", "10000,100000"],
+    # heads of 262,143 terms, and phi' calls over 4,096 points
+    ["expsum", "--kind", "itlog", "--c", "1.05", "--N", "20000,100000"],
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeorbits import expsum, vaughan
+from primeorbits import expsum, primes, vaughan
 from primeorbits.primes import mobius, spf_table, von_mangoldt_range
 from primeorbits.regvar import pure_power
 
@@ -189,10 +189,9 @@ def test_tables_equal_scalar_functions():
     # its table holds the scalar's bits
     mu = vaughan._mobius_upto(400)
     assert mu.tolist() == [0] + [mobius(n) for n in range(1, 401)]
-    lam = von_mangoldt_range(0, 401)
     for v, w in [(1.0, 1.0), (2.0, 2.0), (2.5, 7.9), (10.0, 10.0),
                  (19.5, 3.0)]:
-        pi = vaughan._pi_table(lam, mu, v, w, math.floor(v * w))
+        pi = vaughan._pi_table(mu, v, w, math.floor(v * w))
         assert pi.tolist() == [0.0] + [vaughan.pi_vw(l, v, w)
                                        for l in range(1, pi.size)]
         xi = vaughan._xi_table(mu, w, 400)
@@ -236,6 +235,34 @@ def test_identity_upto_tables_stop_at_nmax():
     assert peak < 1 << 18  # a vw-long pi_vw table alone would be 6.5 MB
 
 
+def test_identity_upto_builds_no_dense_lambda(monkeypatch):
+    # pi_vw's r <= v and t3's k > v are read off prime_powers
+    want = von_mangoldt_range(6, 10 ** 4 + 1)
+
+    def refuse(lo, hi):
+        raise AssertionError("dense Lambda built")
+
+    monkeypatch.setattr(primes, "von_mangoldt_range", refuse)
+    got = vaughan.lambda_via_vaughan_upto(10 ** 4, 5.0, 5.0)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_split_lambda_stops_at_P1_over_w(monkeypatch):
+    # S3's weights Lambda(k) have k <= P1 / l with l >= floor(w) + 1 = 21
+    windows = []
+    real = primes.von_mangoldt_range
+
+    def recording(lo, hi):
+        windows.append((lo, hi))
+        return real(lo, hi)
+
+    monkeypatch.setattr(primes, "von_mangoldt_range", recording)
+    sp = vaughan.exp_sum_split(pure_power(1.2), 3e4, 1e5, 0.1, 1,
+                               vaughan.VaughanParams(20.5, 20.5))
+    assert windows == [(0, math.floor(1e5 / 21) + 1)]
+    assert sp.residual <= 1e-9
+
+
 def test_identity_upto_counts_sieve_terms():
     # nmax = 12, v = w = 2: t1 at l = 1, 2 (12 + 6 entries); t2 at the l
     # with pi_vw(l) != 0, l = 2 (log 2) and 4 (-log 2), 6 + 3 entries;
@@ -255,7 +282,7 @@ def split_per_l(h, P, P1, xi, m, params):
     lam_dense = von_mangoldt_range(0, iP1 + 1)
 
     def phase_sum(n, weights):
-        return expsum._phase_sum(weights.size, lambda a, b: weights[a:b],
+        return expsum._phase_sum(lambda a, b: weights[a:b],
                                  h.value(n.astype(np.float64)), freq)
 
     def k_range(l):
