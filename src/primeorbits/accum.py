@@ -20,36 +20,51 @@ buffers, so their temporaries stay cache-sized whatever the input size.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable
 
 import numpy as np
 
 CHUNK = 4096
-_BLOCK = 1 << 14  # points per pass of phase and DigitPhase; buffers stay in cache
+# points per pass of phase and DigitPhase, so buffers stay in cache; a
+# multiple of CHUNK, so block-wise chunk_sums are those of the whole
+_BLOCK = 1 << 14
 _DIGIT_BITS = 12  # widest DigitPhase digit (64 kB table); 8 timed slower, 10-14 alike
 _U = 2.0 ** -53  # unit roundoff of a double
 PHASE_ERROR = 28 * _U  # |phase(n, xi) - e(n*xi)| at most; see phase
 
 
-def pairwise_sum(x: np.ndarray) -> complex | float:
-    """Sum a 1-d array with a fixed-shape pairwise tree."""
-    a = np.asarray(x).ravel()
-    if a.size == 0:
-        return a.dtype.type(0).item() if a.dtype != object else 0.0
-    # sum each CHUNK, the short tail zero-padded, then halve until scalar;
-    # only the tail is copied
+def chunk_sums(a: np.ndarray) -> np.ndarray:
+    """The sum of each CHUNK of the 1-d a in turn, the short tail
+    zero-padded to CHUNK: the first level of pairwise_sum's tree.  Only
+    the tail is copied."""
     cut = a.size - a.size % CHUNK
     parts = a[:cut].reshape(-1, CHUNK).sum(axis=1)
     if cut < a.size:
         tail = np.zeros((1, CHUNK), dtype=a.dtype)
         tail[0, :a.size - cut] = a[cut:]
         parts = np.concatenate([parts, tail.sum(axis=1)])
+    return parts
+
+
+def halving_sum(parts: np.ndarray) -> complex | float:
+    """Add neighbours in index order, an odd end zero-padded, until one
+    value is left: the rest of pairwise_sum's tree."""
     while parts.size > 1:
         if parts.size % 2:
             parts = np.concatenate([parts, np.zeros(1, dtype=parts.dtype)])
         parts = parts[0::2] + parts[1::2]
     return parts[0].item()
+
+
+def pairwise_sum(x: np.ndarray) -> complex | float:
+    """Sum a 1-d array with a fixed-shape pairwise tree: chunk_sums, then
+    halving_sum."""
+    a = np.asarray(x).ravel()
+    if a.size == 0:
+        return a.dtype.type(0).item() if a.dtype != object else 0.0
+    return halving_sum(chunk_sums(a))
 
 
 def reduce_parts(parts: Iterable[complex]) -> complex:
@@ -180,6 +195,10 @@ class DigitPhase:
     leading digit of top, so every argument is an exact double <= top.
     Each point then costs D gathers and D - 1 complex multiplies, no exp.
     Below 2**24 that is at most 2 x 4096 entries, below 2**30 3 x 1024.
+    The digits depend on top alone: digits(m) splits the integers once,
+    lookup(ix, out) gathers and multiplies one block of them, and
+    __call__ is the two in turn.  So a sum over several frequencies
+    splits its arguments once and builds one table set per frequency.
 
     Error: every table entry is within PHASE_ERROR of its exact value (of
     modulus 1), and a complex multiply adds at most sqrt(5)*u relative
@@ -201,31 +220,51 @@ class DigitPhase:
         digits = -(-bits // _DIGIT_BITS)
         self.xi, self.top, self.b = float(xi), top, -(-bits // digits)
         sizes = [1 << self.b] * (digits - 1) + [(top >> (self.b * (digits - 1))) + 1]
-        self.tables = [phase(np.arange(k, dtype=np.float64) * float(1 << (self.b * d)),
-                             abs(self.xi)) for d, k in enumerate(sizes)]
+        # every table's arguments in one phase call, cut into views
+        ends = list(itertools.accumulate(sizes))
+        args = np.empty(ends[-1])
+        for d, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            np.multiply(np.arange(hi - lo, dtype=np.float64),
+                        float(1 << (self.b * d)), out=args[lo:hi])
+        flat = phase(args, abs(self.xi))
+        self.tables = [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
         self.entries = sum(sizes)
+        self._tmp = None  # lookup's scratch, made on first use
         self.bound = math.expm1(digits * math.log1p(PHASE_ERROR)
                                 + (digits - 1) * math.log1p(math.sqrt(5.0) * _U))
 
-    def __call__(self, m: np.ndarray) -> np.ndarray:
-        m = np.asarray(m, dtype=np.int64)
+    def digits(self, m: np.ndarray) -> np.ndarray:
+        """The base-2**b digits of the integers m, as (D, m.size) table
+        indices.  They depend on top alone, not on xi."""
+        m = np.asarray(m, dtype=np.int64).ravel()
         if m.size and (m.min() < 0 or m.max() > self.top):
             raise ValueError(f"integer phase argument outside [0, {self.top}]")
-        out = np.empty(m.shape, dtype=np.complex128)
-        flat, mf = out.reshape(-1), m.ravel()
-        mask, last = (1 << self.b) - 1, len(self.tables) - 1
-        idx = np.empty(min(m.size, _BLOCK), dtype=np.int64)
-        tmp = np.empty(idx.size, dtype=np.complex128)
-        for lo, hi in chunked(m.size, _BLOCK):
-            k = hi - lo
-            z, ix, t = flat[lo:hi], idx[:k], tmp[:k]
-            for d, table in enumerate(self.tables):
-                np.right_shift(mf[lo:hi], self.b * d, out=ix)
-                if d < last:
-                    ix &= mask
-                table.take(ix, out=t if d else z, mode="clip")
-                if d:
-                    z *= t
+        ix = np.empty((len(self.tables), m.size), dtype=np.intp)
+        for d, row in enumerate(ix):
+            np.right_shift(m, self.b * d, out=row)
+            if d < len(self.tables) - 1:
+                row &= (1 << self.b) - 1
+        return ix
+
+    def lookup(self, ix: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """e(m*xi) into out, from the digits ix = self.digits(m); returns
+        out.  Callers pass a block at a time, so the scratch stays small."""
+        self.tables[0].take(ix[0], out=out, mode="clip")
+        if len(self.tables) > 1:
+            if self._tmp is None or self._tmp.size < out.size:
+                self._tmp = np.empty(out.size, dtype=np.complex128)
+            t = self._tmp[:out.size]
+            for table, row in zip(self.tables[1:], ix[1:]):
+                table.take(row, out=t, mode="clip")
+                out *= t
         if self.xi < 0:
             np.conjugate(out, out=out)
+        return out
+
+    def __call__(self, m: np.ndarray) -> np.ndarray:
+        m = np.asarray(m, dtype=np.int64)
+        out = np.empty(m.shape, dtype=np.complex128)
+        flat, mf = out.reshape(-1), m.ravel()
+        for lo, hi in chunked(m.size, _BLOCK):
+            self.lookup(self.digits(mf[lo:hi]), flat[lo:hi])
         return out

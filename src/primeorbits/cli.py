@@ -84,43 +84,67 @@ def _tokens(raw: str) -> list[str]:
     return [tok.strip() for tok in raw.split(",") if tok.strip()]
 
 
+def _finite(raw: str) -> float:
+    """The parser of every float key: nan and +-inf are refused."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw} is not a finite number")
+    return value
+
+
+_XI_NAMES = ("zero", "halfcut", "cut")
+
+
+def _xi_tokens(raw: str) -> list[str]:
+    """--xi: named frequencies or finite numbers, kept as given."""
+    tokens = _tokens(raw)
+    for tok in tokens:
+        if tok not in _XI_NAMES:
+            _finite(tok)
+    return tokens
+
+
 def _grid(kind):
     return _checked(lambda raw: [kind(tok) for tok in _tokens(raw)],
                     lambda g: g and all(a < b for a, b in zip(g, g[1:])),
                     "grid must be non-empty ascending")
 
 
-_index = _checked(float, lambda v: 1.0 < v < 2.0, "outside (1, 2)")
-_EPSILON = (_checked(float, lambda v: 0.0 < v < 1.0 / 3.0, "outside (0, 1/3)"),
-            expsum.EPSILON)
+_index = _checked(_finite, lambda v: 1.0 < v < 2.0, "outside (1, 2)")
+_EPSILON = (_checked(_finite, lambda v: 0.0 < v < 1.0 / 3.0,
+                     "outside (0, 1/3)"), expsum.EPSILON)
+# --threads above this is refused: sieve_range starts that many workers,
+# and the thread-count determinism check compares 1, 4 and 8
+_THREAD_CAP = 64
 
 # key -> (parser of the raw string, default); None: absent unless given
 _COMMON = {
     "out": (str, None),
     "format": (_checked(str, lambda v: v in {"text", "json"},
                         "must be text or json"), "text"),
-    "threads": (_checked(int, lambda v: v >= 1, "must be >= 1"), 1),
+    "threads": (_checked(int, lambda v: 1 <= v <= _THREAD_CAP,
+                         f"must be in [1, {_THREAD_CAP}]"), 1),
     "check": (lambda raw: raw.lower() in {"1", "true", "yes", "on"}, False),
 }
 # no default here: a, b and depth take the constructors', theta1 follows c
-_SHAPE = {"a": (float, None), "b": (float, None), "depth": (int, None)}
+_SHAPE = {"a": (_finite, None), "b": (_finite, None), "depth": (int, None)}
 _KEYS = {
     "expsum": {"kind": (str, "pure"), "c": (_index, None), **_SHAPE,
                "N": (_grid(int), [10 ** 4, 10 ** 5]),
-               "xi": (_tokens, ["zero", "halfcut", "cut"]),
-               "theta1": (float, None), "epsilon": _EPSILON},
+               "xi": (_xi_tokens, list(_XI_NAMES)),
+               "theta1": (_finite, None), "epsilon": _EPSILON},
     "waring": {"c1": (_index, 1.01), "c2": (_index, 1.01),
                "c3": (_index, 1.01), "lam": (_grid(int), [100, 200]),
                "epsilon": _EPSILON},
     "ergodic": {"kind": (str, "pure"), "c": (_index, 1.1), **_SHAPE,
-                "start": (float, 0.35), "jmin": (int, 10), "jmax": (int, 20),
+                "start": (_finite, 0.35), "jmin": (int, 10), "jmax": (int, 20),
                 "kgrid": (_checked(_grid(int), lambda g: g[0] >= 2,
                                    "entries must be >= 2"), [10, 100, 1000]),
                 "seed": (int, 0)},
-    "explicit": {"x": (_grid(float), [1e3, 1e4]),
-                 "T": (_grid(float), [1e2, 1e3]), "zero_table": (str, None)},
+    "explicit": {"x": (_grid(_finite), [1e3, 1e4]),
+                 "T": (_grid(_finite), [1e2, 1e3]), "zero_table": (str, None)},
     "vaughan-check": {"nmax": (int, 10 ** 4),
-                      "v": (_checked(_grid(float), lambda g: g[0] >= 1.0,
+                      "v": (_checked(_grid(_finite), lambda g: g[0] >= 1.0,
                                      "cutoffs must be >= 1"),
                             [2.0, 5.0, 10.0]),
                       "cases": (_checked(int, lambda v: v >= 0,
@@ -214,8 +238,9 @@ def _validate(cfg: dict) -> None:
                              f"approximant terms, over the 2^28 cap")
     if cfg["subcommand"] == "ergodic":
         h, jmin, jmax = _function_from(cfg), cfg["jmin"], cfg["jmax"]
-        if not 1 <= jmin <= jmax:
-            raise ValueError(f"need 1 <= jmin <= jmax, got {jmin}, {jmax}")
+        if not 1 <= jmin < jmax:
+            raise ValueError(f"need 1 <= --jmin < --jmax, got --jmin {jmin} "
+                             f"--jmax {jmax}")
         _check_above_x0(h, f"jmin={jmin}", 2.0 ** jmin)
         _check_prime_tables(f"jmax={jmax}", jmax)
         if h.value(2.0 ** jmax) >= 2.0 ** 53:

@@ -56,13 +56,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import partial
 
 import mpmath
 import numpy as np
 
 from . import primes
-from .accum import DigitPhase, chunked, pairwise_sum, phase, reduce_parts
+from .accum import (_BLOCK, CHUNK, DigitPhase, chunk_sums, chunked,
+                    halving_sum, pairwise_sum, phase, reduce_parts)
 from .regvar import InverseHandle, RegVarFunction
 
 EPSILON = 1.0 / 12.0  # default subpolynomial-decay parameter
@@ -113,10 +113,10 @@ class SumWork:
 
 @dataclass(frozen=True)
 class ExpSumResult:
-    value: complex
+    value: complex | np.ndarray  # an array for an array of xi
     n_terms: int
     N: float
-    xi: float
+    xi: float | np.ndarray
     kind: str
 
 
@@ -180,38 +180,67 @@ def prime_floors(h: RegVarFunction, N: float,
 # -- sums ---------------------------------------------------------------------
 
 
-def _phase_sum(weight, n: np.ndarray, xi: float,
-               work: SumWork | None = None) -> complex:
-    """Sum of w[i] e(n[i] xi) over the entries of n, in fixed chunks.
+def _phase_sum(weight, n: np.ndarray, xis,
+               work: SumWork | None = None) -> list[complex]:
+    """Sums of w[i] e(n[i] xi) over the entries of n, one per frequency of
+    the 1-d xis, in fixed chunks.
 
-    weight(lo, hi) returns w[lo:hi], so weights exist one chunk at a
-    time.  Integer arguments go through one DigitPhase sized from the
-    largest of them; real ones through phase.
+    weight(lo, hi) returns w[lo:hi], so weights exist one chunk at a time,
+    made once for all frequencies.  Integer arguments go through
+    DigitPhase, sized from the largest of them: a chunk's digits are split
+    once, and each frequency builds its own tables, one set alive at a
+    time (kept across chunks while the frequency repeats).  Real
+    arguments go through phase.  Frequency by frequency, the phases are
+    made block by block into one reused buffer, weighted and summed by
+    CHUNK, then halved as pairwise_sum halves; so every sum is bit for
+    bit that of the chunk's whole product, whatever the other
+    frequencies.
     """
-    if n.dtype.kind in "iu":
-        e = DigitPhase(xi, int(n.max(initial=0)))
-        if work is not None:
-            work.digit_terms += n.size
-            work.table_entries += e.entries
-    else:
-        e = partial(phase, xi=xi)
-    parts = []
+    freqs = [float(xi) for xi in xis]
+    integer = n.dtype.kind in "iu"
+    top = int(n.max(initial=0)) if integer else 0
+    parts: list[list] = [[] for _ in freqs]
+    buf = np.empty(min(n.size, _BLOCK), dtype=np.complex128)
+    e = None
     for lo, hi in chunked(n.size, _CHUNK):
-        # the weights first, so their scratch is freed before z exists
-        w = weight(lo, hi)
-        z = e(n[lo:hi])
-        z *= w
-        parts.append(pairwise_sum(z))
-    return complex(reduce_parts(parts))
+        w, ix = weight(lo, hi), None
+        sums = np.empty(-(-(hi - lo) // CHUNK), dtype=np.complex128)
+        for xi, out in zip(freqs, parts):
+            if integer and (e is None or e.xi != xi):
+                e = None  # the old tables go before the new are built
+                e = DigitPhase(xi, top)
+                if work is not None:
+                    work.table_entries += e.entries
+            if integer and ix is None:
+                ix = e.digits(n[lo:hi])
+            for a, b in chunked(hi - lo, _BLOCK):
+                if integer:
+                    z = e.lookup(ix[:, a:b], buf[:b - a])
+                else:
+                    z = phase(n[lo + a:lo + b], xi)
+                z *= w[a:b]
+                sums[a // CHUNK:-(-b // CHUNK)] = chunk_sums(z)
+            out.append(halving_sum(sums))
+    if integer and work is not None:
+        work.digit_terms += n.size * len(freqs)
+    return [complex(reduce_parts(p)) for p in parts]
 
 
-def prime_floor_sum(h: RegVarFunction, N: float, xi: float,
+def prime_floor_sum(h: RegVarFunction, N: float, xi,
                     work: SumWork | None = None) -> ExpSumResult:
-    """Log-weighted exponential sum over primes up to N."""
+    """Log-weighted exponential sum over primes up to N.
+
+    xi is one frequency or a 1-d array of them; for an array, value is
+    the complex array of the sums, each bit for bit the one-frequency
+    value, and the floors, the log p and the digits are made once.
+    """
     p, fl = prime_floors(h, N, work)
+    xis = np.asarray(xi, dtype=np.float64)
     value = _phase_sum(lambda lo, hi: np.log(p[lo:hi].astype(np.float64)),
-                       fl, xi, work)
-    return ExpSumResult(value, int(p.size), float(N), float(xi), "prime")
+                       fl, xis.reshape(-1), work)
+    if xis.ndim == 0:
+        return ExpSumResult(value[0], int(p.size), float(N), float(xi), "prime")
+    return ExpSumResult(np.array(value), int(p.size), float(N), xis, "prime")
 
 
 def von_mangoldt_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
@@ -219,8 +248,9 @@ def von_mangoldt_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
     N = int(N)
     n, w = primes.prime_powers(0, N + 1)
     fl, _ = guarded_floor(h, n)
-    return ExpSumResult(_phase_sum(lambda lo, hi: w[lo:hi], fl, xi),
-                        int(n.size), float(N), float(xi), "vonmangoldt")
+    value = _phase_sum(lambda lo, hi: w[lo:hi], fl, [xi])[0]
+    return ExpSumResult(value, int(n.size), float(N), float(xi),
+                        "vonmangoldt")
 
 
 # B_2k / (2k)!, k = 1 .. _EM_MAX_P.  The remainder bound's
@@ -335,7 +365,7 @@ def approximant_sum(h: RegVarFunction, N: float, xi: float,
     head = M - 1 if M < lam else lam
     value = tail + _phase_sum(lambda lo, hi: inv.d1(
         np.arange(lo + 1, hi + 1, dtype=np.float64)),
-        np.arange(1, head + 1), abs(x), work)
+        np.arange(1, head + 1), [abs(x)], work)[0]
     if x < 0.0:
         value = value.conjugate()
     if work is not None:
@@ -428,7 +458,8 @@ def minor_arc_scan(h: RegVarFunction, n_grid,
         xs = sample_frequencies(n, theta1)
         if xs.size < 16:
             raise ValueError("need at least 16 frequency samples")
-        mags = np.array([abs(prime_floor_sum(h, n, float(x)).value) for x in xs])
+        sums = prime_floor_sum(h, n, xs).value
+        mags = np.array([abs(v) for v in sums.tolist()])
         all_xi.append(tuple(xs.tolist()))
         all_abs.append(tuple(mags.tolist()))
         maxima.append(float(mags.max()))
@@ -599,7 +630,7 @@ def von_mangoldt_block_sum(h: RegVarFunction, P: float, P1: float,
     prime powers it ran over."""
     n, w = primes.prime_powers(math.floor(P) + 1, math.floor(P1) + 1)
     return (_phase_sum(lambda a, b: w[a:b], h.value(n.astype(np.float64)),
-                       freq), int(n.size))
+                       [freq])[0], int(n.size))
 
 
 @dataclass(frozen=True)

@@ -212,8 +212,13 @@ def _scan_x0(h: RegVarFunction) -> float:
         floor = math.nextafter(1.0, 2.0)
     elif h.kind == "itlog":
         t = 1.0
-        for _ in range(h.depth):
-            t = math.exp(t)
+        try:
+            for _ in range(h.depth):
+                t = math.exp(t)
+        except OverflowError:
+            raise ValueError(f"depth={h.depth}: log_depth is defined only "
+                             "above exp applied depth times to 1, which "
+                             "overflows a double") from None
         floor = t  # L_depth barely positive just above this
     for j in range(0, 64):
         cand = float(2 ** j)

@@ -262,7 +262,7 @@ class _Bilinear:
         parts = []
         for lo, hi in chunked(self.terms, _PIECE):
             vals, wts = self._terms(h, lo, hi, weight)
-            parts.append(_phase_sum(lambda a, b: wts[a:b], vals, freq))
+            parts.append(_phase_sum(lambda a, b: wts[a:b], vals, [freq])[0])
         if work is not None:
             work.phase_sums += len(parts)
         return complex(reduce_parts(parts))

@@ -366,6 +366,71 @@ def test_ergodic_refuses_oversized_jmax_before_work(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_ergodic_refuses_equal_jmin_jmax_before_work(tmp_path, monkeypatch,
+                                                    capsys):
+    # one grid point leaves no average to compare; refused in CLI terms
+    # before the sieve, not in convergence_report's after it
+    calls = _sieve_calls(monkeypatch)
+    out = tmp_path / "erg.txt"
+    assert cli.main(["ergodic", "--jmin", "12", "--jmax", "12",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--jmin 12" in err and "--jmax 12" in err
+    assert calls == []
+    assert not out.exists()
+    assert cli.parse_config(["ergodic", "--jmin", "11", "--jmax", "12"])
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["expsum", "--c", "1.2", "--xi", "nan"], "xi"),
+    (["expsum", "--c", "1.2", "--xi", "zero,inf"], "xi"),
+    (["expsum", "--c", "1.2", "--theta1", "nan"], "theta1"),
+    (["expsum", "--kind", "logpow", "--c", "1.2", "--a", "inf"], "a"),
+    (["expsum", "--c", "nan"], "c"),
+    (["ergodic", "--start", "nan"], "start"),
+    (["ergodic", "--start=-inf"], "start"),  # argparse reads -inf as a flag
+    (["explicit", "--x", "inf", "--T", "10"], "x"),
+    (["explicit", "--T", "10,nan"], "T"),
+    (["vaughan-check", "--v", "2,inf"], "v"),
+])
+def test_non_finite_floats_refused_before_work(tmp_path, monkeypatch, capsys,
+                                               argv, key):
+    calls = _sieve_calls(monkeypatch)
+    out = tmp_path / "f.txt"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert f"error: {key}=" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_numeric_xi_tokens_still_run():
+    cfg = cli.parse_config(["expsum", "--c", "1.2", "--xi", "zero,-0.25,1e-3"])
+    assert cfg["xi"] == ["zero", "-0.25", "1e-3"]
+
+
+def test_deep_iterated_log_refused_before_work(tmp_path, monkeypatch, capsys):
+    # exp applied 4 times to 1 already overflows a double: the domain of
+    # log_depth, not a traceback
+    calls = _sieve_calls(monkeypatch)
+    out = tmp_path / "e.txt"
+    assert cli.main(["expsum", "--kind", "itlog", "--c", "1.2", "--depth",
+                     "50", "--out", str(out)]) == 1
+    assert "depth=50" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_threads_capped_in_the_parser():
+    # checked through parse_config only, so no thread is started
+    assert cli._THREAD_CAP >= 8  # criterion 10 runs 1, 4 and 8
+    assert cli.parse_config(["ergodic", "--threads", "8"])["threads"] == 8
+    cap = str(cli._THREAD_CAP)
+    assert cli.parse_config(["explicit", "--threads", cap])["threads"] == cli._THREAD_CAP
+    for bad in (str(cli._THREAD_CAP + 1), "100000", "0"):
+        with pytest.raises(ValueError, match="threads"):
+            cli.parse_config(["ergodic", "--threads", bad])
+
+
 def test_expsum_refuses_N_at_or_below_x0_before_work(tmp_path, monkeypatch,
                                                     capsys):
     # itlog c = 1.05 has x0 = 16384; at and below it h is the constant

@@ -319,6 +319,83 @@ def test_minor_arc_scan_small_grid():
     assert all(m > 0 for m in prof.max_abs)
 
 
+# xi of both signs, 0, +-1/2 and the scan's near-rationals
+_VECTOR_XI = np.array([0.0, 0.5, -0.5, 0.1234, -0.1234, 1e-7, -0.3, 0.49,
+                       -(0.5 - 1e-12), 1.0 / 3.0 - 1e-4])
+
+
+@pytest.mark.parametrize("chunk, block", [(1000, 1 << 14), (20000, 8192),
+                                          (1 << 20, 1 << 14)],
+                         ids=["chunks", "blocks", "default"])
+@pytest.mark.parametrize("h", [H12, log_power(1.15, a=0.5)], ids=["pure", "logpow"])
+def test_vector_prime_floor_sum_is_the_scalar_calls(monkeypatch, h, chunk,
+                                                    block):
+    # one call over a frequency vector gives every value of the
+    # one-frequency calls to the bit: over several chunks, each with a
+    # short 4096-tail (N = 3e5: 25,997 primes), and over several blocks of
+    # a chunk (block must stay a multiple of accum.CHUNK)
+    monkeypatch.setattr(expsum, "_CHUNK", chunk)
+    monkeypatch.setattr(expsum, "_BLOCK", block)
+    N = 3e5
+    res = expsum.prime_floor_sum(h, N, _VECTOR_XI)
+    one = [expsum.prime_floor_sum(h, N, float(x)).value for x in _VECTOR_XI]
+    assert res.value.shape == _VECTOR_XI.shape
+    assert res.value.tobytes() == np.array(one).tobytes()
+    assert np.array_equal(res.xi, _VECTOR_XI)
+    assert res.n_terms == primes.prime_count(N) == 25997
+
+
+def test_phase_sum_is_the_pairwise_sum_of_each_chunk_product(monkeypatch):
+    # the blocked kernel reduces each chunk's w * e(m xi) by exactly
+    # pairwise_sum's tree, and the chunks by reduce_parts
+    monkeypatch.setattr(expsum, "_CHUNK", 20000)
+    monkeypatch.setattr(expsum, "_BLOCK", 8192)
+    p, m = expsum.prime_floors(H12, 3e5)
+    w = np.log(p.astype(np.float64))
+    got = expsum._phase_sum(lambda lo, hi: w[lo:hi], m, _VECTOR_XI)
+    for xi, value in zip(_VECTOR_XI, got):
+        e = accum.DigitPhase(xi, int(m.max()))
+        want = accum.reduce_parts(accum.pairwise_sum(e(m[lo:hi]) * w[lo:hi])
+                                  for lo, hi in accum.chunked(m.size, 20000))
+        assert np.array(value).tobytes() == np.array(want).tobytes(), xi
+
+
+def test_vector_phase_sum_work_counts_each_frequency():
+    # digit terms count once per frequency; each table set once
+    work, one = expsum.SumWork(), expsum.SumWork()
+    expsum.prime_floor_sum(H12, 1e4, _VECTOR_XI[:3], work)
+    expsum.prime_floor_sum(H12, 1e4, 0.0, one)
+    assert work.digit_terms == 3 * one.digit_terms == 3 * primes.prime_count(1e4)
+    assert work.table_entries == 3 * one.table_entries
+
+
+def test_minor_arc_scan_is_the_per_xi_loop():
+    grid = [1e3, 1e4, 3e4]
+    prof = expsum.minor_arc_scan(H12, grid)
+    for n, xs, mags in zip(grid, prof.xi_samples, prof.abs_values):
+        assert xs == tuple(expsum.sample_frequencies(n, prof.theta1).tolist())
+        assert mags == tuple(abs(expsum.prime_floor_sum(H12, n, x).value)
+                             for x in xs)
+    assert prof.max_abs == tuple(max(m) for m in prof.abs_values)
+
+
+def test_minor_arc_scan_peak_memory():
+    # the growth of the fresh h's floor table to 1e6 sets the peak (3.31
+    # MiB before the scan took its 24 frequencies in one pass); the sums
+    # hold one chunk's weights and digits and one frequency's tables, so
+    # keeping all 24 table sets (3 MB) would show
+    primes.primes_upto(10 ** 6)
+    expsum.minor_arc_scan(pure_power(1.2), [1e3, 1e4])  # first-call allocations
+    h = pure_power(1.2)
+    tracemalloc.start()
+    try:
+        expsum.minor_arc_scan(h, [1e4, 1e5, 1e6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2 ** 20
+
+
 def test_minor_arc_scan_validations():
     with pytest.raises(ValueError):
         expsum.minor_arc_scan(H12, [1e3])
@@ -369,7 +446,7 @@ def _dense_block_sum(h, P, P1, freq):
     n = np.flatnonzero(lam)
     w = lam[n]
     return (expsum._phase_sum(lambda a, b: w[a:b],
-                              h.value((n + lo).astype(np.float64)), freq),
+                              h.value((n + lo).astype(np.float64)), [freq])[0],
             int(n.size))
 
 
@@ -380,7 +457,7 @@ def _dense_von_mangoldt_sum(h, N, xi):
     n = np.flatnonzero(lam)
     fl, _ = expsum.guarded_floor(h, n)
     w = lam[n]
-    return expsum._phase_sum(lambda lo, hi: w[lo:hi], fl, xi)
+    return expsum._phase_sum(lambda lo, hi: w[lo:hi], fl, [xi])[0]
 
 
 @pytest.mark.parametrize("h", [pure_power(1.2), log_power(1.15, a=0.5),
@@ -542,7 +619,7 @@ def _direct_approximant(h, N, xi, weights=None):
     if weights is None:
         weights = InverseHandle(h).d1(np.arange(1.0, lam + 1.0))
     return expsum._phase_sum(lambda lo, hi: weights[lo:hi],
-                             np.arange(1, lam + 1), xi)
+                             np.arange(1, lam + 1), [xi])[0]
 
 
 def test_nonpure_approximant_is_the_chunked_newton_sum(monkeypatch):
@@ -688,9 +765,9 @@ def test_phase_sum_routes_by_dtype_and_counts_each():
     work = expsum.SumWork()
     w = np.ones(5000)
     m = np.arange(5000, dtype=np.int64)
-    ints = expsum._phase_sum(lambda lo, hi: w[lo:hi], m, 0.1, work)
+    ints = expsum._phase_sum(lambda lo, hi: w[lo:hi], m, [0.1], work)[0]
     reals = expsum._phase_sum(lambda lo, hi: w[lo:hi], m.astype(np.float64),
-                              0.1, work)
+                              [0.1], work)[0]
     dp = accum.DigitPhase(0.1, 4999)
     assert len(dp.tables) == 2
     assert work.digit_terms == 5000

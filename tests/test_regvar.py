@@ -426,3 +426,11 @@ def test_pure_power_inverse_roundtrip_random(x, c):
     h = pure_power(c)
     phi = InverseHandle(h)
     assert abs(phi.value(h.value(x)) / x - 1.0) < 1e-11
+
+
+@pytest.mark.parametrize("depth", [4, 50])
+def test_iterated_log_too_deep_names_depth(depth):
+    # the domain of log_depth starts at exp applied depth times to 1,
+    # past a double from depth 4 on
+    with pytest.raises(ValueError, match=f"depth={depth}"):
+        iterated_log(1.2, depth=depth)

@@ -283,7 +283,7 @@ def split_per_l(h, P, P1, xi, m, params):
 
     def phase_sum(n, weights):
         return expsum._phase_sum(lambda a, b: weights[a:b],
-                                 h.value(n.astype(np.float64)), freq)
+                                 h.value(n.astype(np.float64)), [freq])[0]
 
     def k_range(l):
         lo = int(math.floor(P / l))
