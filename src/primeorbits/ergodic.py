@@ -49,11 +49,14 @@ def orbit_indices(h: RegVarFunction, N: int) -> np.ndarray:
 
 
 def rotation_points(alpha: Fraction, x: float, indices: np.ndarray) -> np.ndarray:
-    """(x + n*alpha) mod 1 for each orbit index n, n*alpha reduced exactly.
+    """(x + n*alpha) mod 1 for each orbit index n, x and n*alpha each
+    reduced exactly first.
 
-    n p mod q, alpha = p/q, is summed in int64 from the 18-bit digits of
-    n against p 2^(18k) mod q, which needs 0 <= n < 2^54 and q < 2^43;
-    only the final division by q rounds.
+    x mod 1 is exact for every x with a representable result (so 1e300
+    starts where 0 does, and -0.75 where 0.25 does).  n p mod q,
+    alpha = p/q, is summed in int64 from the 18-bit digits of n against
+    p 2^(18k) mod q, which needs 0 <= n < 2^54 and q < 2^43; only the
+    final division by q rounds.
     """
     p, q = alpha.numerator, alpha.denominator
     if q >= _MAX_DENOMINATOR:
@@ -67,7 +70,7 @@ def rotation_points(alpha: Fraction, x: float, indices: np.ndarray) -> np.ndarra
     for k in range(3):
         shift = k * _DIGIT_BITS
         rem += ((n >> shift) & mask) * ((p << shift) % q)
-    return (x + (rem % q).astype(np.float64) / q) % 1.0
+    return (x % 1.0 + (rem % q).astype(np.float64) / q) % 1.0
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ with e(x) = exp(2*pi*i*x) and phi the compositional inverse of h.
 
 Floors are guarded: a double evaluation is accepted only when its
 fractional part is inside (1e-9, 1 - 1e-9); the few values outside the
-band are recomputed at 40 significant digits before flooring.
+band are recomputed at 40 significant digits before flooring.  Where a
+pure power x^c with c = a/2^k, k <= 5, takes an integer value, at
+x = m^(2^k), the floor is set to m^a exactly.
 
 Phases take one of two routes, chosen by the argument's dtype.  Integer
 arguments, the floors of the prime and von Mangoldt sums and the
@@ -67,6 +69,7 @@ from .regvar import InverseHandle, RegVarFunction
 
 EPSILON = 1.0 / 12.0  # default subpolynomial-decay parameter
 GUARD = 1.0e-9
+_DYADIC_MAX_K = 5  # x^(a/2^k) has integer values below 2^53 only for k <= 5
 
 _CHUNK = 1 << 20
 
@@ -137,14 +140,46 @@ def _mp_floor(v: mpmath.mpf) -> int:
     return int(mpmath.floor(v))
 
 
+def _integer_values(h: RegVarFunction, x: np.ndarray,
+                    v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(indices i, exact h(x[i])) at the points x where h(x) is an integer,
+    or None for an h without integer values.
+
+    Only a pure power has such points.  Its double c is a/2^k in lowest
+    terms, and for an integer n >= 2, n^c is an integer exactly when
+    n = m^(2^k), where it is m^a; below 2^53 that needs k <= 5.  m is
+    the rint of the 2^k-th root, and m^(2^k) = n is checked in int64.
+    """
+    a, den = h.c.as_integer_ratio()
+    k = den.bit_length() - 1
+    if h.kind != "pure" or k > _DYADIC_MAX_K:
+        return None
+    # m^a < 2^63 wherever v < 2^62, since v is m^a within a few ulps
+    idx = np.flatnonzero((x >= h.x0) & (x <= 2.0 ** 53) & (x == np.floor(x))
+                         & (v < 2.0 ** 62))
+    root = x[idx]
+    for _ in range(k):
+        root = np.sqrt(root)
+    m = np.rint(root).astype(np.int64)
+    hit = m ** (1 << k) == x[idx].astype(np.int64)
+    return idx[hit], m[hit] ** a
+
+
 def guarded_floor(h: RegVarFunction, n: np.ndarray) -> tuple[np.ndarray, int]:
-    """floor(h(n)) as exact integers, with out-of-band values recomputed."""
+    """floor(h(n)) as exact integers: integer values of h set exactly,
+    out-of-band values recomputed."""
     x = n.astype(np.float64)
     v = h.value(x)
     fl = np.floor(v)
     frac = v - fl
-    bad = np.flatnonzero((frac <= GUARD) | (frac >= 1.0 - GUARD))
+    near = (frac <= GUARD) | (frac >= 1.0 - GUARD)
     out = fl.astype(np.int64)
+    integer = _integer_values(h, x, v)
+    if integer is not None:
+        exact, values = integer
+        out[exact] = values
+        near[exact] = False
+    bad = np.flatnonzero(near)
     for i in bad:
         out[i] = _mp_floor(h.eval_mp(float(n[i])))
     return out, int(bad.size)

@@ -4,7 +4,8 @@ r(lambda) counts triples (m1, m2, m3) with floor(h1(m1)) + floor(h2(m2))
 + floor(h3(m3)) = lambda; R(lambda) is the same count over prime arguments
 weighted by log(p1) log(p2) log(p3).  Both reduce to two convolutions of
 per-function histograms, which makes the full lambda range available at
-once.  Each convolution is a real FFT whose error is held under an
+once.  Each convolution is a real FFT, at the smallest length 2^a m with
+m in {1, 3, 5, 15} that holds it, whose error is held under an
 a-priori bound of Percival's form (Math. Comp. 72 (2003)); integer
 counts are rounded only while that bound stays below 1/4, and otherwise
 the larger operand is split into 16-bit limbs, so r is exact.  The
@@ -24,9 +25,11 @@ from .regvar import RegVarFunction
 
 _INT64_CAP = 2 ** 62  # headroom under the signed 64-bit limit
 
-# peak bytes of a count_report, measured on numpy 2.4 and rounded up: the
-# FFT buffers took about 70 bytes of RSS per transform slot
-_BYTES_PER_SLOT = 80
+# peak bytes of a count_report, measured on numpy 2.4.6 for lambda from 1e4
+# to 3e6 and rounded up: beyond its histograms a report held up to 51 bytes
+# of RSS per transform slot, at 2^a 15 lengths and powers of two alike (one
+# threefold product alone took 38-40)
+_BYTES_PER_SLOT = 56
 _BYTES_PER_ARG = 64      # floor evaluation and sieve per argument m
 _BYTES_PER_LAMBDA = 48   # the six float64/int64 histograms
 
@@ -129,11 +132,16 @@ class ConvolutionWork:
 _UNIT_ROUNDOFF = 2.0 ** -53
 _ROUND_BOUND = 0.25   # rint is exact below 1/2; keep a factor 2 in hand
 _LIMB_BITS = 16
+# transform lengths are 2^a m: pocketfft's radix-3 and radix-5 passes keep
+# these about as fast per point as a power of two; adding 9, 25, 27, 45 or
+# 75 won at some lambda and lost at others (README "Waring counts")
+_ODD_PARTS = (1, 3, 5, 15)
 
 
 def _transform_length(full: int) -> int:
-    """Power of two holding a linear convolution of `full` coefficients."""
-    return 1 << max(full - 1, 0).bit_length()
+    """Smallest 2^a m >= full, m in _ODD_PARTS: the FFT length that holds a
+    linear convolution of `full` coefficients."""
+    return min(m << max(-(-full // m) - 1, 0).bit_length() for m in _ODD_PARTS)
 
 
 def _percival_factor(length: int) -> float:
@@ -143,9 +151,17 @@ def _percival_factor(length: int) -> float:
     roundoff u and twiddle error beta is ((1+u)^3n (1+u sqrt5)^(3n+1)
     (1+beta)^3n - 1).  numpy's pocketfft is a mixed-radix real transform,
     not that exact algorithm, so u and beta are both taken at twice the
-    unit roundoff and n one level above log2(length), as margin.
+    unit roundoff, and n counts ceil(log2 r) levels for each radix-r
+    factor of length (1 for 2, 2 for 3, 3 for 5) plus one spare level,
+    as margin.  For a power of two n is one above log2(length).
     """
-    n = length.bit_length()
+    n, rest = 1, length
+    for radix in (2, 3, 5):
+        while rest % radix == 0:
+            rest //= radix
+            n += (radix - 1).bit_length()
+    if rest != 1:
+        raise ValueError(f"transform length {length} is not 2^a 3^b 5^c")
     u = 2.0 * _UNIT_ROUNDOFF
     return math.expm1(6 * n * math.log1p(u)
                       + (3 * n + 1) * math.log1p(u * math.sqrt(5.0)))

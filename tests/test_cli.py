@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from primeorbits import cli, ergodic, expsum, primes, vaughan
+from primeorbits import cli, ergodic, expsum, primes, vaughan, waring
 from primeorbits.regvar import pure_power
 
 
@@ -226,7 +226,8 @@ def test_waring_check_oracle_mode(tmp_path):
     # the transform work sits in the header and the mirror, not in the rows
     work = [ln for ln in out.read_text().splitlines()
             if ln.startswith("# work:")]
-    assert len(work) == 1 and "transform_length=512 limbs=1" in work[0]
+    length = waring._transform_length(2 * 200 + 1)
+    assert len(work) == 1 and f"transform_length={length} limbs=1" in work[0]
     mirror = json.loads((tmp_path / "w.txt.json").read_text())
     assert work[0][2:] in mirror["notes"]
 
@@ -239,6 +240,21 @@ def test_waring_refuses_lambda_before_work(tmp_path, lam):
     assert cli.main(["waring", "--lam", lam, "--out", str(out)]) == 1
     assert not out.exists()
     assert not (tmp_path / "w.txt.json").exists()
+
+
+@pytest.mark.parametrize("start, same", [("1e300", "0"), ("-0.75", "0.25")])
+def test_ergodic_start_is_reduced_modulo_one(tmp_path, start, same):
+    # 1e300 is an integer and -0.75 = 0.25 - 1, so each orbit starts where
+    # its partner does and prints its rows bit for bit
+    rows = {}
+    for s in (start, same):
+        out = tmp_path / f"e{s}.txt"
+        assert cli.main(["ergodic", "--jmin", "10", "--jmax", "13",
+                         "--kgrid", "10,100", f"--start={s}",
+                         "--out", str(out)]) == 0
+        rows[s] = [ln for ln in out.read_text().splitlines()
+                   if not ln.startswith("#")]
+    assert rows[start] == rows[same] and rows[start]
 
 
 def _sieve_calls(monkeypatch) -> list:

@@ -56,12 +56,48 @@ def test_guarded_floor_exact_integers():
 def test_guarded_floor_snaps_large_integers():
     # x^1.5 at 2335**2 and 1e10 is the integer 2335**3 and 10**15; the
     # 40-digit values sit 2.4e-30 and 1.3e-25 below, inside the |v| * 1e-36
-    # snap of _mp_floor.  The double h(1e10) = 999999999999998.8 leaves the
-    # guard band unflagged, so 1e10 is checked on the recompute alone
+    # snap of _mp_floor.  guarded_floor sets both exactly, with no
+    # recompute; the double h(1e10) = 999999999999998.8 would leave the
+    # guard band unflagged
     h = pure_power(1.5)
-    fl, bad = expsum.guarded_floor(h, np.array([5452225]))
-    assert fl.tolist() == [2335 ** 3] and bad == 1
+    fl, bad = expsum.guarded_floor(h, np.array([5452225, 10 ** 10]))
+    assert fl.tolist() == [2335 ** 3, 10 ** 15] and bad == 0
+    assert expsum._mp_floor(h.eval_mp(5452225.0)) == 2335 ** 3
     assert expsum._mp_floor(h.eval_mp(1e10)) == 10 ** 15
+
+
+def test_guarded_floor_integer_row_is_exact():
+    # x^1.5 at n = m^2 is m^3; the double floors were wrong at 9,705 of
+    # these points for m <= 20,000
+    m = np.arange(1, 20001)
+    n = m * m
+    fl, bad = expsum.guarded_floor(pure_power(1.5), n)
+    assert fl.tolist() == [math.isqrt(int(k) ** 3) for k in n] and bad == 0
+
+
+def test_guarded_floor_three_halves_matches_isqrt():
+    n = np.arange(1, 10001)
+    fl, _ = expsum.guarded_floor(pure_power(1.5), n)
+    assert fl.tolist() == [math.isqrt(int(k) ** 3) for k in n]
+
+
+def test_guarded_floor_five_quarters_at_fourth_powers():
+    # x^1.25 at n = m^4 is m^5, floor(n^(5/4)) = isqrt(isqrt(n^5))
+    m = np.arange(1, 5001)
+    n = m ** 4
+    fl, bad = expsum.guarded_floor(pure_power(1.25), n)
+    want = [math.isqrt(math.isqrt(int(k) ** 5)) for k in n]
+    assert fl.tolist() == want == (m ** 5).tolist() and bad == 0
+
+
+def test_guarded_floor_exact_route_stops_at_k5():
+    # c = 1 + 1/32 is a/2^5: 3^32 < 2^53 maps to 3^33 exactly.  c = 1.1
+    # has a 2^51 denominator and no integer value at any n >= 2
+    fl, bad = expsum.guarded_floor(pure_power(1 + 1 / 32),
+                                   np.array([2 ** 32, 3 ** 32]))
+    assert fl.tolist() == [2 ** 33, 3 ** 33] and bad == 0
+    assert expsum._integer_values(pure_power(1.1), np.array([4.0, 9.0]),
+                                  np.array([4.59, 11.21])) is None
 
 
 def test_guarded_floor_resolves_ieee_exponent():

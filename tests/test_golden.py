@@ -1,7 +1,8 @@
-"""Golden data rows: ten CLI runs must print the rows they printed when
+"""Golden data rows: eleven CLI runs must print the rows they printed when
 the fixture was recorded, bit for bit.
 
-The runs are the six README commands and four non-pure expsum runs.
+The runs are the six README commands, four non-pure expsum runs and a
+waring run over a pure power with integer values.
 Only data rows are compared (lines not starting with '#'); headers carry
 versions, paths and work notes.  To re-record after an intended change of
 results: PYTHONPATH=src python tests/test_golden.py
@@ -32,6 +33,10 @@ GOLDEN = [
     ["expsum", "--kind", "itlog", "--c", "1.5", "--N", "10000,100000"],
     # heads of 262,143 terms, and phi' calls over 4,096 points
     ["expsum", "--kind", "itlog", "--c", "1.05", "--N", "20000,100000"],
+    # x^1.5 takes integer values at squares; r(970300) = 714966 needs them
+    # exact (floors from math.isqrt(m**3))
+    ["waring", "--c1", "1.5", "--c2", "1.5", "--c3", "1.5",
+     "--lam", "970299,970300"],
 ]
 
 

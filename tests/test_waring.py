@@ -1,6 +1,7 @@
 """Ternary floor-representation counts: histograms, convolutions, main term."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeorbits import waring
+from primeorbits import primes, waring
 from primeorbits.regvar import pure_power
 from primeorbits.waring import (
     WaringConfig,
@@ -219,7 +220,7 @@ def test_fft_counts_match_direct_convolution(cs):
     assert got.dtype == np.int64
     assert np.array_equal(got, convolve_oracle(*gs, lmax))
     assert work[0].limbs == 1 and work[0].bound < 0.25
-    assert work[0].length == 2 ** 16
+    assert work[0].length == waring._transform_length(2 * lmax + 1)
 
 
 def test_fft_limb_split_is_exact():
@@ -237,6 +238,19 @@ def test_fft_limb_split_is_exact():
         triple_counts_all(rng.integers(0, 2 ** 23, size=100000),
                           np.ones(1, dtype=np.int64),
                           rng.integers(0, 2 ** 23, size=100000), 99999)
+
+
+def test_fft_limb_split_is_exact_at_a_15_length():
+    # 2n - 1 = 6999 coefficients take L = 15 * 2^9 = 7680
+    n = 3500
+    rng = np.random.default_rng(8)
+    big = rng.integers(2 ** 30, 2 ** 31, size=n)
+    small = rng.integers(0, 8, size=(2, n))
+    work = []
+    got = triple_counts_all(big, small[0], small[1], n - 1, work=work)
+    assert work[0].length == 7680 and odd_part(work[0].length) == 15
+    assert work[0].limbs > 1 and work[0].bound < 0.25
+    assert np.array_equal(got, convolve_oracle(big, small[0], small[1], n - 1))
 
 
 def test_fft_weighted_counts_within_bound():
@@ -263,6 +277,89 @@ def test_float_histograms_take_float_path():
     w = prime_weighted_histogram(h, 10)
     mixed = triple_counts_all(g, g, w, 10)
     assert mixed.dtype == np.float64
+
+
+# ------------------------------------------------------ transform lengths
+
+ODD_PARTS = (1, 3, 5, 15)
+
+
+def odd_part(n: int) -> int:
+    return n >> ((n & -n).bit_length() - 1)
+
+
+def percival_levels(n: int) -> float:
+    """Percival's factor at n levels, u and beta at twice the unit roundoff."""
+    u = 2.0 * 2.0 ** -53
+    return math.expm1(6 * n * math.log1p(u)
+                      + (3 * n + 1) * math.log1p(u * math.sqrt(5.0)))
+
+
+def test_transform_length_is_the_smallest_allowed_form():
+    allowed = np.array(sorted(m << a for m in ODD_PARTS for a in range(20)))
+    full = np.arange(1, 70000)
+    got = np.array([waring._transform_length(int(f)) for f in full])
+    assert np.array_equal(got, allowed[np.searchsorted(allowed, full)])
+    assert (got >= full).all() and (np.diff(got) >= 0).all()
+    assert {odd_part(int(L)) for L in got} == set(ODD_PARTS)
+    # the waring workload's 2 lambda + 1, and lambda = 1e6 staying at 2^21
+    assert [waring._transform_length(2 * lam + 1)
+            for lam in (10 ** 4, 2 * 10 ** 4, 4 * 10 ** 4, 10 ** 6)] == [
+        20480, 40960, 81920, 2 ** 21]
+
+
+def test_percival_factor_counts_levels_per_radix():
+    # one level per factor 2, two per factor 3, three per factor 5, plus
+    # one spare: a power of two keeps its former factor bit for bit
+    for a in range(1, 25):
+        assert waring._percival_factor(2 ** a) == percival_levels(a + 1)
+    for m, levels in ((3, 2), (5, 3), (15, 5)):
+        assert waring._percival_factor(m << 10) == percival_levels(11 + levels)
+    with pytest.raises(ValueError, match="not 2"):
+        waring._percival_factor(7 << 10)
+
+
+def operands_with_bound(n: int, target: float, seed: int):
+    """Integer operands of size n whose unsplit bound is just under target."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.random((2, n))
+    factor = waring._percival_factor(waring._transform_length(2 * n - 1))
+
+    def bound(t):
+        a, b = np.floor(u * t), np.floor(v * t)
+        return float(np.linalg.norm(a)) * float(np.linalg.norm(b)) * factor
+
+    lo, hi = 1.0, 2.0 ** 40
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if bound(mid) < target else (lo, mid)
+    return (np.floor(u * lo).astype(np.int64),
+            np.floor(v * lo).astype(np.int64))
+
+
+@pytest.mark.parametrize("n, odd", [(2500, 5), (3500, 15)])
+def test_unsplit_counts_exact_just_under_quarter(n, odd):
+    # 2n - 1 coefficients take 5 * 2^10 and 15 * 2^9: the integer product
+    # is rounded unsplit with its bound just under 1/4, and is exact
+    assert odd_part(waring._transform_length(2 * n - 1)) == odd
+    a, b = operands_with_bound(n, 0.25, seed=n)
+    got, limbs, bound = waring._convolve_exact(a, b, n)
+    assert limbs == 1 and 0.24 < bound < 0.25
+    assert np.array_equal(got, np.convolve(a, b)[:n])
+
+
+@pytest.mark.parametrize("n, odd", [(2000, 1), (2500, 5), (3000, 3),
+                                    (3500, 15)])
+def test_observed_fft_error_within_bound_at_each_form(n, odd):
+    # L = 2^12, 5 * 2^10, 3 * 2^11 and 15 * 2^9.  Entries below 2^20 keep
+    # the exact coefficients under 2^53; the bound sat at 174, 131, 119
+    # and 110 times the observed error
+    assert odd_part(waring._transform_length(2 * n - 1)) == odd
+    rng = np.random.default_rng(n)
+    a, b = rng.integers(0, 2 ** 20, size=(2, n))
+    got, bound = waring._fft_convolve(a, b, 2 * n - 1)
+    err = float(np.abs(got - np.convolve(a, b).astype(np.float64)).max())
+    assert 0.0 < err <= bound / 50
 
 
 # -------------------------------------------------------- gamma machinery
@@ -365,3 +462,34 @@ def test_ratio_trend_near_one():
         gaps.append(abs(row.R - row.r) / (row.main_term / gc))
     assert abs(rows[1].ratio_r - 1.0) <= abs(rows[0].ratio_r - 1.0) + 0.1
     assert gaps[1] < gaps[0]
+
+
+# R of `waring --c1 1.01 --c2 1.01 --c3 1.01 --lam 1000,10000` when every
+# transform length was a power of two (32768 here, 20480 now)
+R_POWER_OF_TWO = {1000: 335570.85061507113, 10000: 36914745.962538458}
+
+
+def test_R_within_its_bound_of_the_power_of_two_values():
+    h = pure_power(1.01)
+    work = []
+    rows = count_report(WaringConfig(h, h, h, 10000), [1000, 10000], work=work)
+    assert work[1].length == 20480
+    assert [row.r for row in rows] == [413199, 38597484]
+    for row in rows:
+        assert abs(row.R - R_POWER_OF_TWO[row.lam]) <= work[1].bound
+
+
+@pytest.mark.parametrize("lam", [10 ** 4, 10 ** 5])
+def test_memory_estimate_covers_traced_peak(lam):
+    # the primes are sieved first, as the CLI does.  tracemalloc sees
+    # numpy's arrays but not pocketfft's own buffers, so the estimate,
+    # which plans for RSS, lies above the traced peak, within 3 times it
+    hs = [pure_power(1.01) for _ in range(3)]
+    primes.primes_upto(max(waring.arg_cutoff(h, lam) for h in hs))
+    tracemalloc.start()
+    try:
+        count_report(WaringConfig(*hs, lam), [1000, lam])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= waring.memory_estimate(hs, lam) <= 3 * peak
