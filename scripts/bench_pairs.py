@@ -12,18 +12,30 @@ once in each checkout, the parent first on odd seeds and the change first
 on even seeds, with T the run_seconds of the change's BENCHMARK.json.  It
 reads the metrics from the last line each run prints and rewrites the
 output file after every run, so a stopped session keeps what it measured.
-The file holds every run, each side's median and inclusive quartiles per
+The file holds the host (CPU count and affinity, Python and numpy
+versions), every run, each side's median and inclusive quartiles per
 workload and metric, and per pair whether the change read better, in the
-direction BENCHMARK.json gives.  Nothing under perfbench/ is imported or
-written by this script; run.py keeps its own records under perfbench/out/
-of the checkout it runs in.
+direction BENCHMARK.json gives.  Each workload and metric gets a verdict:
+
+    gain          the change better in at least 9/10 of the pairs (ties
+                  count for neither) and its median better than the
+                  parent's by more than the parent's interquartile range
+    worse         the change's median past the parent's by more than the
+                  metric's BENCHMARK.json bound (a fraction of the parent's)
+    within bound  otherwise
+
+Nothing under perfbench/ is imported or written by this script; run.py
+keeps its own records under perfbench/out/ of the checkout it runs in.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.metadata
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -58,13 +70,38 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def host() -> dict:
+    """The machine and interpreter both sides run on."""
+    affinity = (sorted(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else None)
+    return {"cpu_count": os.cpu_count(), "affinity": affinity,
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy")}
+
+
 def spread(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict) -> tuple[dict, dict]:
-    """(medians, pairs) over the runs so far, per workload and metric."""
+def verdict(pair: dict, parent_median: float, lower: bool,
+            bound: float) -> str:
+    """The verdict of one workload and metric: "gain", "worse" or
+    "within bound" (see the module docstring)."""
+    diff = pair["median_change_minus_parent"]
+    gain = -diff if lower else diff
+    if -gain > bound * abs(parent_median):
+        return "worse"
+    if (pair["change_better"] >= 0.9 * pair["pairs"]
+            and gain > pair["parent_iqr"]):
+        return "gain"
+    return "within bound"
+
+
+def summarize(runs: list[dict], metrics: dict) -> tuple[dict, dict]:
+    """(medians, pairs) over the runs so far, per workload and metric;
+    metrics maps each name to (lower is better, bound)."""
     medians, pairs = {}, {}
     for w in dict.fromkeys(r["workload"] for r in runs):
         by = {(r["seed"], r["source"]): r["metrics"] for r in runs
@@ -74,17 +111,19 @@ def summarize(runs: list[dict], better: dict) -> tuple[dict, dict]:
         if len(seeds) < 2:
             continue
         medians[w] = {side: {m: spread([by[s, side][m] for s in seeds])
-                             for m in better} for side in SIDES}
+                             for m in metrics} for side in SIDES}
         pairs[w] = {}
-        for m, lower in better.items():
+        for m, (lower, bound) in metrics.items():
             diffs = [by[s, "change"][m] - by[s, "parent"][m] for s in seeds]
             wins = sum(d < 0 if lower else d > 0 for d in diffs)
             par = medians[w]["parent"][m]
-            pairs[w][m] = {"pairs": len(seeds), "change_better": wins,
-                           "ties": diffs.count(0.0),
-                           "median_change_minus_parent":
-                               medians[w]["change"][m]["median"] - par["median"],
-                           "parent_iqr": par["q3"] - par["q1"]}
+            pair = {"pairs": len(seeds), "change_better": wins,
+                    "ties": diffs.count(0.0),
+                    "median_change_minus_parent":
+                        medians[w]["change"][m]["median"] - par["median"],
+                    "parent_iqr": par["q3"] - par["q1"]}
+            pair["verdict"] = verdict(pair, par["median"], lower, bound)
+            pairs[w][m] = pair
     return medians, pairs
 
 
@@ -101,7 +140,8 @@ def main(argv=None) -> int:
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
+    metrics = {m["name"]: (m["better"] == "lower", m["bound"])
+               for m in bench["end_to_end"]}
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in bench["workloads"]])
     first, _, last = args.seeds.partition("-")
@@ -119,6 +159,7 @@ def main(argv=None) -> int:
                   "alternate within each pair: odd seeds run the parent "
                   "first, even seeds the change first; each side from its "
                   "own copy of the tree"),
+        "host": host(),
         "sources": list(SIDES),
         "runs": [],
     }
@@ -134,7 +175,7 @@ def main(argv=None) -> int:
                     "metrics": {k: v["value"]
                                 for k, v in got["metrics"].items()}})
                 record["medians"], record["pairs"] = summarize(
-                    record["runs"], better)
+                    record["runs"], metrics)
                 out.write_text(json.dumps(record, indent=1) + "\n")
                 m = got["metrics"].get("session_s", {}).get("value", float("nan"))
                 print(f"seed {seed} {workload} {side}: session_s {m:.4f} "

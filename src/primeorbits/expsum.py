@@ -180,6 +180,11 @@ def guarded_floor(h: RegVarFunction, n: np.ndarray) -> tuple[np.ndarray, int]:
         out[exact] = values
         near[exact] = False
     bad = np.flatnonzero(near)
+    if h.kind == "pure" and h.x0 <= 1.0:
+        # 1^c = 1 for every double c, also where c is not a/2^k, k <= 5
+        one = x[bad] == 1.0
+        out[bad[one]] = 1
+        bad = bad[~one]
     for i in bad:
         out[i] = _mp_floor(h.eval_mp(float(n[i])))
     return out, int(bad.size)

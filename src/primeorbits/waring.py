@@ -297,8 +297,10 @@ def count_report(config: WaringConfig, lams: list[int],
         raise ValueError(f"lambda {lmax} beyond configured {config.lambda_max}")
     check_lambda(config.functions, min(lams))
     gs = [floor_image_histogram(f, lmax) for f in config.functions]
-    ws = [prime_weighted_histogram(f, lmax) for f in config.functions]
     r_all = triple_counts_all(*gs, lmax, work=work)
+    # the two triples of histograms are never alive together
+    del gs
+    ws = [prime_weighted_histogram(f, lmax) for f in config.functions]
     w_all = triple_counts_all(*ws, lmax, work=work)
     out = []
     for lam in lams:

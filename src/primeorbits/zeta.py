@@ -20,7 +20,7 @@ by both the Legendre nodes and the carriers e^{i c_j gamma}.  With
 j = a B + b, A = round(sqrt(P / 17)) and B = ceil(P / A), each carrier is
 the product of E2[a] = e^{i (c0 + s B a) gamma} and E1[b] = e^{i s b gamma},
 both read off power tables (_carriers): a zero costs A + B carriers, from
-2 + log2 A + log2 B complex exponentials, instead of P.  With a common
+1 + log2 A + log2 B complex exponentials, instead of P.  With a common
 beta the moments 2 i^k j_k(gamma s / 2) have real j_k, so a zero and its
 conjugate together add sum_{j,k} c_jk 2 Re(e^{i c_j gamma} 2 i^k j_k)
 times s / 2.  The kernel therefore sums over zeros first, into the real
@@ -29,13 +29,12 @@ returns 2 s sum_{j,k} c_jk W[j, k].  Per block of zeros, W grows by one
 real matrix product: the E1 table, each zero's entry as its (re, im)
 pair, against the (A, 17) products conj(E2[a] i^k j_k), which is 68 P
 flops per zero; the panels x zeros carrier matrix is never formed.
-Zeros are taken in blocks whose tables stay under _BLOCK_BYTES, and a
-block's product runs over slices of _GEMM_BYTES, since BLAS keeps the
-pages of the copies it packs.  The Legendre tables are those of expsum.osc_integral, and j_0 .. j_16 come
-from one recurrence pass over the orders (expsum.bessel_rows).  A
-request whose estimated peak memory, panels x _PANEL_BYTES +
-_BLOCK_PEAK, exceeds _MAX_BYTES is refused before any exponential is
-formed.
+Zeros are taken in blocks whose tables stay under _BLOCK_BYTES, one
+matrix product per block.  The Legendre tables are those of
+expsum.osc_integral, and j_0 .. j_16 come from one recurrence pass over
+the orders (expsum.bessel_rows).  A request whose estimated peak memory,
+panels x _PANEL_BYTES + _BLOCK_PEAK, exceeds _MAX_BYTES is refused
+before any exponential is formed.
 """
 
 from __future__ import annotations
@@ -55,15 +54,14 @@ _FIRST_GAMMA = 14.1347
 # (-i)^k, k < 17: the conjugate of the moments' phase i^k
 _CONJ_PHASE = np.array([1.0, -1.0j, -1.0, 1.0j])[_K_RANGE % 4][:, None]
 # bytes of one block's tables, per zero 16 ((17 + 1) A + B + 2 * 17):
-# the (A, 17) products, the carriers E2 and E1 and the moments
-_BLOCK_BYTES = 1 << 21
-# bytes of the two operands of one matrix product, 16 (B + 17 A) per
-# zero: BLAS packs copies of them into buffers whose pages then stay
-# resident, so a block's product runs over slices of this many bytes
-_GEMM_BYTES = 1 << 18
+# the (A, 17) products, the carriers E2 and E1 and the moments.  A block
+# makes about 170 numpy calls (the moments' recurrence and the carrier
+# tables), whose overhead sets the time of small blocks; 4 MiB was the
+# fastest of 1-16 MiB on the zeros benchmark's sizes
+_BLOCK_BYTES = 1 << 22
 # peak bytes of one block: its tables and the temporaries of the moments'
-# recurrence and the carriers (tracemalloc: at most 2.14 MiB on top of
-# panels x _PANEL_BYTES, at 9-7,483 panels with 1 to 56,412 zeros)
+# recurrence and the carriers (tracemalloc: at most 4.16 MiB on top of
+# panels x _PANEL_BYTES, at 8-40,670 panels with 1 to 56,412 zeros)
 _BLOCK_PEAK = 5 * _BLOCK_BYTES // 4
 # peak bytes per panel of zero_osc_sum on top of the blocks of zeros
 # (1,088-1,089 measured with tracemalloc at 2e3 to 4e4 panels with one
@@ -238,15 +236,16 @@ def _carriers(g: np.ndarray, start: float, step: float,
     """e^{i g (start + step a)} for a < out.shape[0], one row per a, into
     out (count x zeros, complex).
 
-    A power table: row 0 is e^{i g start}, and the rows [w, 2w) are the
-    rows [0, w) times e^{i g step w}, each of those exponentials computed
-    directly, for w = 1, 2, 4, ...  So row a is the product
-    of at most 1 + log2(a) direct exponentials whose phases add up to
-    g (start + step a): its phase error is a few u (|g start| +
-    2 |g step a| + 1), as for a direct exponential of the whole phase.
+    A power table: row 0 is e^{i g start} (exactly 1 at start 0), and
+    the rows [w, 2w) are the rows [0, w) times e^{i g step w}, each of
+    those exponentials computed directly, for w = 1, 2, 4, ...  So row a
+    is the product of at most 1 + log2(a) direct exponentials whose
+    phases add up to g (start + step a): its phase error is a few
+    u (|g start| + 2 |g step a| + 1), as for a direct exponential of the
+    whole phase.
     """
     count = out.shape[0]
-    out[0] = np.exp(1j * (g * start))
+    out[0] = np.exp(1j * (g * start)) if start else 1.0
     w = 1
     while w < count:
         hi = min(2 * w, count)
@@ -293,7 +292,6 @@ def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
 
     block = max(1, _BLOCK_BYTES // (16 * ((K + 1) * A + B + 2 * K)))
     n = min(block, g.size)
-    chunk = max(1, _GEMM_BYTES // (16 * (B + K * A)))
     e1_buf = np.empty(B * n, dtype=np.complex128)
     e2_buf = np.empty(A * n, dtype=np.complex128)
     q_buf = np.empty(A * K * n, dtype=np.complex128)
@@ -309,11 +307,9 @@ def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
         q = q_buf[:A * K * m].reshape(A, K, m)
         np.multiply(e2_conj[:, None, :], bessel_rows(gs * half) * _CONJ_PHASE,
                     out=q)
-        q = q.reshape(A * K, m)
-        for z in range(0, m, chunk):
-            np.matmul(e1[:, z:z + chunk].view(np.float64),
-                      q[:, z:z + chunk].view(np.float64).T, out=gemm)
-            w += gemm
+        np.matmul(e1.view(np.float64),
+                  q.reshape(A * K, m).view(np.float64).T, out=gemm)
+        w += gemm
     # a zero and its conjugate add half c_jk 2 Re(e^{i c_j gamma} 2 i^k j_k)
     re, im = 4.0 * half * (cols @ w.ravel())
     return ZeroSumBound(value=complex(re, im), n_zeros=int(g.size), t=t,

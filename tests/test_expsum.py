@@ -100,6 +100,18 @@ def test_guarded_floor_exact_route_stops_at_k5():
                                   np.array([4.59, 11.21])) is None
 
 
+@pytest.mark.parametrize("c", [1.1, 1.2, 1.5, 1.99])
+def test_guarded_floor_one_is_exact(c):
+    # 1^c = 1 for any double c, so n = 1 takes no 40-digit recompute,
+    # whether or not c is a/2^k; the floors next to it are the 40-digit ones
+    h = pure_power(c)
+    fl, bad = expsum.guarded_floor(h, np.array([1]))
+    assert fl.tolist() == [1] and bad == 0
+    n = np.arange(1, 100)
+    fl, _ = expsum.guarded_floor(h, n)
+    assert fl.tolist() == [expsum._mp_floor(h.eval_mp(float(k))) for k in n]
+
+
 def test_guarded_floor_resolves_ieee_exponent():
     # float 1.2 sits just below 6/5, so 32**c is strictly under 64 and the
     # exact floor is 63, whatever sloppy rounding would suggest

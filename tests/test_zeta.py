@@ -332,18 +332,42 @@ def test_zero_osc_sum_memory_below_carrier_matrix():
     assert peak < panels * 649 * 16 / 2
 
 
-@pytest.mark.parametrize("panels", [9, 85, 770, 1531])
+@pytest.mark.parametrize("panels", [9, 85, 770, 1531, 7483])
 def test_zero_osc_sum_peak_within_refusal_estimate(panels):
     # few panels and every zero is where the blocks, not the panels, set
-    # the peak; 1531 panels is the major-arc cutoff at t = 1e4
-    t = 1e4
+    # the peak; 1531 panels is the major-arc cutoff at t = 1e4, and 7483
+    # panels at t = 1e5 with 649 zeros the zeros benchmark's largest request
+    t, T = (1e5, 1e3) if panels == 7483 else (1e4, TAB.max_gamma)
     xi = min(_xi_for_panels(H11, t, panels),
              t ** -expsum.theta1_default(1.1))
     tracemalloc.start()
     try:
-        r = zeta.zero_osc_sum(H11, t, xi, TAB.max_gamma, TAB)
+        r = zeta.zero_osc_sum(H11, t, xi, T, TAB)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (r.n_panels, r.n_zeros) == (panels, TAB.count)
+    assert (r.n_panels, r.n_zeros) == (panels, TAB.count_upto(T))
     assert peak <= panels * zeta._PANEL_BYTES + zeta._BLOCK_PEAK
+
+
+@pytest.mark.parametrize("t, panels, T", [(1e4, 85, None), (1e5, 7483, 1e3)])
+def test_zero_osc_sum_independent_of_block_size(monkeypatch, t, panels, T):
+    # a block is one matrix product, so the block size only regroups the
+    # sum over zeros; blocks of 256 KiB split both requests into 8 or more
+    T = TAB.max_gamma if T is None else T
+    xi = _xi_for_panels(H11, t, panels)
+    want = zeta.zero_osc_sum(H11, t, xi, T, TAB)
+    blocks = []
+    rows = zeta.bessel_rows
+
+    def counting(x):
+        blocks.append(x.size)
+        return rows(x)
+
+    monkeypatch.setattr(zeta, "bessel_rows", counting)
+    monkeypatch.setattr(zeta, "_BLOCK_BYTES", 1 << 18)
+    got = zeta.zero_osc_sum(H11, t, xi, T, TAB)
+    assert len(blocks) >= 8 and sum(blocks) == want.n_zeros
+    assert (got.n_panels, got.n_zeros) == (want.n_panels, want.n_zeros) \
+        == (panels, TAB.count_upto(T))
+    assert abs(got.value - want.value) <= 1e-13 * want.normalizer
