@@ -70,6 +70,13 @@ def _check_prime_tables(what: str, log2_x: float) -> None:
                          f"tables, over the {_MEMORY_CAP / 2 ** 30:g} GiB cap")
 
 
+def _check_bytes(what: str, need: float, tables: str) -> None:
+    """Refuse a run whose tables would hold need bytes, over _MEMORY_CAP."""
+    if need > _MEMORY_CAP:
+        raise ValueError(f"{what} needs about {need / 2 ** 30:.1f} GiB of "
+                         f"{tables}, over the {_MEMORY_CAP / 2 ** 30:g} GiB cap")
+
+
 def _checked(parse, ok, why: str):
     """Parser of one raw string that refuses a value failing `ok`."""
     def run(raw: str):
@@ -113,6 +120,8 @@ def _grid(kind):
 _index = _checked(_finite, lambda v: 1.0 < v < 2.0, "outside (1, 2)")
 _EPSILON = (_checked(_finite, lambda v: 0.0 < v < 1.0 / 3.0,
                      "outside (0, 1/3)"), expsum.EPSILON)
+# numpy's generators take no negative seed
+_SEED = (_checked(int, lambda v: v >= 0, "must be >= 0"), 0)
 # --threads above this is refused: sieve_range starts that many workers,
 # and the thread-count determinism check compares 1, 4 and 8
 _THREAD_CAP = 64
@@ -140,7 +149,7 @@ _KEYS = {
                 "start": (_finite, 0.35), "jmin": (int, 10), "jmax": (int, 20),
                 "kgrid": (_checked(_grid(int), lambda g: g[0] >= 2,
                                    "entries must be >= 2"), [10, 100, 1000]),
-                "seed": (int, 0)},
+                "seed": _SEED},
     "explicit": {"x": (_grid(_finite), [1e3, 1e4]),
                  "T": (_grid(_finite), [1e2, 1e3]), "zero_table": (str, None)},
     "vaughan-check": {"nmax": (int, 10 ** 4),
@@ -149,7 +158,7 @@ _KEYS = {
                             [2.0, 5.0, 10.0]),
                       "cases": (_checked(int, lambda v: v >= 0,
                                          "must be >= 0"), 20),
-                      "seed": (int, 0)},
+                      "seed": _SEED},
     "regvar-check": {},
 }
 
@@ -246,6 +255,9 @@ def _validate(cfg: dict) -> None:
         if h.value(2.0 ** jmax) >= 2.0 ** 53:
             raise ValueError(f"jmax={jmax}: h(2^{jmax}) reaches 2^53, where "
                              "a double has no fractional bit left")
+        kmax = cfg["kgrid"][-1]
+        _check_bytes(f"kgrid={kmax}", ergodic.WEIGHT_BYTES_PER_K * (kmax + 1),
+                     "weight tables")
     if cfg["subcommand"] == "explicit":
         xs, Ts = cfg["x"], cfg["T"]
         if not 2.0 <= Ts[0] <= Ts[-1] <= xs[0]:
@@ -256,19 +268,14 @@ def _validate(cfg: dict) -> None:
         if cfg["nmax"] <= max(cfg["v"]):
             raise ValueError(f"nmax={cfg['nmax']} must exceed the largest "
                              f"cutoff v={max(cfg['v']):g}")
-        need = vaughan.IDENTITY_BYTES_PER_N * (cfg["nmax"] + 1)
-        if need > _MEMORY_CAP:
-            raise ValueError(f"nmax={cfg['nmax']} needs about "
-                             f"{need / 2 ** 30:.1f} GiB of identity tables, "
-                             f"over the {_MEMORY_CAP / 2 ** 30:g} GiB cap")
+        _check_bytes(f"nmax={cfg['nmax']}",
+                     vaughan.IDENTITY_BYTES_PER_N * (cfg["nmax"] + 1),
+                     "identity tables")
     if cfg["subcommand"] == "waring":
         hs, lams = [pure_power(cfg[k]) for k in ("c1", "c2", "c3")], cfg["lam"]
         waring.check_lambda(hs, min(lams))
-        need = waring.memory_estimate(hs, max(lams))
-        if need > _MEMORY_CAP:
-            raise ValueError(f"lambda={max(lams)} needs about "
-                             f"{need / 2 ** 30:.1f} GiB, over the "
-                             f"{_MEMORY_CAP / 2 ** 30:g} GiB cap")
+        _check_bytes(f"lambda={max(lams)}", waring.memory_estimate(hs, max(lams)),
+                     "count tables")
 
 
 # -- report emission ---------------------------------------------------------

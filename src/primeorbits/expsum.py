@@ -64,7 +64,7 @@ import numpy as np
 
 from . import primes
 from .accum import (_BLOCK, CHUNK, DigitPhase, chunk_sums, chunked,
-                    halving_sum, pairwise_sum, phase, reduce_parts)
+                    halving_sum, pairwise_sum, phase)
 from .regvar import InverseHandle, RegVarFunction
 
 EPSILON = 1.0 / 12.0  # default subpolynomial-decay parameter
@@ -232,20 +232,21 @@ def _phase_sum(weight, n: np.ndarray, xis,
     time (kept across chunks while the frequency repeats).  Real
     arguments go through phase.  Frequency by frequency, the phases are
     made block by block into one reused buffer, weighted and summed by
-    CHUNK, then halved as pairwise_sum halves; so every sum is bit for
-    bit that of the chunk's whole product, whatever the other
-    frequencies.
+    CHUNK into that frequency's row of chunk sums; one halving_sum per row
+    ends pairwise_sum's tree.  With _CHUNK a multiple of CHUNK, as it is,
+    every sum is bit for bit pairwise_sum of the whole weighted product,
+    whatever the other frequencies.
     """
     freqs = [float(xi) for xi in xis]
     integer = n.dtype.kind in "iu"
     top = int(n.max(initial=0)) if integer else 0
-    parts: list[list] = [[] for _ in freqs]
+    sums = np.empty((len(freqs), -(-n.size // _CHUNK) * -(-_CHUNK // CHUNK)),
+                    dtype=np.complex128)
     buf = np.empty(min(n.size, _BLOCK), dtype=np.complex128)
-    e = None
+    e, first = None, 0  # first: the row slot of the chunk's first sum
     for lo, hi in chunked(n.size, _CHUNK):
         w, ix = weight(lo, hi), None
-        sums = np.empty(-(-(hi - lo) // CHUNK), dtype=np.complex128)
-        for xi, out in zip(freqs, parts):
+        for xi, row in zip(freqs, sums):
             if integer and (e is None or e.xi != xi):
                 e = None  # the old tables go before the new are built
                 e = DigitPhase(xi, top)
@@ -259,11 +260,11 @@ def _phase_sum(weight, n: np.ndarray, xis,
                 else:
                     z = phase(n[lo + a:lo + b], xi)
                 z *= w[a:b]
-                sums[a // CHUNK:-(-b // CHUNK)] = chunk_sums(z)
-            out.append(halving_sum(sums))
+                row[first + a // CHUNK:first + -(-b // CHUNK)] = chunk_sums(z)
+        first += -(-(hi - lo) // CHUNK)
     if integer and work is not None:
         work.digit_terms += n.size * len(freqs)
-    return [complex(reduce_parts(p)) for p in parts]
+    return [complex(halving_sum(row[:first])) for row in sums]
 
 
 def prime_floor_sum(h: RegVarFunction, N: float, xi,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import primes
-from .accum import chunked, kahan_sum, reduce_parts
+from .accum import chunked, halving_sum
 from .expsum import _CHUNK, _phase_sum, von_mangoldt_block_sum
 from .regvar import RegVarFunction
 
@@ -92,6 +92,19 @@ def pi_vw(l: int, v: float, w: float,
 def xi_w(l: int, w: float, spf: np.ndarray | None = None) -> int:
     """sum of mu(d) over divisors d of l exceeding w."""
     return sum(primes.mobius(d, spf) for d in primes.divisors(l, spf) if d > w)
+
+
+def kahan_sum(values) -> float:
+    """Neumaier-compensated sum of a scalar Python loop."""
+    s = comp = 0.0
+    for v in values:
+        t = s + v
+        if abs(s) >= abs(v):
+            comp += (s - t) + v
+        else:
+            comp += (v - t) + s
+        s = t
+    return s + comp
 
 
 def lambda_via_vaughan(n: int, v: float, w: float,
@@ -265,7 +278,7 @@ class _Bilinear:
             parts.append(_phase_sum(lambda a, b: wts[a:b], vals, [freq])[0])
         if work is not None:
             work.phase_sums += len(parts)
-        return complex(reduce_parts(parts))
+        return complex(halving_sum(np.array(parts, dtype=np.complex128)))
 
 
 def exp_sum_split(h: RegVarFunction, P: float, P1: float, xi: float, m: int,

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from primeorbits import accum
 from primeorbits.accum import (
+    CHUNK,
     PHASE_ERROR,
     DigitPhase,
     chunked,
-    kahan_sum,
     pairwise_sum,
     phase,
-    reduce_parts,
 )
 
 
@@ -80,30 +79,67 @@ def test_pairwise_tail_bit_identical_to_padded_copy(size, complex_):
     assert type(got) is type(want) and got == want
 
 
-@given(st.lists(st.floats(min_value=-1e8, max_value=1e8), max_size=500))
-@settings(max_examples=60, deadline=None)
-def test_kahan_matches_fsum(xs):
-    exact = math.fsum(xs)
-    got = kahan_sum(xs)
-    scale = max(1.0, math.fsum(abs(v) for v in xs))
-    assert abs(got - exact) <= 1e-12 * scale
+def _numpy_chunk_sum(chunk):
+    """numpy's sum of one CHUNK as accum's bound assumes it: the doubles
+    (real, or real and imaginary interleaved) halved down to blocks of 128,
+    each block in 8 accumulators, joined as a tree."""
+    v = chunk.view(np.float64).tolist()
+
+    def block(lo, n):
+        if n > 128:
+            return [a + b for a, b in zip(block(lo, n // 2),
+                                          block(lo + n // 2, n // 2))]
+        r = v[lo:lo + 8]
+        for i in range(lo + 8, lo + n, 8):
+            r = [a + b for a, b in zip(r, v[i:i + 8])]
+        if chunk.dtype.kind == "c":
+            return [(r[0] + r[2]) + (r[4] + r[6]), (r[1] + r[3]) + (r[5] + r[7])]
+        return [((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))]
+
+    parts = block(0, len(v))
+    return complex(*parts) if chunk.dtype.kind == "c" else parts[0]
 
 
-def test_kahan_compensation_kicks_in():
-    # naive summation loses the small terms entirely
-    vals = [1e16] + [1.0] * 1000 + [-1e16]
-    assert kahan_sum(vals) == 1000.0
+@pytest.mark.parametrize("complex_", [False, True])
+def test_chunk_sums_are_the_tree_the_bound_counts(complex_):
+    # the 23 roundings per entry of accum's bound are those of this tree
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(2 * CHUNK) * np.exp(rng.uniform(-30.0, 30.0, 2 * CHUNK))
+    if complex_:
+        x = x + 1j * rng.standard_normal(2 * CHUNK)
+    got = accum.chunk_sums(x)
+    want = [_numpy_chunk_sum(x[lo:lo + CHUNK]) for lo in (0, CHUNK)]
+    assert got.tolist() == want
 
 
-def test_reduce_parts_empty():
-    assert reduce_parts([]) == 0.0
+def _fsum_error(x, got) -> float:
+    """|got - sum x|, rounded once, by fsum."""
+    return abs(math.fsum([*x.tolist(), -got]))
 
 
-def test_reduce_parts_matches_sum():
-    parts = [complex(i, -i) * 1e-3 for i in range(17)]
-    got = reduce_parts(parts)
-    exact = complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
-    assert abs(got - exact) < 1e-12
+@given(st.integers(min_value=0, max_value=3 * CHUNK + 5),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.floats(min_value=0.0, max_value=40.0), st.booleans())
+@settings(max_examples=40, deadline=None)
+@example(0, 0, 0.0, True)
+@example(2 * CHUNK + 1, 1, 40.0, False)
+def test_pairwise_sum_within_the_stated_bound(n, seed, spread, complex_):
+    # |pairwise_sum(x) - sum x| <= gamma_d sum |x|, d = 23 + ceil(log2 m),
+    # part by part, on sums that cancel to about 1e-9 of sum |x|; fsum
+    # rounds the error and sum |x| once each, far inside the bound's slack
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        return rng.standard_normal(size) * np.exp(rng.uniform(-spread, spread, size))
+
+    half = draw(n // 2) + (1j * draw(n // 2) if complex_ else 0.0)
+    x = rng.permutation(np.concatenate(
+        [half, -half * (1.0 + 1e-9 * rng.standard_normal(n // 2)), half[:n % 2]]))
+    got = complex(pairwise_sum(x))
+    d = 23 + math.ceil(math.log2(max(1, -(-n // CHUNK))))
+    gamma = d * 2.0 ** -53 / (1.0 - d * 2.0 ** -53)
+    for part, got_part in [(x.real, got.real), (np.imag(x), got.imag)]:
+        assert _fsum_error(part, got_part) <= gamma * math.fsum(np.abs(part))
 
 
 def test_chunked_covers_range():

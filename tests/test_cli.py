@@ -489,6 +489,42 @@ def test_ergodic_refuses_kgrid_below_two_before_work(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("argv", [
+    ["ergodic", "--seed", "-1"],
+    ["ergodic", "--seed=-7"],
+    ["vaughan-check", "--nmax", "300", "--v", "2", "--seed", "-1"],
+])
+def test_negative_seed_refused_before_work(tmp_path, monkeypatch, capsys,
+                                           argv):
+    # numpy's generators refuse a negative seed; the parser does so first
+    calls = _sieve_calls(monkeypatch)
+    out = tmp_path / "s.txt"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert "seed=-" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+    assert cli.parse_config([argv[0], "--seed", "0"])["seed"] == 0
+
+
+def test_ergodic_refuses_oversized_kgrid_before_work(tmp_path, monkeypatch,
+                                                     capsys):
+    # lambda_weight_sum(2^40) would sieve to 2^40 and hold 57 TiB
+    calls = _sieve_calls(monkeypatch)
+    out = tmp_path / "erg.txt"
+    assert cli.main(["ergodic", "--jmax", "14", "--kgrid",
+                     "10,100,1099511627776", "--out", str(out)]) == 1
+    assert "kgrid=1099511627776" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_ergodic_kgrid_cap_admits_its_boundary():
+    top = cli._MEMORY_CAP // ergodic.WEIGHT_BYTES_PER_K - 1
+    assert cli.parse_config(["ergodic", "--kgrid", f"10,{top}"])["kgrid"][-1] == top
+    with pytest.raises(ValueError, match=f"kgrid={top + 1}"):
+        cli.parse_config(["ergodic", "--kgrid", f"10,{top + 1}"])
+
+
+@pytest.mark.parametrize("argv", [
     ["ergodic", "--kgrid", "-2,10"],  # argparse reads -2,10 as a flag
     ["expsum", "--no-such-flag", "1"],
     ["nosuchcommand"],

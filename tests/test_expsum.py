@@ -394,18 +394,24 @@ def test_vector_prime_floor_sum_is_the_scalar_calls(monkeypatch, h, chunk,
 
 
 def test_phase_sum_is_the_pairwise_sum_of_each_chunk_product(monkeypatch):
-    # the blocked kernel reduces each chunk's w * e(m xi) by exactly
-    # pairwise_sum's tree, and the chunks by reduce_parts
-    monkeypatch.setattr(expsum, "_CHUNK", 20000)
-    monkeypatch.setattr(expsum, "_BLOCK", 8192)
+    # over several chunks and blocks, every sum is pairwise_sum of the
+    # whole product w * e(m xi), bit for bit
+    monkeypatch.setattr(expsum, "_CHUNK", 5 * accum.CHUNK)
+    monkeypatch.setattr(expsum, "_BLOCK", 2 * accum.CHUNK)
     p, m = expsum.prime_floors(H12, 3e5)
     w = np.log(p.astype(np.float64))
     got = expsum._phase_sum(lambda lo, hi: w[lo:hi], m, _VECTOR_XI)
     for xi, value in zip(_VECTOR_XI, got):
         e = accum.DigitPhase(xi, int(m.max()))
-        want = accum.reduce_parts(accum.pairwise_sum(e(m[lo:hi]) * w[lo:hi])
-                                  for lo, hi in accum.chunked(m.size, 20000))
+        want = accum.pairwise_sum(e(m) * w)
         assert np.array(value).tobytes() == np.array(want).tobytes(), xi
+
+
+def test_empty_block_sum_is_zero():
+    # (23, 24] holds no prime power and (24, 24.5] no integer
+    for P, P1 in [(23.0, 24.0), (24.0, 24.5)]:
+        value, powers = expsum.von_mangoldt_block_sum(H12, P, P1, 0.1)
+        assert type(value) is complex and value == 0j and powers == 0
 
 
 def test_vector_phase_sum_work_counts_each_frequency():

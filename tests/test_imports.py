@@ -1,6 +1,9 @@
-"""Every module of the package and of the tests reads each name it imports."""
+"""Every module of the package and of the tests reads each name it imports,
+and every top-level name of the package is read somewhere: in src, tests,
+perfbench or scripts."""
 
 import ast
+import re
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -33,3 +36,63 @@ def test_no_unused_imports():
     unused = {path.name: names for path in sorted(files)
               if (names := _unused_imports(path.read_text()))}
     assert unused == {}
+
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _defined(tree: ast.Module):
+    """(index of the top-level statement, name) for each function, class
+    and constant a module defines at top level."""
+    for i, node in enumerate(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield i, node.name
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield i, name.id
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names read under node: loaded names, attributes, imported names and
+    string constants that spell a dotted name, as the tracer's targets do."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.split(".")[-1])
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and _DOTTED.fullmatch(sub.value)):
+            out.update(sub.value.split("."))
+    return out
+
+
+def _unread_names(sources: dict[str, str], package: set[str]) -> list[str]:
+    """Top-level names of the package's modules that no statement reads,
+    other than the one defining them."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    reads = {(path, i): _reads(node) for path, tree in trees.items()
+             for i, node in enumerate(tree.body)}
+    return [f"{path}: {name}" for path in sorted(package)
+            for i, name in _defined(trees[path])
+            if not any(name in names for key, names in reads.items()
+                       if key != (path, i))]
+
+
+def test_no_unread_top_level_names():
+    assert _unread_names(
+        {"m.py": "def f():\n    return f()\nX = 1\ndef g():\n    return X\n",
+         "t.py": "TARGETS = (('m', 'g'),)\n"}, {"m.py"}) == ["m.py: f"]
+    package = sorted((_ROOT / "src" / "primeorbits").glob("*.py"))
+    files = [*package,
+             *(p for d in ("tests", "perfbench", "scripts")
+               for p in (_ROOT / d).glob("*.py"))]
+    assert len(package) > 5
+    sources = {str(p.relative_to(_ROOT)): p.read_text() for p in files}
+    assert _unread_names(
+        sources, {str(p.relative_to(_ROOT)) for p in package}) == []

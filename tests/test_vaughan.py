@@ -58,6 +58,21 @@ def xi_w_oracle(l: int, w: float) -> int:
     return sum(mu_oracle(s) for s in range(1, l + 1) if l % s == 0 and s > w)
 
 
+@given(st.lists(st.floats(min_value=-1e8, max_value=1e8), max_size=500))
+@settings(max_examples=60, deadline=None)
+def test_kahan_matches_fsum(xs):
+    exact = math.fsum(xs)
+    got = vaughan.kahan_sum(xs)
+    scale = max(1.0, math.fsum(abs(v) for v in xs))
+    assert abs(got - exact) <= 1e-12 * scale
+
+
+def test_kahan_compensation_kicks_in():
+    # naive summation loses the small terms entirely
+    vals = [1e16] + [1.0] * 1000 + [-1e16]
+    assert vaughan.kahan_sum(vals) == 1000.0
+
+
 def test_pi_vw_spec_values():
     assert vaughan.pi_vw(1, 2.0, 2.0) == 0.0
     assert abs(vaughan.pi_vw(2, 2.0, 2.0) - math.log(2)) < 1e-15

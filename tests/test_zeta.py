@@ -6,7 +6,7 @@ import pytest
 from scipy.special import spherical_jn
 
 from primeorbits import expsum, zeta
-from primeorbits.accum import pairwise_sum, reduce_parts
+from primeorbits.accum import pairwise_sum
 from primeorbits.primes import chebyshev_psi
 from primeorbits.regvar import RegVarFunction, pure_power
 
@@ -254,8 +254,8 @@ def _direct_osc_sum(h, t, xi, T, table):
         proj_neg = coeffs.T @ np.conj(carriers)
         vals = half * ((proj_pos * moments).sum(axis=0)
                        + (proj_neg * moments * _PARITY[:, None]).sum(axis=0))
-        parts.append(pairwise_sum(vals))
-    return complex(reduce_parts(parts)), n
+        parts.append(vals)
+    return complex(pairwise_sum(np.concatenate(parts))), n
 
 
 def _xi_for_panels(h, t, panels):
