@@ -9,6 +9,10 @@ file can seed any run and flags override it.  Every key with a default is
 filled in, so the '# config:' header and the mirror's "config" are the
 configuration the run used.  --check also tests the subject's acceptance
 thresholds and exits 2 on violation, so CI can drive the suite from here.
+
+Every size key goes through one bounded integer parser, as every float
+key goes through one finite-float parser, so each run's one memory plan
+(_validate) is a finite float, compared with _MEMORY_CAP once.
 """
 
 from __future__ import annotations
@@ -51,30 +55,6 @@ def _function_from(cfg: dict) -> RegVarFunction:
 
 _MEMORY_CAP = 2 << 30  # bytes one run's tables may plan to hold
 _TERM_CAP = 1 << 28  # approximant terms h(N) of one expsum row
-# bytes per prime p <= x of the prime tables of one run: explicit's peak
-# is the sieve's parts, their join and the grown cache, then log p
-# (tracemalloc: 24.1-24.3 at x = 1e7 to 1e8); an ergodic orbit holds the
-# primes, their floors and the orbit values, 24
-_BYTES_PER_PRIME = 32
-
-
-def _check_prime_tables(what: str, log2_x: float) -> None:
-    """Refuse a run whose prime tables, _BYTES_PER_PRIME for each prime
-    p <= x = 2**log2_x, would exceed _MEMORY_CAP.  pi(x) < 1.25506 x / log x
-    (Rosser-Schoenfeld); the bytes are taken in log2 so that a huge x
-    stays finite, and an infinite x gives nan, which is refused."""
-    bits = (log2_x - math.log2(log2_x)
-            + math.log2(_BYTES_PER_PRIME * 1.25506 / math.log(2.0)))
-    if not bits <= math.log2(_MEMORY_CAP):
-        raise ValueError(f"{what} needs about 2^{bits:.1f} bytes of prime "
-                         f"tables, over the {_MEMORY_CAP / 2 ** 30:g} GiB cap")
-
-
-def _check_bytes(what: str, need: float, tables: str) -> None:
-    """Refuse a run whose tables would hold need bytes, over _MEMORY_CAP."""
-    if need > _MEMORY_CAP:
-        raise ValueError(f"{what} needs about {need / 2 ** 30:.1f} GiB of "
-                         f"{tables}, over the {_MEMORY_CAP / 2 ** 30:g} GiB cap")
 
 
 def _checked(parse, ok, why: str):
@@ -111,6 +91,11 @@ def _xi_tokens(raw: str) -> list[str]:
     return tokens
 
 
+# the parser of every size key (N, lam, nmax, cases, the kgrid entries,
+# jmin and jmax), as _finite is of every float key
+_size = _checked(int, lambda v: 0 <= v <= 1 << 62, "outside [0, 2^62]")
+
+
 def _grid(kind):
     return _checked(lambda raw: [kind(tok) for tok in _tokens(raw)],
                     lambda g: g and all(a < b for a, b in zip(g, g[1:])),
@@ -139,26 +124,25 @@ _COMMON = {
 _SHAPE = {"a": (_finite, None), "b": (_finite, None), "depth": (int, None)}
 _KEYS = {
     "expsum": {"kind": (str, "pure"), "c": (_index, None), **_SHAPE,
-               "N": (_grid(int), [10 ** 4, 10 ** 5]),
+               "N": (_grid(_size), [10 ** 4, 10 ** 5]),
                "xi": (_xi_tokens, list(_XI_NAMES)),
                "theta1": (_finite, None), "epsilon": _EPSILON},
     "waring": {"c1": (_index, 1.01), "c2": (_index, 1.01),
-               "c3": (_index, 1.01), "lam": (_grid(int), [100, 200]),
+               "c3": (_index, 1.01), "lam": (_grid(_size), [100, 200]),
                "epsilon": _EPSILON},
     "ergodic": {"kind": (str, "pure"), "c": (_index, 1.1), **_SHAPE,
-                "start": (_finite, 0.35), "jmin": (int, 10), "jmax": (int, 20),
-                "kgrid": (_checked(_grid(int), lambda g: g[0] >= 2,
+                "start": (_finite, 0.35), "jmin": (_size, 10),
+                "jmax": (_size, 20),
+                "kgrid": (_checked(_grid(_size), lambda g: g[0] >= 2,
                                    "entries must be >= 2"), [10, 100, 1000]),
                 "seed": _SEED},
     "explicit": {"x": (_grid(_finite), [1e3, 1e4]),
                  "T": (_grid(_finite), [1e2, 1e3]), "zero_table": (str, None)},
-    "vaughan-check": {"nmax": (int, 10 ** 4),
+    "vaughan-check": {"nmax": (_size, 10 ** 4),
                       "v": (_checked(_grid(_finite), lambda g: g[0] >= 1.0,
                                      "cutoffs must be >= 1"),
                             [2.0, 5.0, 10.0]),
-                      "cases": (_checked(int, lambda v: v >= 0,
-                                         "must be >= 0"), 20),
-                      "seed": _SEED},
+                      "cases": (_size, 20), "seed": _SEED},
     "regvar-check": {},
 }
 
@@ -236,46 +220,59 @@ def _check_above_x0(h: RegVarFunction, what: str, n_min: float) -> None:
                          f"where h is the constant h(x0)")
 
 
-def _validate(cfg: dict) -> None:
-    """Refuse, before any work, a request too large to run or below x0."""
-    if cfg["subcommand"] == "expsum":
+def _validate(cfg: dict) -> float:
+    """Refuse, before any work, a request with nothing to compute, below
+    x0 or too large to run.  Return its plan: the bytes of the tables alive
+    together at its peak, by the per-unit figures of the modules that hold
+    them, compared with _MEMORY_CAP once and refused in the keys it reads."""
+    sub, need = cfg["subcommand"], 0.0
+    if sub == "expsum":
         h, n_min, n_max = _function_from(cfg), min(cfg["N"]), max(cfg["N"])
         _check_above_x0(h, f"N={n_min}", n_min)
         terms = h.value(float(n_max))
         if terms > _TERM_CAP:
             raise ValueError(f"N={n_max} needs about {terms:.3g} "
                              f"approximant terms, over the 2^28 cap")
-    if cfg["subcommand"] == "ergodic":
+        need = expsum.BYTES_PER_PRIME * primes.pi_bound(n_max)
+        keys, tables = f"N={n_max}", "prime tables"
+    if sub == "ergodic":
         h, jmin, jmax = _function_from(cfg), cfg["jmin"], cfg["jmax"]
-        if not 1 <= jmin < jmax:
-            raise ValueError(f"need 1 <= --jmin < --jmax, got --jmin {jmin} "
-                             f"--jmax {jmax}")
+        if not 1 <= jmin < jmax <= 62:  # the grid 2^j stays a size
+            raise ValueError(f"need 1 <= --jmin < --jmax <= 62, got --jmin "
+                             f"{jmin} --jmax {jmax}")
         _check_above_x0(h, f"jmin={jmin}", 2.0 ** jmin)
-        _check_prime_tables(f"jmax={jmax}", jmax)
         if h.value(2.0 ** jmax) >= 2.0 ** 53:
             raise ValueError(f"jmax={jmax}: h(2^{jmax}) reaches 2^53, where "
                              "a double has no fractional bit left")
+        # the orbit and its primes stay alive while the weights are built
         kmax = cfg["kgrid"][-1]
-        _check_bytes(f"kgrid={kmax}", ergodic.WEIGHT_BYTES_PER_K * (kmax + 1),
-                     "weight tables")
-    if cfg["subcommand"] == "explicit":
+        need = (ergodic.ORBIT_BYTES_PER_PRIME * primes.pi_bound(2.0 ** jmax)
+                + ergodic.WEIGHT_BYTES_PER_K * (kmax + 1))
+        keys, tables = f"jmax={jmax} kgrid={kmax}", "orbit and weight tables"
+    if sub == "explicit":
         xs, Ts = cfg["x"], cfg["T"]
         if not 2.0 <= Ts[0] <= Ts[-1] <= xs[0]:
             raise ValueError(f"need 2 <= T <= min x = {xs[0]:g}, got T from "
                              f"{Ts[0]:g} to {Ts[-1]:g}")
-        _check_prime_tables(f"x={xs[-1]:g}", math.log2(xs[-1]))
-    if cfg["subcommand"] == "vaughan-check":
-        if cfg["nmax"] <= max(cfg["v"]):
-            raise ValueError(f"nmax={cfg['nmax']} must exceed the largest "
-                             f"cutoff v={max(cfg['v']):g}")
-        _check_bytes(f"nmax={cfg['nmax']}",
-                     vaughan.IDENTITY_BYTES_PER_N * (cfg["nmax"] + 1),
-                     "identity tables")
-    if cfg["subcommand"] == "waring":
+        need = (primes.TABLE_BYTES_PER_PRIME * primes.pi_bound(xs[-1])
+                + zeta.READ_BYTES)
+        keys, tables = f"x={xs[-1]:g}", "prime tables"
+    if sub == "vaughan-check":
+        nmax = cfg["nmax"]
+        if nmax <= max(cfg["v"]):
+            raise ValueError(f"nmax={nmax} must exceed the largest cutoff "
+                             f"v={max(cfg['v']):g}")
+        need = vaughan.IDENTITY_BYTES_PER_N * (nmax + 1) + vaughan.SPLIT_BYTES
+        keys, tables = f"nmax={nmax}", "identity tables"
+    if sub == "waring":
         hs, lams = [pure_power(cfg[k]) for k in ("c1", "c2", "c3")], cfg["lam"]
         waring.check_lambda(hs, min(lams))
-        _check_bytes(f"lambda={max(lams)}", waring.memory_estimate(hs, max(lams)),
-                     "count tables")
+        need = waring.memory_estimate(hs, max(lams))
+        keys, tables = f"lam={max(lams)}", "count tables"
+    if need > _MEMORY_CAP:
+        raise ValueError(f"{keys} needs about {need:.3g} bytes of {tables}, "
+                         f"over the {_MEMORY_CAP / 2 ** 30:g} GiB cap")
+    return need
 
 
 # -- report emission ---------------------------------------------------------

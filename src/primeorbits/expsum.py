@@ -72,6 +72,11 @@ GUARD = 1.0e-9
 _DYADIC_MAX_K = 5  # x^(a/2^k) has integer values below 2^53 only for k <= 5
 
 _CHUNK = 1 << 20
+# bytes per prime p <= max N that an expsum run holds at its peak: the
+# sieve and the prime cache, h's prime floors and the guarded floor's
+# temporaries over at most _CHUNK primes (tracemalloc from an empty prime
+# cache: 57.1-57.4 at N = 1e6 to 8e6), counted on primes.pi_bound
+BYTES_PER_PRIME = 60
 
 
 def theta1_default(c: float) -> float:

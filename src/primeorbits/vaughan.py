@@ -34,8 +34,14 @@ from .regvar import RegVarFunction
 
 # bytes per n that a vaughan-check identity row holds at its peak: the
 # range form's log k, t1, t2, t3 and xi_w tables, plus the caller's
-# Lambda and difference (tracemalloc, primes cached: 48.7-50.7 at 1e6)
+# Lambda and difference (tracemalloc, primes cached: 48.7-50.7 at 1e6;
+# a whole cold vaughan-check, sieve and split cases included: 58.0-58.2
+# at nmax = 2e5 and 1e6)
 IDENTITY_BYTES_PER_N = 80
+# peak bytes of one exp_sum_split with P1 <= 12000, the size of the
+# vaughan-check split cases: Lambda up to P1 and the gathered terms
+# (tracemalloc: at most 1.87 MB over 300 seeded cases and P = 23)
+SPLIT_BYTES = 2 << 20
 # terms of a bilinear sum gathered at once: the gather holds about 64
 # bytes a term at its peak, so a quarter of expsum's chunk is 17 MB
 _PIECE = _CHUNK >> 2

@@ -69,6 +69,10 @@ _BLOCK_PEAK = 5 * _BLOCK_BYTES // 4
 _PANEL_BYTES = 1100
 # largest estimated peak, panels x _PANEL_BYTES + _BLOCK_PEAK, it accepts
 _MAX_BYTES = 1 << 29
+# peak bytes of reading the packaged table: the file's text and its lines
+# as str objects (tracemalloc: 6.07 MB for its 56,412 ordinates); a table
+# given by path holds in proportion to its file
+READ_BYTES = 7 << 20
 
 
 def theta3_default(c: float) -> float:

@@ -1,5 +1,6 @@
 """CLI surface: config parsing, report emission, exit codes."""
 
+import functools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from primeorbits import cli, ergodic, expsum, primes, vaughan, waring
+from primeorbits import cli, ergodic, expsum, primes, vaughan, waring, zeta
 from primeorbits.regvar import pure_power
 
 
@@ -349,14 +350,149 @@ def test_expsum_work_note_counts_inverse_blocks(tmp_path):
     assert work[0][2:] in mirror["notes"]
 
 
-def test_expsum_refuses_oversized_table_before_work(tmp_path, monkeypatch):
-    # h(1e7) at c=1.95 is about 4.5e13 approximant terms
+_BIG = str(10 ** 400)  # a 401-digit integer: float() of it overflows
+
+# argv, a fragment of its refusal on stderr, and a neighbour that is
+# admitted (None: none named)
+_REFUSED = [
+    pytest.param(["expsum", "--c", "1.95", "--N", "1000,10000000"],
+                 "N=10000000 needs about", None, id="expsum-terms"),
+    pytest.param(["expsum", "--kind", "itlog", "--c", "1.2", "--depth", "50"],
+                 "depth=50", None, id="expsum-itlog-depth"),
+    # itlog c = 1.05 has x0 = 16384; at and below it h is the constant
+    # h(x0), so an N = 1e4 row would compare sums of that constant
+    pytest.param(["expsum", "--kind", "itlog", "--c", "1.05",
+                  "--N", "16384,100000"], "x0=16384",
+                 ["expsum", "--kind", "itlog", "--c", "1.05",
+                  "--N", "16385,100000"], id="expsum-N-x0"),
+    pytest.param(["expsum", "--c", "1.2", "--N", f"1000,{_BIG}"],
+                 f"N=1000,{_BIG}: outside [0, 2^62]", None,
+                 id="expsum-N-big"),
+    pytest.param(["waring", "--lam", f"100,{_BIG}"],
+                 f"lam=100,{_BIG}: outside [0, 2^62]", None,
+                 id="waring-lam-big"),
+    # one grid point leaves no average to compare; refused in CLI terms
+    # before the sieve, not in convergence_report's after it
+    pytest.param(["ergodic", "--jmin", "12", "--jmax", "12"],
+                 "got --jmin 12 --jmax 12",
+                 ["ergodic", "--jmin", "11", "--jmax", "12"],
+                 id="ergodic-jmin-jmax"),
+    pytest.param(["ergodic", "--jmin", "2000", "--jmax", "3000"],
+                 "got --jmin 2000 --jmax 3000", None, id="ergodic-jmax-big"),
+    # logpow c = 1.05 has x0 = 32768 = 2^15: the smallest N is 2^jmin
+    pytest.param(["ergodic", "--kind", "logpow", "--c", "1.05",
+                  "--jmax", "18", "--jmin", "15"], "x0=32768",
+                 ["ergodic", "--kind", "logpow", "--c", "1.05",
+                  "--jmax", "18", "--jmin", "16"], id="ergodic-jmin-x0"),
+    # lambda_weight_sum(2^40) would sieve to 2^40 and hold 57 TiB
+    pytest.param(["ergodic", "--jmax", "14",
+                  "--kgrid", "10,100,1099511627776"],
+                 "kgrid=1099511627776", None, id="ergodic-kgrid"),
+    pytest.param(["ergodic", "--kgrid", f"10,{_BIG}"],
+                 f"kgrid=10,{_BIG}: outside [0, 2^62]", None,
+                 id="ergodic-kgrid-big"),
+    # each table alone fits, the orbit and the weights together do not
+    pytest.param(["ergodic", "--jmax", "28", "--kgrid", "10,30000000"],
+                 "jmax=28 kgrid=30000000 needs about", None,
+                 id="ergodic-both"),
+    # 1e9 would ask for about 75 GiB of identity tables
+    pytest.param(["vaughan-check", "--nmax", "1000000000"],
+                 "nmax=1000000000 needs about", None, id="vaughan-nmax"),
+    pytest.param(["vaughan-check", "--nmax", _BIG],
+                 f"nmax={_BIG}: outside [0, 2^62]", None,
+                 id="vaughan-nmax-big"),
+]
+
+
+@pytest.mark.parametrize("argv, says, admitted", _REFUSED)
+def test_refused_before_work(tmp_path, monkeypatch, capsys, argv, says,
+                             admitted):
+    # exit 1 with the refusal on stderr, before any sieve or spf table and
+    # under 1 MiB traced, and no report written
     calls = _sieve_calls(monkeypatch)
-    out = tmp_path / "e.txt"
-    assert cli.main(["expsum", "--c", "1.95", "--N", "1000,10000000",
-                     "--out", str(out)]) == 1
-    assert calls == []
-    assert not out.exists()
+    monkeypatch.setattr(primes, "spf_table", lambda n: calls.append(n))
+    out = tmp_path / "r.txt"
+    tracemalloc.start()
+    try:
+        code = cli.main(argv + ["--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and says in err
+    assert calls == [] and peak < 1 << 20
+    assert not out.exists() and not (tmp_path / "r.txt.json").exists()
+    if admitted:
+        assert cli.parse_config(admitted)
+
+
+# two sizes of each subcommand that builds tables; ergodic's second is
+# sized by its weights, its first by its orbit
+_PLANNED = {
+    "expsum-1e6": ["expsum", "--c", "1.2", "--N", "1000000", "--xi", "zero"],
+    "expsum-4e6": ["expsum", "--c", "1.2", "--N", "4000000",
+                   "--xi", "zero,halfcut,cut"],
+    "waring-1e4": ["waring", "--lam", "1000,10000"],
+    "waring-1e5": ["waring", "--lam", "1000,100000"],
+    "ergodic-2^22": ["ergodic", "--jmax", "22", "--kgrid", "10,100"],
+    "ergodic-5e5": ["ergodic", "--jmax", "20", "--kgrid", "10,500000"],
+    "explicit-1e6": ["explicit", "--x", "1e6", "--T", "100"],
+    "explicit-1e7": ["explicit", "--x", "1e7", "--T", "100"],
+    "vaughan-1e5": ["vaughan-check", "--nmax", "100000"],
+    "vaughan-4e5": ["vaughan-check", "--nmax", "400000"],
+}
+
+
+@pytest.mark.parametrize("argv", _PLANNED.values(), ids=_PLANNED.keys())
+def test_plan_covers_traced_peak(tmp_path, monkeypatch, argv):
+    # a cold run, with the primes and the packaged zero table unread,
+    # holds at its peak at most its plan and at least a third of it.
+    # tracemalloc sees numpy's arrays but not pocketfft's own buffers, so
+    # waring's estimate, which plans for RSS, lies well above its peak
+    _sieve_calls(monkeypatch)
+    monkeypatch.setattr(zeta, "_packaged_table",
+                        functools.cache(zeta._packaged_table.__wrapped__))
+    plan = cli._validate(cli.parse_config(argv))
+    tracemalloc.start()
+    try:
+        code = cli.main(argv + ["--out", str(tmp_path / "r.txt")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= plan <= 3 * peak
+
+
+# every size key of every subcommand, the other keys those of a small run
+_SIZE_KEYS = [("expsum", "N", ["--c", "1.2"]), ("waring", "lam", []),
+              ("ergodic", "jmin", []), ("ergodic", "jmax", []),
+              ("ergodic", "kgrid", []), ("vaughan-check", "nmax", []),
+              ("vaughan-check", "cases", [])]
+
+
+@pytest.mark.parametrize("sub, key, rest", _SIZE_KEYS,
+                         ids=[f"{sub}-{key}" for sub, key, _ in _SIZE_KEYS])
+def test_size_key_edge_tokens(sub, key, rest):
+    # parse_config returns or raises a ValueError naming the key, never
+    # anything else, at the edge tokens and around the largest value the
+    # key admits, found by bisection from its default
+    def refusal(value):
+        try:
+            cli.parse_config([sub, *rest, f"--{key}", str(value)])
+        except ValueError as exc:
+            assert key in str(exc)
+            return str(exc)
+        return None
+
+    default = cli._KEYS[sub][key][1]
+    lo, hi = (default[-1] if isinstance(default, list) else default), 1 << 63
+    assert refusal(lo) is None and refusal(hi) is not None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if refusal(mid) is None else (lo, mid)
+    for tok in (0, 1, 1 << 53, 1 << 62, 1 << 63, 10 ** 400, lo - 1, lo):
+        refusal(tok)
+    assert refusal(lo + 1) is not None
 
 
 def test_expsum_term_cap_is_h_of_max_N():
@@ -370,7 +506,7 @@ def test_expsum_term_cap_is_h_of_max_N():
 
 @pytest.mark.parametrize("args", [
     ["--c", "1.9", "--jmax", "28"],  # h(2^28) = 2^53.2: no fractional bit
-    ["--jmax", "31"],                # about 2^31.9 bytes of prime tables
+    ["--jmax", "30"],                # about 3.9e9 bytes of orbit tables
     ["--jmin", "12", "--jmax", "11"],
 ])
 def test_ergodic_refuses_oversized_jmax_before_work(tmp_path, monkeypatch,
@@ -380,21 +516,6 @@ def test_ergodic_refuses_oversized_jmax_before_work(tmp_path, monkeypatch,
     assert cli.main(["ergodic", *args, "--out", str(out)]) == 1
     assert calls == []
     assert not out.exists()
-
-
-def test_ergodic_refuses_equal_jmin_jmax_before_work(tmp_path, monkeypatch,
-                                                    capsys):
-    # one grid point leaves no average to compare; refused in CLI terms
-    # before the sieve, not in convergence_report's after it
-    calls = _sieve_calls(monkeypatch)
-    out = tmp_path / "erg.txt"
-    assert cli.main(["ergodic", "--jmin", "12", "--jmax", "12",
-                     "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "--jmin 12" in err and "--jmax 12" in err
-    assert calls == []
-    assert not out.exists()
-    assert cli.parse_config(["ergodic", "--jmin", "11", "--jmax", "12"])
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -424,18 +545,6 @@ def test_numeric_xi_tokens_still_run():
     assert cfg["xi"] == ["zero", "-0.25", "1e-3"]
 
 
-def test_deep_iterated_log_refused_before_work(tmp_path, monkeypatch, capsys):
-    # exp applied 4 times to 1 already overflows a double: the domain of
-    # log_depth, not a traceback
-    calls = _sieve_calls(monkeypatch)
-    out = tmp_path / "e.txt"
-    assert cli.main(["expsum", "--kind", "itlog", "--c", "1.2", "--depth",
-                     "50", "--out", str(out)]) == 1
-    assert "depth=50" in capsys.readouterr().err
-    assert calls == []
-    assert not out.exists()
-
-
 def test_threads_capped_in_the_parser():
     # checked through parse_config only, so no thread is started
     assert cli._THREAD_CAP >= 8  # criterion 10 runs 1, 4 and 8
@@ -445,34 +554,6 @@ def test_threads_capped_in_the_parser():
     for bad in (str(cli._THREAD_CAP + 1), "100000", "0"):
         with pytest.raises(ValueError, match="threads"):
             cli.parse_config(["ergodic", "--threads", bad])
-
-
-def test_expsum_refuses_N_at_or_below_x0_before_work(tmp_path, monkeypatch,
-                                                    capsys):
-    # itlog c = 1.05 has x0 = 16384; at and below it h is the constant
-    # h(x0), so an N = 1e4 row would compare sums of that constant
-    calls = _sieve_calls(monkeypatch)
-    out = tmp_path / "e.txt"
-    argv = ["expsum", "--kind", "itlog", "--c", "1.05", "--N"]
-    assert cli.main(argv + ["16384,100000", "--out", str(out)]) == 1
-    assert "x0=16384" in capsys.readouterr().err
-    assert calls == []
-    assert not out.exists()
-    assert cli.parse_config(argv + ["16385,100000"])["N"][0] == 16385
-
-
-def test_ergodic_refuses_jmin_at_or_below_x0_before_work(tmp_path,
-                                                        monkeypatch, capsys):
-    # logpow c = 1.05 has x0 = 32768 = 2^15: the smallest N is 2^jmin
-    calls = _sieve_calls(monkeypatch)
-    out = tmp_path / "erg.txt"
-    argv = ["ergodic", "--kind", "logpow", "--c", "1.05", "--jmax", "18",
-            "--jmin"]
-    assert cli.main(argv + ["15", "--out", str(out)]) == 1
-    assert "x0=32768" in capsys.readouterr().err
-    assert calls == []
-    assert not out.exists()
-    assert cli.parse_config(argv + ["16"])["jmin"] == 16
 
 
 @pytest.mark.parametrize("kgrid", ["1", "1,10", "0,5"])
@@ -505,20 +586,11 @@ def test_negative_seed_refused_before_work(tmp_path, monkeypatch, capsys,
     assert cli.parse_config([argv[0], "--seed", "0"])["seed"] == 0
 
 
-def test_ergodic_refuses_oversized_kgrid_before_work(tmp_path, monkeypatch,
-                                                     capsys):
-    # lambda_weight_sum(2^40) would sieve to 2^40 and hold 57 TiB
-    calls = _sieve_calls(monkeypatch)
-    out = tmp_path / "erg.txt"
-    assert cli.main(["ergodic", "--jmax", "14", "--kgrid",
-                     "10,100,1099511627776", "--out", str(out)]) == 1
-    assert "kgrid=1099511627776" in capsys.readouterr().err
-    assert calls == []
-    assert not out.exists()
-
-
 def test_ergodic_kgrid_cap_admits_its_boundary():
-    top = cli._MEMORY_CAP // ergodic.WEIGHT_BYTES_PER_K - 1
+    # the weights share the cap with the orbit to 2^jmax, 2^20 by default
+    orbit = ergodic.ORBIT_BYTES_PER_PRIME * primes.pi_bound(2.0 ** 20)
+    top = int((cli._MEMORY_CAP - orbit) // ergodic.WEIGHT_BYTES_PER_K) - 1
+    assert top == 37575223
     assert cli.parse_config(["ergodic", "--kgrid", f"10,{top}"])["kgrid"][-1] == top
     with pytest.raises(ValueError, match=f"kgrid={top + 1}"):
         cli.parse_config(["ergodic", "--kgrid", f"10,{top + 1}"])
@@ -550,25 +622,7 @@ def test_help_exits_zero(capsys):
 
 def test_ergodic_jmax_caps_admit_their_boundary():
     assert cli.parse_config(["ergodic", "--c", "1.9", "--jmax", "27"])
-    assert cli.parse_config(["ergodic", "--jmax", "30"])
-
-
-def test_vaughan_refuses_nmax_before_work(tmp_path, monkeypatch, capsys):
-    # 1e9 would ask for about 75 GiB of identity tables
-    calls = _sieve_calls(monkeypatch)
-    monkeypatch.setattr(primes, "spf_table", lambda n: calls.append(n))
-    out = tmp_path / "v.txt"
-    tracemalloc.start()
-    try:
-        code = cli.main(["vaughan-check", "--nmax", "1000000000",
-                         "--out", str(out)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 1
-    assert "nmax=1000000000" in capsys.readouterr().err
-    assert calls == [] and peak < 1 << 20
-    assert not out.exists()
+    assert cli.parse_config(["ergodic", "--jmax", "29"])
 
 
 @pytest.mark.parametrize("args", [
@@ -599,7 +653,9 @@ def test_vaughan_admits_nmax_just_above_v(tmp_path):
 
 
 def test_vaughan_nmax_cap_is_the_table_bytes():
-    top = cli._MEMORY_CAP // vaughan.IDENTITY_BYTES_PER_N - 1
+    top = ((cli._MEMORY_CAP - vaughan.SPLIT_BYTES)
+           // vaughan.IDENTITY_BYTES_PER_N - 1)
+    assert top == 26817330
     assert cli.parse_config(["vaughan-check", "--nmax", str(top)])
     with pytest.raises(ValueError, match="nmax"):
         cli.parse_config(["vaughan-check", "--nmax", str(top + 1)])

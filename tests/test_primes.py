@@ -269,6 +269,49 @@ def test_theta_pi_prefix():
             assert step == 0.0
 
 
+def test_pi_bound_bounds_pi():
+    # every x up to 2^20: pi steps up only at primes, and the bound is
+    # constant below e and increasing above it
+    pr = primes_upto(1 << 20)
+    bounds = np.array([primes.pi_bound(x) for x in pr.tolist()])
+    assert np.all(np.arange(1, pr.size + 1) <= bounds)
+    assert primes.pi_bound(-1.0) == primes.pi_bound(math.e) >= 1.0
+    assert math.isfinite(primes.pi_bound(1.7e308))
+
+
+def _theta_pi_per_step(kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: the Neumaier running prefix stepped over every s <= kmax."""
+    lam = np.zeros(kmax + 1, dtype=np.float64)
+    pr = primes_upto(kmax)
+    lam[pr] = np.log(pr.astype(np.float64))
+    ind = np.zeros(kmax + 1, dtype=np.int64)
+    ind[pr] = 1
+    theta = np.zeros(kmax + 1, dtype=np.float64)
+    run = comp = 0.0
+    for s in range(1, kmax + 1):
+        v = lam[s]
+        t = run + v
+        if abs(run) >= abs(v):
+            comp += (run - t) + v
+        else:
+            comp += (v - t) + run
+        run = t
+        theta[s] = run + comp
+    return theta, np.cumsum(ind)
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 2, 3, 4, 96, 97, 99989, 99990,
+                                  99991, 10 ** 5])
+def test_theta_pi_prefix_matches_the_per_step_loop(kmax):
+    # stepping over the primes and filling forward adds the +0.0 of each
+    # non-prime step nowhere, which changes no bit
+    theta, pi = theta_pi_prefix(kmax)
+    want_theta, want_pi = _theta_pi_per_step(kmax)
+    assert theta.dtype == want_theta.dtype and pi.dtype == want_pi.dtype
+    assert theta.tobytes() == want_theta.tobytes()
+    assert pi.tobytes() == want_pi.tobytes()
+
+
 def test_build_table_threads_identical():
     # a range that starts past 0 (criterion 10 only sieves from 0) and
     # spans three segment jobs, so the thread pool actually runs

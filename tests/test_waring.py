@@ -1,7 +1,6 @@
 """Ternary floor-representation counts: histograms, convolutions, main term."""
 
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeorbits import primes, waring
+from primeorbits import waring
 from primeorbits.regvar import pure_power
 from primeorbits.waring import (
     WaringConfig,
@@ -477,19 +476,3 @@ def test_R_within_its_bound_of_the_power_of_two_values():
     assert [row.r for row in rows] == [413199, 38597484]
     for row in rows:
         assert abs(row.R - R_POWER_OF_TWO[row.lam]) <= work[1].bound
-
-
-@pytest.mark.parametrize("lam", [10 ** 4, 10 ** 5])
-def test_memory_estimate_covers_traced_peak(lam):
-    # the primes are sieved first, as the CLI does.  tracemalloc sees
-    # numpy's arrays but not pocketfft's own buffers, so the estimate,
-    # which plans for RSS, lies above the traced peak, within 3 times it
-    hs = [pure_power(1.01) for _ in range(3)]
-    primes.primes_upto(max(waring.arg_cutoff(h, lam) for h in hs))
-    tracemalloc.start()
-    try:
-        count_report(WaringConfig(*hs, lam), [1000, lam])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= waring.memory_estimate(hs, lam) <= 3 * peak
