@@ -208,6 +208,14 @@ def test_explicit_refuses_before_any_sieve(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+def test_explicit_x_cap_admits_its_boundary():
+    # 24 bytes per prime on pi_bound(x) plus the zero table's read
+    top = 1501267060
+    assert cli.parse_config(["explicit", "--x", str(top), "--T", "100"])
+    with pytest.raises(ValueError, match="bytes of prime tables"):
+        cli.parse_config(["explicit", "--x", str(top + 1), "--T", "100"])
+
+
 def test_vaughan_check_passes(tmp_path):
     out = tmp_path / "v.txt"
     code = cli.main(["vaughan-check", "--nmax", "2000", "--v", "2,5",
@@ -476,23 +484,23 @@ def test_size_key_edge_tokens(sub, key, rest):
     # parse_config returns or raises a ValueError naming the key, never
     # anything else, at the edge tokens and around the largest value the
     # key admits, found by bisection from its default
-    def refusal(value):
+    def refused(value) -> bool:
         try:
             cli.parse_config([sub, *rest, f"--{key}", str(value)])
         except ValueError as exc:
             assert key in str(exc)
-            return str(exc)
-        return None
+            return True
+        return False
 
     default = cli._KEYS[sub][key][1]
     lo, hi = (default[-1] if isinstance(default, list) else default), 1 << 63
-    assert refusal(lo) is None and refusal(hi) is not None
+    assert not refused(lo) and refused(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if refusal(mid) is None else (lo, mid)
+        lo, hi = (lo, mid) if refused(mid) else (mid, hi)
     for tok in (0, 1, 1 << 53, 1 << 62, 1 << 63, 10 ** 400, lo - 1, lo):
-        refusal(tok)
-    assert refusal(lo + 1) is not None
+        refused(tok)
+    assert refused(lo + 1)
 
 
 def test_expsum_term_cap_is_h_of_max_N():
