@@ -27,7 +27,8 @@ Phases e(x) = exp(2*pi*i*x) take one of two routes:
                digit of m, within its stated bound; no exp per point.
 
 Both work through their input in blocks of _BLOCK points with reused
-buffers, so their temporaries stay cache-sized whatever the input size.
+buffers (DigitPhase.lookup one block per call, cut by its callers), so
+their temporaries stay cache-sized whatever the input size.
 """
 
 from __future__ import annotations
@@ -171,9 +172,9 @@ class DigitPhase:
     Each point then costs D gathers and D - 1 complex multiplies, no exp.
     Below 2**24 that is at most 2 x 4096 entries, below 2**30 3 x 1024.
     The digits depend on top alone: digits(m) splits the integers once,
-    lookup(ix, out) gathers and multiplies one block of them, and
-    __call__ is the two in turn.  So a sum over several frequencies
-    splits its arguments once and builds one table set per frequency.
+    and lookup(ix, out) gathers and multiplies one block of them.  So a
+    sum over several frequencies splits its arguments once and builds one
+    table set per frequency.
 
     Error: every table entry is within PHASE_ERROR of its exact value (of
     modulus 1), and a complex multiply adds at most sqrt(5)*u relative
@@ -234,12 +235,4 @@ class DigitPhase:
                 out *= t
         if self.xi < 0:
             np.conjugate(out, out=out)
-        return out
-
-    def __call__(self, m: np.ndarray) -> np.ndarray:
-        m = np.asarray(m, dtype=np.int64)
-        out = np.empty(m.shape, dtype=np.complex128)
-        flat, mf = out.reshape(-1), m.ravel()
-        for lo, hi in chunked(m.size, _BLOCK):
-            self.lookup(self.digits(mf[lo:hi]), flat[lo:hi])
         return out

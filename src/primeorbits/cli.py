@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -254,9 +255,17 @@ def _validate(cfg: dict) -> float:
         if not 2.0 <= Ts[0] <= Ts[-1] <= xs[0]:
             raise ValueError(f"need 2 <= T <= min x = {xs[0]:g}, got T from "
                              f"{Ts[0]:g} to {Ts[-1]:g}")
-        need = (primes.TABLE_BYTES_PER_PRIME * primes.pi_bound(xs[-1])
-                + zeta.READ_BYTES)
+        need = primes.TABLE_BYTES_PER_PRIME * primes.pi_bound(xs[-1])
         keys, tables = f"x={xs[-1]:g}", "prime tables"
+        path = cfg.get("zero_table")
+        if path:
+            # a valid table file holds at most (size + 1)/3 ordinates, '15\n'
+            # being its shortest line, each held twice by the read (parsed
+            # and copied) beside a one-byte mask of the ascending check
+            need += 17 * (os.path.getsize(path) + 1) // 3
+            keys, tables = f"{keys} zero_table={path}", "prime and zero tables"
+        else:
+            need += zeta.READ_BYTES
     if sub == "vaughan-check":
         nmax = cfg["nmax"]
         if nmax <= max(cfg["v"]):
@@ -442,15 +451,11 @@ def _run_ergodic(cfg: dict):
                                     x=cfg["start"])
     grid = [2 ** j for j in range(jmin, jmax + 1)]
     rep = ergodic.convergence_report(system, h, grid, seed=cfg["seed"])
-    vals = rep.orbit
     columns = ["N", "A_N", "abs_A_N", "D_N", "running_max_absf", "delta"]
-    rows = []
     deltas = np.concatenate([[0.0], rep.deltas])
-    for i, n in enumerate(rep.grid):
-        cut = int(np.searchsorted(prime_list, n, side="right"))
-        d_n = ergodic.weighted_average(vals[:cut], prime_list[:cut])
-        rows.append([int(n), float(rep.values[i]), abs(float(rep.values[i])),
-                     d_n, float(rep.running_max[i]), float(deltas[i])])
+    rows = [[int(n), float(a), abs(float(a)), float(d), float(m), float(dl)]
+            for n, a, d, m, dl in zip(rep.grid, rep.values, rep.weighted,
+                                      rep.running_max, deltas)]
     failures = []
     weight_notes = []
     for k in cfg["kgrid"]:
@@ -464,6 +469,7 @@ def _run_ergodic(cfg: dict):
             failures.append(f"|A_N| trajectory rose {v} times (allowed 1)")
     notes = ([f"alpha={alpha.numerator}/{alpha.denominator}",
               f"h={h.label()}", f"o2_dyadic={rep.o2_dyadic:.6e}",
+              f"o2_random_max={rep.o2_random.max():.6e}",
               f"v2={rep.v2:.6e}"] + weight_notes
              + [f"work: orbit_points={prime_list.size}"])
     return columns, rows, notes, failures

@@ -250,7 +250,7 @@ class OscillationReport:
     o2_random: np.ndarray
     v2: float
     seed: int
-    orbit: np.ndarray  # orbit values over the primes p <= max(grid)
+    weighted: np.ndarray  # D_N, the log-weighted average, at each grid N
 
     def trend_violations(self) -> int:
         """How often |values| fails to decrease along the grid."""
@@ -273,9 +273,10 @@ def convergence_report(system, h: RegVarFunction, N_grid,
                        seed: int = 0) -> OscillationReport:
     """Average trajectory along N_grid with O^2 / V^2 diagnostics.
 
-    One orbit at max(N_grid) is computed and prefix-sliced per N; the I
-    ensemble is every dyadic subsequence start plus seeded random
-    increasing sequences, since the supremum over all I is untestable.
+    One orbit at max(N_grid) is computed and prefix-sliced per N, for A_N,
+    the |f| average and D_N alike; the I ensemble is every dyadic
+    subsequence start plus seeded random increasing sequences, since the
+    supremum over all I is untestable.
     """
     grid = np.asarray(sorted(N_grid), dtype=np.int64)
     n_max = int(grid[-1])
@@ -286,6 +287,8 @@ def convergence_report(system, h: RegVarFunction, N_grid,
         raise ValueError("smallest N has no primes")
     traj = np.array([float(pairwise_sum(vals[:c]) / c) for c in counts])
     traj_abs = np.array([float(pairwise_sum(np.abs(vals[:c])) / c)
+                         for c in counts])
+    weighted = np.array([weighted_average(vals[:c], primes[:c])
                          for c in counts])
     rng = np.random.default_rng(seed)
     i_dyadic = grid[_dyadic_subsequence(grid.size)]
@@ -300,7 +303,7 @@ def convergence_report(system, h: RegVarFunction, N_grid,
         running_max=np.maximum.accumulate(traj_abs),
         i_dyadic=i_dyadic, o2_dyadic=o2_dyadic,
         o2_random=np.array(o2_random), v2=variation2(traj), seed=seed,
-        orbit=vals)
+        weighted=weighted)
 
 
 def halfline_observable(y: np.ndarray) -> np.ndarray:

@@ -488,13 +488,10 @@ class ArcProfile:
     slope: float               # least-squares log-log slope of max_abs
 
 
-def minor_arc_scan(h: RegVarFunction, n_grid,
-                   theta1: float | None = None) -> ArcProfile:
-    """Max prime-sum magnitude over minor-arc frequencies, per N."""
-    if theta1 is None:
-        theta1 = theta1_default(h.c)
-    if not 0.0 < theta1 < (6.0 * h.c - 2.0) / 9.0:
-        raise ValueError("theta1 outside (0, (6c-2)/9)")
+def minor_arc_scan(h: RegVarFunction, n_grid) -> ArcProfile:
+    """Max prime-sum magnitude over minor-arc frequencies, per N, at the
+    default theta1(c); chi_bound refuses c >= 4/3."""
+    theta1 = theta1_default(h.c)
     chi = chi_bound(h.c, theta1)
     n_grid = [float(n) for n in n_grid]
     if len(n_grid) < 2:

@@ -373,19 +373,24 @@ class InverseHandle:
     at each, h(x) = y is solved by Newton in np.longdouble from the
     pure-power start, and phi' = 1/h'(x).  A block whose last two
     coefficients exceed 2**-52 is split in halves until they do not.
-    Blocks are built when a call first needs them, all of that call's
-    missing blocks in one vectorized pass per split round, and kept on
-    the handle; h keeps one handle (h.inverse), so each block is built
-    once per function.  phi and phi' depend on y alone: the same y gives
-    the same bits whatever else a call asks for.  At and below h(x0),
-    phi(y) = x0 and phi'(y) = 1/h'(x0) exactly.
+    The handle holds the pieces of blocks j0 ... top (j0 the block of
+    h(x0)) as one prefix, in y order; a call whose largest point lies
+    above block top builds the blocks up to that point's, in one pass per
+    split round, and appends them.  h keeps one handle (h.inverse), so
+    each block is built once per function.  phi and phi' depend on y
+    alone: the same y gives the same bits whatever else a call asks for
+    and however the prefix grew.  At and below h(x0), phi(y) = x0 and
+    phi'(y) = 1/h'(x0) exactly.
     """
 
     def __init__(self, h: RegVarFunction):
         self.h = h
         self._ylo = h.value(h.x0)          # h(x0): phi is clamped at and below it
         self._d1_lo = 1.0 / h.d1(h.x0)     # phi' there
-        self._blocks: dict[int, list] = {}
+        self._j0 = math.frexp(self._ylo)[1] - 1
+        self._top = self._j0 - 1           # no block yet
+        self._edges, self._scales, self._shifts = np.empty((3, 0))
+        self._coef = np.empty((0, 2, _DEGREE + 1))
         self.node_evals = 0  # long-double evaluations of h and h' by node solves
 
     def value(self, y):
@@ -441,7 +446,7 @@ class InverseHandle:
     @property
     def blocks_built(self) -> int:
         """Dyadic blocks this handle holds interpolants for."""
-        return len(self._blocks)
+        return self._top - self._j0 + 1
 
     def _interpolate(self, y: np.ndarray, row: int, power: float,
                      clamp: float) -> np.ndarray:
@@ -467,22 +472,22 @@ class InverseHandle:
         out[...] = clamp
         tail = y[above]
         if tail.size:
-            blocks = np.frexp(tail[[0, -1]] if big else tail)[1] - 1
-            edges, scales, shifts, coef = self._pieces(
-                range(int(blocks.min()), int(blocks.max()) + 1) if big
-                else sorted(set(blocks.tolist())))
+            top = int(np.frexp(tail[-1] if big else tail.max())[1]) - 1
+            if top > self._top:
+                self._build(top)
+            scales, shifts, coef = self._scales, self._shifts, self._coef
             r = np.frexp(tail)[0]
             r *= 2.0
             np.log2(r, out=r)            # r = log2(y) - j, in [0, 1)
             u, v, w = np.empty_like(r), np.empty_like(r), np.empty_like(r)
             if big:
-                cuts = [*np.searchsorted(tail, edges), tail.size]
+                cuts = [*np.searchsorted(tail, self._edges), tail.size]
                 for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
                     if b > a:
                         _clenshaw(coef[i, row], scales[i], shifts[i], r[a:b],
                                   u[a:b], v[a:b], w[a:b])
             else:
-                i = np.searchsorted(edges, tail, side="right") - 1
+                i = np.searchsorted(self._edges, tail, side="right") - 1
                 _clenshaw(coef[i, row].T, scales[i], shifts[i], r, u, v, w)
             np.exp(r, out=r)
             np.power(tail, power, out=u)
@@ -494,23 +499,10 @@ class InverseHandle:
         back[order] = out
         return back
 
-    def _pieces(self, blocks):
-        """Left edges in y, t maps and coefficients of the pieces of the
-        given blocks, in order; blocks not yet held are built first, in
-        one _build call."""
-        missing = [j for j in blocks if j not in self._blocks]
-        if missing:
-            self._build(missing)
-        pieces = [p for j in blocks for p in self._blocks[j]]
-        edges, scales, shifts, coef = zip(*pieces)
-        return (np.array(edges), np.array(scales), np.array(shifts),
-                np.array(coef))
-
-    def _build(self, blocks: list[int]) -> None:
-        """Interpolants of the given blocks.  Each round fits all pending
-        pieces from one long-double Newton solve at their nodes; a piece
-        whose last two coefficients exceed _TAIL is halved for the next
-        round, so pieces shrink only toward a singularity near h(x0)."""
+    def _build(self, top: int) -> None:
+        """Append blocks self._top + 1 ... top.  Each round fits the pending
+        pieces by one long-double Newton solve at their nodes, and halves in
+        place each piece whose last two coefficients exceed _TAIL."""
         h, ylo, n = self.h, self._ylo, _DEGREE + 1
         ld = np.longdouble
         # first-kind nodes cos(theta_k) and T_i(cos theta_k) = cos(i theta_k),
@@ -519,12 +511,15 @@ class InverseHandle:
         tk = np.cos(theta)
         to_coef = np.cos(np.outer(theta, np.arange(n))) * (ld(2) / n)
         to_coef[:, 0] *= 0.5
-        j0 = math.frexp(ylo)[1] - 1
+        j0 = self._j0
         left = math.log2(ylo) - j0       # h(x0) in r, for block j0
-        todo = [(j, left if j == j0 else 0.0, 1.0) for j in blocks]
-        done: dict[int, list] = {j: [] for j, _, _ in todo}
+        pieces = [(j, left if j == j0 else 0.0, 1.0, None)
+                  for j in range(self._top + 1, top + 1)]
         for split in range(_MAX_SPLITS + 1):
-            js, a, b = (np.array(v) for v in zip(*todo))
+            todo = [p for p in pieces if p[3] is None]
+            if not todo:
+                break
+            js, a, b = (np.array(v) for v in list(zip(*todo))[:3])
             y = np.exp2(js[:, None] + a[:, None] + (b - a)[:, None] * (tk + 1) / 2)
             x, hd = self._solve_nodes(y)
             ly = np.log(y)
@@ -532,23 +527,27 @@ class InverseHandle:
                              -np.log(hd) - (h.gamma - 1.0) * ly])
             coef = (logs @ to_coef).astype(np.float64)
             tails = np.abs(coef[:, :, -2:]).sum(axis=2).max(axis=0)
-            nxt = []
-            for i, (j, lo, hi) in enumerate(todo):
-                if tails[i] <= _TAIL or split == _MAX_SPLITS:
-                    done[j].append((lo, hi, coef[:, i]))
-                else:
-                    mid = 0.5 * (lo + hi)
-                    nxt += [(j, lo, mid), (j, mid, hi)]
-            if not nxt:
-                break
-            todo = nxt
-        for j, pieces in done.items():
-            pieces.sort(key=lambda p: p[0])
-            # t = 2 (r - lo) / (hi - lo) - 1; _clenshaw takes 2t = r scale - shift
-            self._blocks[j] = [
-                (ylo if lo == left and j == j0 else 2.0 ** (j + lo),
-                 4.0 / (hi - lo), 4.0 * lo / (hi - lo) + 2.0, c)
-                for lo, hi, c in pieces]
+            fits = iter(zip(coef.transpose(1, 0, 2), tails))
+            grown = []
+            for j, lo, hi, c in pieces:
+                if c is None:
+                    c, tail = next(fits)
+                    if tail > _TAIL and split < _MAX_SPLITS:
+                        mid = 0.5 * (lo + hi)
+                        grown += [(j, lo, mid, None), (j, mid, hi, None)]
+                        continue
+                grown.append((j, lo, hi, c))
+            pieces = grown
+        # t = 2 (r - lo) / (hi - lo) - 1; _clenshaw takes 2t = r scale - shift
+        js, lo, hi, coefs = zip(*pieces)
+        edges = [ylo if (j, a) == (j0, left) else 2.0 ** (j + a)
+                 for j, a in zip(js, lo)]
+        lo, hi = np.array(lo), np.array(hi)
+        self._edges = np.concatenate([self._edges, edges])
+        self._scales = np.concatenate([self._scales, 4.0 / (hi - lo)])
+        self._shifts = np.concatenate([self._shifts, 4.0 * lo / (hi - lo) + 2.0])
+        self._coef = np.concatenate([self._coef, coefs])
+        self._top = top
 
     def _solve_nodes(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """phi(y) and h'(phi(y)) in long double, by Newton on h from the

@@ -279,11 +279,6 @@ def gamma_constant(config: WaringConfig) -> float:
             / math.gamma(g1 + g2 + g3))
 
 
-def main_term(config: WaringConfig, lam: float) -> float:
-    """Gamma-factor constant times lambda^2 phi1' phi2' phi3' at lambda."""
-    return gamma_constant(config) * lam * lam * _phi_d1_product(config, lam)
-
-
 def count_report(config: WaringConfig, lams: list[int],
                  epsilon: float = EPSILON,
                  work: list | None = None) -> list[WaringCount]:

@@ -281,6 +281,12 @@ def _digit_edges(top, b, rng):
     return np.concatenate([m, rng.integers(0, top, 2000, endpoint=True)])
 
 
+def _digit_phase(dp: DigitPhase, m: np.ndarray) -> np.ndarray:
+    """e(m xi) at the integers m, split by digits and gathered by lookup."""
+    m = np.asarray(m, dtype=np.int64)
+    return dp.lookup(dp.digits(m), np.empty(m.size, dtype=np.complex128))
+
+
 def test_digit_phase_layout():
     # balanced digits of at most 12 bits
     assert [t.size for t in DigitPhase(0.1, 2 ** 24 - 1).tables] == [4096, 4096]
@@ -295,7 +301,7 @@ def test_digit_phase_matches_phase_within_bound(top):
     for xi in _XIS + list(rng.uniform(-1.0, 1.0, 2)):
         dp = DigitPhase(xi, top)
         m = _digit_edges(top, dp.b, rng)
-        got = dp(m)
+        got = _digit_phase(dp, m)
         want = phase(m.astype(np.float64), xi)
         assert np.max(np.abs(got - want)) <= dp.bound + PHASE_ERROR
 
@@ -311,7 +317,7 @@ def test_digit_phase_and_phase_match_mpmath(m, extra, xi):
     mpmath.mp.dps = 40
     want = mpmath.expjpi(2 * mpmath.frac(mpmath.mpf(m) * mpmath.mpf(xi)))
     dp = DigitPhase(xi, min(m + extra, 2 ** 53 - 1))
-    got = dp(np.array([m]))[0]
+    got = _digit_phase(dp, np.array([m]))[0]
     assert abs(mpmath.mpc(got) - want) <= dp.bound
     direct = phase(np.array([float(m)]), xi)[0]
     assert abs(mpmath.mpc(direct) - want) <= PHASE_ERROR
@@ -322,21 +328,21 @@ def test_digit_phase_conjugate_symmetry_and_zero(top):
     rng = np.random.default_rng(5)
     dp0 = DigitPhase(0.0, top)
     m = _digit_edges(top, dp0.b, rng)
-    ones = dp0(m)
+    ones = _digit_phase(dp0, m)
     assert np.array_equal(ones.real, np.ones(m.size))
     assert np.array_equal(ones.imag, np.zeros(m.size))
     for xi in [1e-9, 0.5 - 1e-12, 0.0123456789, 0.9]:
-        plus = DigitPhase(xi, top)(m)
-        minus = DigitPhase(-xi, top)(m)
+        plus = _digit_phase(DigitPhase(xi, top), m)
+        minus = _digit_phase(DigitPhase(-xi, top), m)
         assert minus.tobytes() == np.conj(plus).tobytes()
 
 
 def test_digit_phase_refuses_arguments_outside_its_tables():
     dp = DigitPhase(0.1, 5000)
     with pytest.raises(ValueError, match="outside"):
-        dp(np.array([3, 5001]))
+        _digit_phase(dp, np.array([3, 5001]))
     with pytest.raises(ValueError, match="outside"):
-        dp(np.array([-1]))
+        _digit_phase(dp, np.array([-1]))
     with pytest.raises(ValueError, match="outside"):
         DigitPhase(0.1, 2 ** 53)
-    assert dp(np.zeros(0, dtype=np.int64)).shape == (0,)
+    assert _digit_phase(dp, np.zeros(0, dtype=np.int64)).shape == (0,)

@@ -208,9 +208,25 @@ def test_explicit_refuses_before_any_sieve(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+def test_explicit_refuses_an_oversized_zero_table_before_reading(
+        tmp_path, monkeypatch, capsys):
+    # a file planned past the cap by its size is refused before it is read
+    # and before any sieve
+    zeros = tmp_path / "zeros.txt"
+    zeros.write_text("14.134725142\n")
+    calls = _sieve_calls(monkeypatch)
+    monkeypatch.setattr(zeta, "load_zeros", lambda path: calls.append(path))
+    monkeypatch.setattr(cli.os.path, "getsize", lambda path: 1 << 32)
+    assert cli.main(["explicit", "--x", "1e4", "--T", "100",
+                     "--zero-table", str(zeros)]) == 1
+    err = capsys.readouterr().err
+    assert "bytes of prime and zero tables" in err and str(zeros) in err
+    assert calls == []
+
+
 def test_explicit_x_cap_admits_its_boundary():
-    # 24 bytes per prime on pi_bound(x) plus the zero table's read
-    top = 1501267060
+    # 24 bytes per prime on pi_bound(x) plus the packaged zero table's read
+    top = 1505899955
     assert cli.parse_config(["explicit", "--x", str(top), "--T", "100"])
     with pytest.raises(ValueError, match="bytes of prime tables"):
         cli.parse_config(["explicit", "--x", str(top + 1), "--T", "100"])
@@ -451,12 +467,9 @@ _PLANNED = {
 }
 
 
-@pytest.mark.parametrize("argv", _PLANNED.values(), ids=_PLANNED.keys())
-def test_plan_covers_traced_peak(tmp_path, monkeypatch, argv):
-    # a cold run, with the primes and the packaged zero table unread,
-    # holds at its peak at most its plan and at least a third of it.
-    # tracemalloc sees numpy's arrays but not pocketfft's own buffers, so
-    # waring's estimate, which plans for RSS, lies well above its peak
+def _plan_and_traced_peak(tmp_path, monkeypatch, argv) -> tuple[float, int]:
+    """A request's plan and the traced peak of its cold run, with the
+    primes and the packaged zero table unread."""
     _sieve_calls(monkeypatch)
     monkeypatch.setattr(zeta, "_packaged_table",
                         functools.cache(zeta._packaged_table.__wrapped__))
@@ -468,6 +481,29 @@ def test_plan_covers_traced_peak(tmp_path, monkeypatch, argv):
     finally:
         tracemalloc.stop()
     assert code == 0
+    return plan, peak
+
+
+@pytest.mark.parametrize("argv", _PLANNED.values(), ids=_PLANNED.keys())
+def test_plan_covers_traced_peak(tmp_path, monkeypatch, argv):
+    # a cold run holds at its peak at most its plan and at least a third
+    # of it.  tracemalloc sees numpy's arrays but not pocketfft's own
+    # buffers, so waring's estimate, which plans for RSS, lies well above
+    # its peak
+    plan, peak = _plan_and_traced_peak(tmp_path, monkeypatch, argv)
+    assert peak <= plan <= 3 * peak
+
+
+def test_plan_covers_a_zero_table_file(tmp_path, monkeypatch):
+    # a --zero-table file is planned from its size, at most (size + 1)/3
+    # ordinates; a valid table of short lines: the lowest zero, then the
+    # integers 15 ... 99999
+    zeros = tmp_path / "zeros.txt"
+    zeros.write_text("14.134725142\n"
+                     + "".join(f"{k}\n" for k in range(15, 100000)))
+    plan, peak = _plan_and_traced_peak(
+        tmp_path, monkeypatch,
+        ["explicit", "--x", "1e6", "--T", "100", "--zero-table", str(zeros)])
     assert peak <= plan <= 3 * peak
 
 
@@ -816,6 +852,22 @@ def test_ergodic_run(tmp_path):
     mirror = json.loads((tmp_path / "erg.txt.json").read_text())
     assert work[0][2:] in mirror["notes"]
     assert all(len(row) == 6 for row in mirror["rows"])
+
+
+def test_ergodic_seed_moves_only_its_note(tmp_path):
+    # the seed draws the random O^2 ensemble, whose maximum is a note:
+    # two seeds print the same rows and different o2_random_max notes
+    rows, notes = {}, {}
+    for seed in (0, 7):
+        out = tmp_path / f"e{seed}.txt"
+        assert cli.main(["ergodic", "--jmin", "10", "--jmax", "20",
+                         "--kgrid", "10", "--seed", str(seed),
+                         "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        rows[seed] = [ln for ln in lines if not ln.startswith("#")]
+        notes[seed] = [ln for ln in lines if ln.startswith("# o2_random_max=")]
+    assert rows[0] == rows[7] and rows[0]
+    assert len(notes[0]) == len(notes[7]) == 1 and notes[0] != notes[7]
 
 
 def test_stdout_when_no_out(capsys):

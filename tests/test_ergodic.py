@@ -393,8 +393,11 @@ def test_convergence_report_structure():
     np.testing.assert_array_equal(rep.o2_random, again.o2_random)
     other = convergence_report(sys_, pure_power(1.2), grid, seed=8)
     assert not np.array_equal(rep.o2_random, other.o2_random)
-    np.testing.assert_array_equal(
-        rep.orbit, sys_.orbit_values(pure_power(1.2), grid[-1]))
+    # D_N over the primes p <= N of the one orbit at max(grid)
+    vals, p = sys_.orbit_values(pure_power(1.2), grid[-1]), primes_upto(grid[-1])
+    assert rep.weighted.tolist() == [
+        weighted_average(vals[:c], p[:c])
+        for c in np.searchsorted(p, grid, side="right")]
 
 
 def test_convergence_report_needs_primes():
@@ -408,7 +411,7 @@ def test_trend_violations_counts():
         grid=np.arange(4), values=np.array([3.0, -2.0, 2.5, 1.0]),
         deltas=np.zeros(3), running_max=np.zeros(4),
         i_dyadic=np.arange(2), o2_dyadic=0.0,
-        o2_random=np.zeros(1), v2=0.0, seed=0, orbit=np.zeros(0))
+        o2_random=np.zeros(1), v2=0.0, seed=0, weighted=np.zeros(4))
     # |values| = 3, 2, 2.5, 1: one rise
     assert rep.trend_violations() == 1
 

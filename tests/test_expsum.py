@@ -403,7 +403,8 @@ def test_phase_sum_is_the_pairwise_sum_of_each_chunk_product(monkeypatch):
     got = expsum._phase_sum(lambda lo, hi: w[lo:hi], m, _VECTOR_XI)
     for xi, value in zip(_VECTOR_XI, got):
         e = accum.DigitPhase(xi, int(m.max()))
-        want = accum.pairwise_sum(e(m) * w)
+        want = accum.pairwise_sum(
+            e.lookup(e.digits(m), np.empty(m.size, dtype=np.complex128)) * w)
         assert np.array(value).tobytes() == np.array(want).tobytes(), xi
 
 
@@ -453,8 +454,10 @@ def test_minor_arc_scan_peak_memory():
 def test_minor_arc_scan_validations():
     with pytest.raises(ValueError):
         expsum.minor_arc_scan(H12, [1e3])
-    with pytest.raises(ValueError):
-        expsum.minor_arc_scan(H12, [1e3, 1e4], theta1=0.9)
+    # at c >= 4/3 the default theta1 leaves (0, (6c - 2)/9), and chi_bound
+    # has no positive saving
+    with pytest.raises(ValueError, match="no positive saving"):
+        expsum.minor_arc_scan(pure_power(4.0 / 3.0), [1e3, 1e4])
 
 
 def test_dyadic_block_zero_xi():

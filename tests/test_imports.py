@@ -1,6 +1,7 @@
 """Every module of the package and of the tests reads each name it imports,
-and every top-level name of the package is read somewhere: in src, tests,
-perfbench or scripts."""
+and every top-level name of the package is read somewhere: in src,
+perfbench or scripts, or, for the listed test-only names, in tests
+alone."""
 
 import ast
 import re
@@ -84,7 +85,24 @@ def _unread_names(sources: dict[str, str], package: set[str]) -> list[str]:
                        if key != (path, i))]
 
 
+# top-level names that only tests read: ergodic's averages and
+# two-parameter oscillation, which the CLI's report does not use yet, and
+# the zero sums' pieces of criterion 07
+_TEST_ONLY = {
+    "src/primeorbits/ergodic.py: average_shift",
+    "src/primeorbits/ergodic.py: average_rotation",
+    "src/primeorbits/ergodic.py: average_multi_rotation",
+    "src/primeorbits/ergodic.py: average_multi_shift",
+    "src/primeorbits/ergodic.py: box_oscillation",
+    "src/primeorbits/zeta.py: zero_power_sum",
+    "src/primeorbits/zeta.py: theta3_default",
+}
+
+
 def test_no_unread_top_level_names():
+    # every top-level name is read somewhere; one that no statement in src,
+    # perfbench or scripts reads is listed in _TEST_ONLY, and every listed
+    # name is still read by tests alone
     assert _unread_names(
         {"m.py": "def f():\n    return f()\nX = 1\ndef g():\n    return X\n",
          "t.py": "TARGETS = (('m', 'g'),)\n"}, {"m.py"}) == ["m.py: f"]
@@ -94,5 +112,8 @@ def test_no_unread_top_level_names():
                for p in (_ROOT / d).glob("*.py"))]
     assert len(package) > 5
     sources = {str(p.relative_to(_ROOT)): p.read_text() for p in files}
-    assert _unread_names(
-        sources, {str(p.relative_to(_ROOT)) for p in package}) == []
+    names = {str(p.relative_to(_ROOT)) for p in package}
+    assert _unread_names(sources, names) == []
+    program = {path: text for path, text in sources.items()
+               if not path.startswith("tests")}
+    assert set(_unread_names(program, names)) == _TEST_ONLY

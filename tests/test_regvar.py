@@ -250,16 +250,25 @@ def test_nonpure_inverse_depends_on_y_alone(h):
                            zip(cuts, cuts[1:])]).tobytes() == values.tobytes()
 
 
+def _prefix_blocks(h, asked) -> int:
+    # blocks j0 ... top, j0 the block of h(x0) and top that of the largest
+    # point asked for above it
+    ylo = h.value(h.x0)
+    top = max((math.frexp(y)[1] - 1 for y in asked if y > ylo), default=None)
+    return 0 if top is None else top - (math.frexp(ylo)[1] - 1) + 1
+
+
 def test_inverse_blocks_are_kept_and_counted():
     h = log_power(1.15, a=0.5)
     phi = InverseHandle(h)
     assert phi.blocks_built == 0 and phi.node_evals == 0
     phi.d1(np.array([1e3, 1e4]))
-    assert phi.blocks_built == 2   # 2**9 <= 1e3 < 2**10 and 2**13 <= 1e4 < 2**14
+    # 2**6 <= h(x0) and 2**13 <= 1e4 < 2**14: the prefix of blocks 6 ... 13
+    assert phi.blocks_built == _prefix_blocks(h, [1e4]) == 8
     evals = phi.node_evals
-    assert evals >= 2 * 17 * 2   # at least two Newton evaluations per node
+    assert evals >= 8 * 17 * 2   # at least two Newton evaluations per node
     phi.value(np.array([6e2, 9e3]))
-    assert (phi.blocks_built, phi.node_evals) == (2, evals)
+    assert (phi.blocks_built, phi.node_evals) == (8, evals)
     assert InverseHandle(pure_power(1.2)).node_evals == 0
 
 
@@ -271,7 +280,32 @@ def test_one_inverse_handle_per_function():
     # the kept handle changes neither equality nor hash, and an equal
     # function has a handle of its own, with no blocks yet
     assert twin == h and hash(twin) == hash(h)
-    assert (h.inverse.blocks_built, twin.inverse.blocks_built) == (1, 0)
+    assert (h.inverse.blocks_built, twin.inverse.blocks_built) == (4, 0)
+
+
+@pytest.mark.parametrize("h", NONPURE, ids=lambda h: h.label())
+def test_inverse_prefix_gives_the_same_bits_however_it_grew(h):
+    # phi and phi' at a fixed grid from a handle built by one call, one
+    # grown by scattered small calls in a seeded order, and one grown by
+    # a call of more than _GATHER points; after every call the handle
+    # holds the prefix up to the largest point asked for, in y order
+    ylo = h.value(h.x0)
+    grid = np.concatenate([[0.5 * ylo, ylo], np.geomspace(ylo, 2.0 ** 40, 3000)])
+    rng = np.random.default_rng(35)
+    scattered = [rng.permutation(grid)[:int(rng.integers(1, 8))]
+                 for _ in range(30)]
+    big = [np.linspace(ylo, 1e6, 5000)]
+    results = []
+    for calls in ([], scattered, big):
+        phi, asked = InverseHandle(h), []
+        for i, y in enumerate([*calls, grid]):
+            (phi.d1, phi.value)[i % 2](y)
+            asked += list(y)
+            assert phi.blocks_built == _prefix_blocks(h, asked)
+            assert np.all(np.diff(phi._edges) > 0)
+            assert len(phi._edges) == len(phi._coef) >= phi.blocks_built
+        results.append((phi.value(grid).tobytes(), phi.d1(grid).tobytes()))
+    assert results[0] == results[1] == results[2]
 
 
 def test_value_and_d1_keeps_long_double():

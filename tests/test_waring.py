@@ -17,7 +17,6 @@ from primeorbits.waring import (
     count_report,
     floor_image_histogram,
     gamma_constant,
-    main_term,
     prime_weighted_histogram,
     triple_counts_all,
 )
@@ -392,10 +391,11 @@ def test_main_term_closed_form():
     c = 1.2
     g = 1.0 / c
     h = pure_power(c)
-    cfg = WaringConfig(h, h, h, 10 ** 4)
-    for lam in (100.0, 5000.0):
+    cfg = WaringConfig(h, h, h, 5000)
+    for row in count_report(cfg, [100, 5000]):
+        lam = row.lam
         expect = (math.gamma(g) ** 3 / math.gamma(3 * g)) * g ** 3 * lam ** (3 * g - 1)
-        assert main_term(cfg, lam) == pytest.approx(expect, rel=1e-12)
+        assert row.main_term == pytest.approx(expect, rel=1e-12)
 
 
 # ------------------------------------------------------------ count_report
@@ -410,8 +410,9 @@ def test_count_report_field_consistency():
     for row in rows:
         assert row.r == r_all[row.lam]
         assert row.R == pytest.approx(R_all[row.lam], rel=1e-12)
-        assert row.main_term == pytest.approx(main_term(cfg, float(row.lam)),
-                                              rel=1e-12)
+        phi_d1 = [f.inverse.d1(float(row.lam)) for f in cfg.functions]
+        assert row.main_term == pytest.approx(
+            gamma_constant(cfg) * row.lam ** 2 * math.prod(phi_d1), rel=1e-12)
         assert row.ratio_r == pytest.approx(row.r / row.main_term, rel=1e-12)
         phis = row.main_term / gamma_constant(cfg)
         damp = math.exp(-math.log(row.lam) ** (1.0 / 3.0 - waring.EPSILON))

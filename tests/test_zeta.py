@@ -57,16 +57,25 @@ def test_load_two_line_file(tmp_path):
 
 def test_load_empty_file(tmp_path):
     p = tmp_path / "z.txt"
-    p.write_text("")
-    with pytest.raises(ValueError, match="empty"):
-        zeta.load_zeros(str(p))
+    for text in ("", "# no ordinates\n\n"):
+        p.write_text(text)
+        with pytest.raises(ValueError, match="empty"):
+            zeta.load_zeros(str(p))
 
 
 def test_load_parse_error_reports_line(tmp_path):
+    # the first line that is not one number, comments and blank lines
+    # counted: a bad token, or two numbers on a line, on one line or all
     p = tmp_path / "z.txt"
-    p.write_text("abc\n")
-    with pytest.raises(ValueError, match="line 1"):
-        zeta.load_zeros(str(p))
+    for text, line in [
+            ("abc\n", 1),
+            ("# lowest zeros\n14.134725142\n\nabc\n", 4),
+            ("14.134725142 21.022039639\n", 1),
+            ("14.134725142 # first\n21.022039639 25.010857580\n", 2),
+            ("14.134725142 21.022039639\n25.010857580 30.424876126\n", 1)]:
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"parse error at line {line}:"):
+            zeta.load_zeros(str(p))
 
 
 def test_load_missing_file():
