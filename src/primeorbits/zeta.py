@@ -144,9 +144,9 @@ def _read_table(source: str) -> ZetaZeroTable:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty file is refused below
             gammas = np.loadtxt(source, comments="#", ndmin=2)
-    except ValueError:
-        gammas = None
-    if gammas is None or gammas.shape[1] != 1:
+        if gammas.shape[1] != 1:
+            raise ValueError("more than one number on a line")
+    except ValueError as exc:
         # read again line by line only to name the first bad line
         with open(source) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -157,7 +157,7 @@ def _read_table(source: str) -> ZetaZeroTable:
                 except ValueError:
                     raise ValueError(f"{source}: parse error at line "
                                      f"{lineno}: {text[:40]!r}") from None
-        raise ValueError(f"{source}: parse error")
+        raise ValueError(f"{source}: parse error: {exc}") from None
     if not gammas.size:
         raise ValueError(f"{source}: empty table")
     return ZetaZeroTable(gammas[:, 0], source=source)

@@ -76,6 +76,11 @@ def test_load_parse_error_reports_line(tmp_path):
         p.write_text(text)
         with pytest.raises(ValueError, match=f"parse error at line {line}:"):
             zeta.load_zeros(str(p))
+    # Python's float reads '1_000' and numpy does not: no line is named,
+    # numpy's reason is kept
+    p.write_text("14.134725142\n1_000\n")
+    with pytest.raises(ValueError, match="parse error: .*1_000"):
+        zeta.load_zeros(str(p))
 
 
 def test_load_missing_file():
