@@ -2,17 +2,17 @@
 
 Each subcommand evaluates one family of quantities on a configured grid
 and emits a columnar text report ('#'-prefixed header, one row per line)
-plus a JSON mirror of the same schema.  _KEYS holds, per subcommand, the
-keys it reads with their parser and default (_COMMON: the keys of every
-subcommand); any other key is a usage error.  A flat key=value config
-file can seed any run and flags override it.  Every key with a default is
-filled in, so the '# config:' header and the mirror's "config" are the
-configuration the run used.  --check also tests the subject's acceptance
-thresholds and exits 2 on violation, so CI can drive the suite from here.
+plus a JSON mirror of the same schema.  _SUBCOMMANDS holds one record
+per subcommand: its keys with their parser and default (_COMMON: those
+of every subcommand), its plan and its runner; any other key is a usage
+error.  A flat key=value config file can seed any run and flags override
+it.  Every key with a default is filled in, so the '# config:' header
+and the mirror's "config" are the configuration the run used.  --check
+also tests the subject's acceptance thresholds and exits 2 on violation.
 
 Every size key goes through one bounded integer parser, as every float
 key goes through one finite-float parser, so each run's one memory plan
-(_validate) is a finite float, compared with _MEMORY_CAP once.
+(its record's plan) is a finite float, compared with _MEMORY_CAP once.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -123,29 +124,6 @@ _COMMON = {
 }
 # no default here: a, b and depth take the constructors', theta1 follows c
 _SHAPE = {"a": (_finite, None), "b": (_finite, None), "depth": (int, None)}
-_KEYS = {
-    "expsum": {"kind": (str, "pure"), "c": (_index, None), **_SHAPE,
-               "N": (_grid(_size), [10 ** 4, 10 ** 5]),
-               "xi": (_xi_tokens, list(_XI_NAMES)),
-               "theta1": (_finite, None), "epsilon": _EPSILON},
-    "waring": {"c1": (_index, 1.01), "c2": (_index, 1.01),
-               "c3": (_index, 1.01), "lam": (_grid(_size), [100, 200]),
-               "epsilon": _EPSILON},
-    "ergodic": {"kind": (str, "pure"), "c": (_index, 1.1), **_SHAPE,
-                "start": (_finite, 0.35), "jmin": (_size, 10),
-                "jmax": (_size, 20),
-                "kgrid": (_checked(_grid(_size), lambda g: g[0] >= 2,
-                                   "entries must be >= 2"), [10, 100, 1000]),
-                "seed": _SEED},
-    "explicit": {"x": (_grid(_finite), [1e3, 1e4]),
-                 "T": (_grid(_finite), [1e2, 1e3]), "zero_table": (str, None)},
-    "vaughan-check": {"nmax": (_size, 10 ** 4),
-                      "v": (_checked(_grid(_finite), lambda g: g[0] >= 1.0,
-                                     "cutoffs must be >= 1"),
-                            [2.0, 5.0, 10.0]),
-                      "cases": (_size, 20), "seed": _SEED},
-    "regvar-check": {},
-}
 
 
 def _set(cfg: dict, keys: dict, key: str, raw: str, where: str) -> None:
@@ -169,9 +147,10 @@ def parse_config(argv: list[str]) -> dict:
     parser = _Parser(
         prog="primeorbits",
         description="experiments over prime-orbit exponential sums")
-    parser.add_argument("subcommand", choices=sorted(_KEYS))
+    parser.add_argument("subcommand", choices=sorted(_SUBCOMMANDS))
     parser.add_argument("--config", help="flat key=value file; flags override")
-    for key in sorted(set(_COMMON).union(*_KEYS.values())):
+    for key in sorted(set(_COMMON).union(
+            *(record.keys for record in _SUBCOMMANDS.values()))):
         flag = "--" + key.replace("_", "-")
         if key == "check":
             parser.add_argument(flag, action="store_const", const="on")
@@ -180,7 +159,7 @@ def parse_config(argv: list[str]) -> dict:
     args = vars(parser.parse_args(argv))
     sub = args.pop("subcommand")
     cfg: dict = {"subcommand": sub}
-    keys = {**_COMMON, **_KEYS[sub]}
+    keys = {**_COMMON, **_SUBCOMMANDS[sub].keys}
 
     file_path = args.pop("config")
     if file_path:
@@ -226,58 +205,7 @@ def _validate(cfg: dict) -> float:
     x0 or too large to run.  Return its plan: the bytes of the tables alive
     together at its peak, by the per-unit figures of the modules that hold
     them, compared with _MEMORY_CAP once and refused in the keys it reads."""
-    sub, need = cfg["subcommand"], 0.0
-    if sub == "expsum":
-        h, n_min, n_max = _function_from(cfg), min(cfg["N"]), max(cfg["N"])
-        _check_above_x0(h, f"N={n_min}", n_min)
-        terms = h.value(float(n_max))
-        if terms > _TERM_CAP:
-            raise ValueError(f"N={n_max} needs about {terms:.3g} "
-                             f"approximant terms, over the 2^28 cap")
-        need = expsum.BYTES_PER_PRIME * primes.pi_bound(n_max)
-        keys, tables = f"N={n_max}", "prime tables"
-    if sub == "ergodic":
-        h, jmin, jmax = _function_from(cfg), cfg["jmin"], cfg["jmax"]
-        if not 1 <= jmin < jmax <= 62:  # the grid 2^j stays a size
-            raise ValueError(f"need 1 <= --jmin < --jmax <= 62, got --jmin "
-                             f"{jmin} --jmax {jmax}")
-        _check_above_x0(h, f"jmin={jmin}", 2.0 ** jmin)
-        if h.value(2.0 ** jmax) >= 2.0 ** 53:
-            raise ValueError(f"jmax={jmax}: h(2^{jmax}) reaches 2^53, where "
-                             "a double has no fractional bit left")
-        # the orbit and its primes stay alive while the weights are built
-        kmax = cfg["kgrid"][-1]
-        need = (ergodic.ORBIT_BYTES_PER_PRIME * primes.pi_bound(2.0 ** jmax)
-                + ergodic.WEIGHT_BYTES_PER_K * (kmax + 1))
-        keys, tables = f"jmax={jmax} kgrid={kmax}", "orbit and weight tables"
-    if sub == "explicit":
-        xs, Ts = cfg["x"], cfg["T"]
-        if not 2.0 <= Ts[0] <= Ts[-1] <= xs[0]:
-            raise ValueError(f"need 2 <= T <= min x = {xs[0]:g}, got T from "
-                             f"{Ts[0]:g} to {Ts[-1]:g}")
-        need = primes.TABLE_BYTES_PER_PRIME * primes.pi_bound(xs[-1])
-        keys, tables = f"x={xs[-1]:g}", "prime tables"
-        path = cfg.get("zero_table")
-        if path:
-            # a valid table file holds at most (size + 1)/3 ordinates, '15\n'
-            # being its shortest line, each held twice by the read (parsed
-            # and copied) beside a one-byte mask of the ascending check
-            need += 17 * (os.path.getsize(path) + 1) // 3
-            keys, tables = f"{keys} zero_table={path}", "prime and zero tables"
-        else:
-            need += zeta.READ_BYTES
-    if sub == "vaughan-check":
-        nmax = cfg["nmax"]
-        if nmax <= max(cfg["v"]):
-            raise ValueError(f"nmax={nmax} must exceed the largest cutoff "
-                             f"v={max(cfg['v']):g}")
-        need = vaughan.IDENTITY_BYTES_PER_N * (nmax + 1) + vaughan.SPLIT_BYTES
-        keys, tables = f"nmax={nmax}", "identity tables"
-    if sub == "waring":
-        hs, lams = [pure_power(cfg[k]) for k in ("c1", "c2", "c3")], cfg["lam"]
-        waring.check_lambda(hs, min(lams))
-        need = waring.memory_estimate(hs, max(lams))
-        keys, tables = f"lam={max(lams)}", "count tables"
+    need, keys, tables = _SUBCOMMANDS[cfg["subcommand"]].plan(cfg)
     if need > _MEMORY_CAP:
         raise ValueError(f"{keys} needs about {need:.3g} bytes of {tables}, "
                          f"over the {_MEMORY_CAP / 2 ** 30:g} GiB cap")
@@ -356,6 +284,22 @@ def _resolve_xi(token: str, n: float, theta1: float) -> float:
     return float(token)
 
 
+def _plan_expsum(cfg: dict):
+    h, n_min, n_max = _function_from(cfg), min(cfg["N"]), max(cfg["N"])
+    _check_above_x0(h, f"N={n_min}", n_min)
+    try:  # the largest cut N^-theta1; the default theta1's never overflows
+        _resolve_xi("cut", float(n_max), cfg.get("theta1", 0.0))
+    except OverflowError:
+        raise ValueError(f"theta1={cfg['theta1']:g}: the cut N^-theta1 at "
+                         f"N={n_max} overflows a double") from None
+    terms = h.value(float(n_max))
+    if terms > _TERM_CAP:
+        raise ValueError(f"N={n_max} needs about {terms:.3g} "
+                         f"approximant terms, over the 2^28 cap")
+    return (expsum.BYTES_PER_PRIME * primes.pi_bound(n_max), f"N={n_max}",
+            "prime tables")
+
+
 def _run_expsum(cfg: dict):
     h, n_grid, tokens = _function_from(cfg), cfg["N"], cfg["xi"]
     theta1 = cfg.get("theta1", expsum.theta1_default(h.c))
@@ -408,6 +352,13 @@ def _oracle_triple_loop(hs, lmax: int) -> np.ndarray:
     return r
 
 
+def _plan_waring(cfg: dict):
+    hs, lams = [pure_power(cfg[k]) for k in ("c1", "c2", "c3")], cfg["lam"]
+    waring.check_lambda(hs, min(lams))
+    return (waring.memory_estimate(hs, max(lams)), f"lam={max(lams)}",
+            "count tables")
+
+
 def _run_waring(cfg: dict):
     hs, lams = [pure_power(cfg[k]) for k in ("c1", "c2", "c3")], cfg["lam"]
     config = waring.WaringConfig(*hs, lambda_max=max(lams))
@@ -443,6 +394,22 @@ def _run_waring(cfg: dict):
     return columns, rows, notes, failures
 
 
+def _plan_ergodic(cfg: dict):
+    h, jmin, jmax = _function_from(cfg), cfg["jmin"], cfg["jmax"]
+    if not 1 <= jmin < jmax <= 62:  # the grid 2^j stays a size
+        raise ValueError(f"need 1 <= --jmin < --jmax <= 62, got --jmin "
+                         f"{jmin} --jmax {jmax}")
+    _check_above_x0(h, f"jmin={jmin}", 2.0 ** jmin)
+    if h.value(2.0 ** jmax) >= 2.0 ** 53:
+        raise ValueError(f"jmax={jmax}: h(2^{jmax}) reaches 2^53, where "
+                         "a double has no fractional bit left")
+    # the orbit and its primes stay alive while the weights are built
+    kmax = cfg["kgrid"][-1]
+    return (ergodic.ORBIT_BYTES_PER_PRIME * primes.pi_bound(2.0 ** jmax)
+            + ergodic.WEIGHT_BYTES_PER_K * (kmax + 1),
+            f"jmax={jmax} kgrid={kmax}", "orbit and weight tables")
+
+
 def _run_ergodic(cfg: dict):
     h, jmin, jmax = _function_from(cfg), cfg["jmin"], cfg["jmax"]
     alpha = ergodic.golden_surrogate()
@@ -475,6 +442,22 @@ def _run_ergodic(cfg: dict):
     return columns, rows, notes, failures
 
 
+def _plan_explicit(cfg: dict):
+    xs, Ts = cfg["x"], cfg["T"]
+    if not 2.0 <= Ts[0] <= Ts[-1] <= xs[0]:
+        raise ValueError(f"need 2 <= T <= min x = {xs[0]:g}, got T from "
+                         f"{Ts[0]:g} to {Ts[-1]:g}")
+    need = primes.TABLE_BYTES_PER_PRIME * primes.pi_bound(xs[-1])
+    path = cfg.get("zero_table")
+    if not path:
+        return need + zeta.READ_BYTES, f"x={xs[-1]:g}", "prime tables"
+    # a valid table file holds at most (size + 1)/3 ordinates, '15\n'
+    # being its shortest line, each held twice by the read (parsed and
+    # copied) beside a one-byte mask of the ascending check
+    return (need + 17 * (os.path.getsize(path) + 1) // 3,
+            f"x={xs[-1]:g} zero_table={path}", "prime and zero tables")
+
+
 def _run_explicit(cfg: dict):
     table = zeta.load_zeros(cfg.get("zero_table"))
     xs, Ts = cfg["x"], cfg["T"]
@@ -499,6 +482,15 @@ def _run_explicit(cfg: dict):
     notes = [f"zeros={table.count}", f"max_gamma={table.max_gamma:.3f}",
              f"source={table.source}", f"work: zeros_summed={summed}"]
     return columns, rows, notes, failures
+
+
+def _plan_vaughan(cfg: dict):
+    nmax = cfg["nmax"]
+    if nmax <= max(cfg["v"]):
+        raise ValueError(f"nmax={nmax} must exceed the largest cutoff "
+                         f"v={max(cfg['v']):g}")
+    return (vaughan.IDENTITY_BYTES_PER_N * (nmax + 1) + vaughan.SPLIT_BYTES,
+            f"nmax={nmax}", "identity tables")
 
 
 def _run_vaughan(cfg: dict):
@@ -558,19 +550,48 @@ def _run_regvar(cfg: dict):
     return columns, rows, [], failures
 
 
-_RUNNERS = {
-    "expsum": _run_expsum,
-    "waring": _run_waring,
-    "ergodic": _run_ergodic,
-    "explicit": _run_explicit,
-    "vaughan-check": _run_vaughan,
-    "regvar-check": _run_regvar,
+class _Subcommand(NamedTuple):
+    keys: dict  # besides _COMMON, in its form
+    plan: Callable[[dict], tuple]  # refuses, or (bytes, keys, tables)
+    run: Callable[[dict], tuple]  # (columns, rows, notes, failures)
+
+
+_SUBCOMMANDS = {
+    "expsum": _Subcommand(
+        {"kind": (str, "pure"), "c": (_index, None), **_SHAPE,
+         "N": (_grid(_size), [10 ** 4, 10 ** 5]),
+         "xi": (_xi_tokens, list(_XI_NAMES)),
+         "theta1": (_finite, None), "epsilon": _EPSILON},
+        _plan_expsum, _run_expsum),
+    "waring": _Subcommand(
+        {"c1": (_index, 1.01), "c2": (_index, 1.01), "c3": (_index, 1.01),
+         "lam": (_grid(_size), [100, 200]), "epsilon": _EPSILON},
+        _plan_waring, _run_waring),
+    "ergodic": _Subcommand(
+        {"kind": (str, "pure"), "c": (_index, 1.1), **_SHAPE,
+         "start": (_finite, 0.35), "jmin": (_size, 10), "jmax": (_size, 20),
+         "kgrid": (_checked(_grid(_size), lambda g: g[0] >= 2,
+                            "entries must be >= 2"), [10, 100, 1000]),
+         "seed": _SEED},
+        _plan_ergodic, _run_ergodic),
+    "explicit": _Subcommand(
+        {"x": (_grid(_finite), [1e3, 1e4]), "T": (_grid(_finite), [1e2, 1e3]),
+         "zero_table": (str, None)},
+        _plan_explicit, _run_explicit),
+    "vaughan-check": _Subcommand(
+        {"nmax": (_size, 10 ** 4),
+         "v": (_checked(_grid(_finite), lambda g: g[0] >= 1.0,
+                        "cutoffs must be >= 1"), [2.0, 5.0, 10.0]),
+         "cases": (_size, 20), "seed": _SEED},
+        _plan_vaughan, _run_vaughan),
+    # no key sizes the fixed catalog run: nothing to plan
+    "regvar-check": _Subcommand({}, lambda cfg: (0, "", ""), _run_regvar),
 }
 
 
 def run(cfg: dict) -> int:
     """Execute one configured run; 0 ok, 2 check violation."""
-    columns, rows, notes, failures = _RUNNERS[cfg["subcommand"]](cfg)
+    columns, rows, notes, failures = _SUBCOMMANDS[cfg["subcommand"]].run(cfg)
     if cfg["check"]:
         if failures:
             notes = notes + [f"check: FAIL {f}" for f in failures]

@@ -1,13 +1,13 @@
-"""Ergodic averages along floor(h(p)) on concrete systems, with
-oscillation and variation diagnostics.
+"""Ergodic averages along floor(h(p)), with oscillation and variation
+diagnostics.
 
-Two systems are simulated: the integer shift (observables with finite
-support on Z, or Z^2 for the two-parameter average) and circle rotation
-by a rational surrogate alpha = p/q with huge denominator, so that orbit
-points n*alpha mod 1 are exact integer arithmetic mod q.  On top of the
-plain averages A_N sit the log-weighted averages D_N, the lambda weights
-tying the two together by summation by parts, and the O^2 / V^2
-statistics of average trajectories along lacunary time grids.
+The system simulated is circle rotation by a rational surrogate
+alpha = p/q with huge denominator, so that orbit points n*alpha mod 1
+are exact integer arithmetic mod q; convergence_report takes any system
+with an orbit_values(h, N) method.  On top of the one-parameter averages
+A_N sit the log-weighted averages D_N, the lambda weights tying the two
+together by summation by parts, and the O^2 / V^2 statistics of average
+trajectories along lacunary time grids.
 """
 
 from __future__ import annotations
@@ -84,19 +84,6 @@ def rotation_points(alpha: Fraction, x: float, indices: np.ndarray) -> np.ndarra
 
 
 @dataclass(frozen=True)
-class ShiftSystem:
-    """Integer shift; the observable is a finite-support map on Z."""
-
-    f: dict[int, float]
-    x: int = 0
-
-    def orbit_values(self, h: RegVarFunction, N: int) -> np.ndarray:
-        idx = orbit_indices(h, N)
-        get = self.f.get
-        return np.array([get(self.x - int(n), 0.0) for n in idx])
-
-
-@dataclass(frozen=True)
 class RotationSystem:
     """Circle rotation by a rational surrogate; f maps [0,1) arrays to values."""
 
@@ -108,19 +95,6 @@ class RotationSystem:
         idx = orbit_indices(h, N)
         return np.asarray(self.f(rotation_points(self.alpha, self.x, idx)),
                           dtype=np.float64)
-
-
-def average_shift(f: dict[int, float], x: int, h: RegVarFunction, N: int) -> float:
-    """(1/pi(N)) sum over p <= N of f(x - floor(h(p)))."""
-    vals = ShiftSystem(f, x).orbit_values(h, N)
-    return float(pairwise_sum(vals) / vals.size)
-
-
-def average_rotation(alpha: Fraction, f, x: float, h: RegVarFunction,
-                     N: int) -> float:
-    """(1/pi(N)) sum over p <= N of f(x + floor(h(p)) alpha mod 1)."""
-    vals = RotationSystem(alpha, f, x).orbit_values(h, N)
-    return float(pairwise_sum(vals) / vals.size)
 
 
 def weighted_average(values: np.ndarray, primes: np.ndarray) -> float:
@@ -149,46 +123,6 @@ def lambda_weights(k: int) -> np.ndarray:
 
 def lambda_weight_sum(k: int) -> float:
     return math.fsum(lambda_weights(k))
-
-
-def average_multi_rotation(alphas, f, x, h_list, Ns) -> float:
-    """Two-parameter rotation average on the 2-torus: the double loop over
-    the full prime grid (capped at N_i <= 10^4).  A one-parameter average
-    is average_rotation."""
-    if len(alphas) != 2:
-        raise ValueError("only k = 2 parameters supported")
-    if max(Ns) > 10 ** 4:
-        raise ValueError("direct double loop capped at N_i <= 10^4")
-    y1 = rotation_points(alphas[0], x[0], orbit_indices(h_list[0], Ns[0]))
-    y2 = rotation_points(alphas[1], x[1], orbit_indices(h_list[1], Ns[1]))
-    vals = np.asarray(f(y1[:, None], y2[None, :]), dtype=np.float64)
-    return float(pairwise_sum(vals.ravel()) / vals.size)
-
-
-def _hits(indices: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """How often each target occurs in the nondecreasing array indices."""
-    return (np.searchsorted(indices, targets, side="right")
-            - np.searchsorted(indices, targets, side="left"))
-
-
-def average_multi_shift(f: dict, x, h_list, Ns) -> float:
-    """Two-parameter shift average; f is finite-support on Z^2.
-
-    Each support point (i, j) is hit by the pairs (a, b) of orbit indices
-    with x - (a, b) = (i, j), and their number is the product of the
-    counts of x[0] - i and x[1] - j in the two sorted orbits; so the cost
-    is the support size times log pi(N), not pi(N1) pi(N2).  A
-    one-parameter average is average_shift.
-    """
-    if len(Ns) != 2:
-        raise ValueError("only k = 2 parameters supported")
-    # floors of an increasing h at increasing primes: already sorted
-    n1 = orbit_indices(h_list[0], Ns[0])
-    n2 = orbit_indices(h_list[1], Ns[1])
-    keys = np.array(list(f), dtype=np.int64).reshape(-1, 2)
-    vals = np.array(list(f.values()), dtype=np.float64)
-    hits = _hits(n1, x[0] - keys[:, 0]) * _hits(n2, x[1] - keys[:, 1])
-    return float(pairwise_sum(vals * hits) / (n1.size * n2.size))
 
 
 def oscillation(grid: np.ndarray, values: np.ndarray, I) -> float:
@@ -220,23 +154,6 @@ def variation2(values) -> float:
     for i in range(1, m):
         best[i] = np.max(best[:i] + (v[i] - v[:i]) ** 2)
     return math.sqrt(float(best.max()))
-
-
-def box_oscillation(grid: np.ndarray, values2d: np.ndarray, I) -> float:
-    """Two-parameter O^2 over square boxes [I_j, I_{j+1})^2, anchored at
-    the box corner (I_j, I_j)."""
-    grid = np.asarray(grid)
-    a = np.asarray(values2d, dtype=np.float64)
-    I = np.asarray(I)
-    pos = np.searchsorted(grid, I)
-    if np.any(pos >= grid.size) or np.any(grid[pos] != I):
-        raise ValueError("I must consist of grid points")
-    total = 0.0
-    for j in range(I.size - 1):
-        lo, hi = pos[j], pos[j + 1]
-        block = a[lo:hi, lo:hi]
-        total += float(np.max(np.abs(block - a[lo, lo]))) ** 2
-    return math.sqrt(total)
 
 
 @dataclass(frozen=True)

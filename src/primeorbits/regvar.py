@@ -380,7 +380,7 @@ class InverseHandle:
     each block is built once per function.  phi and phi' depend on y
     alone: the same y gives the same bits whatever else a call asks for
     and however the prefix grew.  At and below h(x0), phi(y) = x0 and
-    phi'(y) = 1/h'(x0) exactly.
+    phi'(y) = 1/h'(x0) exactly.  A nan or +-inf y is refused.
     """
 
     def __init__(self, h: RegVarFunction):
@@ -395,6 +395,8 @@ class InverseHandle:
 
     def value(self, y):
         y, scalar = _as_array(y)
+        if not np.isfinite(y).all():  # the clamp would read nan as x0
+            raise ValueError("the inverse takes finite y only")
         h, y1 = self.h, np.atleast_1d(y).ravel()
         if h.kind == "pure":
             x = np.maximum(np.maximum(y1, self._ylo) ** h.gamma, h.x0)
@@ -406,6 +408,8 @@ class InverseHandle:
     def d1(self, y):
         """phi'(y): the closed form for pure powers, the interpolant otherwise."""
         y, scalar = _as_array(y)
+        if not np.isfinite(y).all():
+            raise ValueError("the inverse takes finite y only")
         h, y1 = self.h, np.atleast_1d(y)
         if h.kind == "pure":
             with np.errstate(divide="ignore", invalid="ignore"):

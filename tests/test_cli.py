@@ -1,9 +1,12 @@
 """CLI surface: config parsing, report emission, exit codes."""
 
 import functools
+import itertools
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -137,21 +140,27 @@ def test_header_shows_effective_defaults():
                    "threads": "1"}
 
 
-@pytest.mark.parametrize("argv", [
+# one small run of each subcommand
+_SMALL_RUNS = [
     ["expsum", "--c", "1.2", "--N", "1000", "--xi", "zero"],
     ["waring"],
     ["ergodic", "--jmin", "10", "--jmax", "12"],
     ["explicit", "--x", "1000", "--T", "100"],
     ["vaughan-check", "--nmax", "300", "--v", "2", "--cases", "1"],
     ["regvar-check"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", _SMALL_RUNS)
 def test_report_config_is_every_defaulted_key(tmp_path, argv):
     # the header and the mirror list the keys the run was given plus
-    # every key of its subcommand that has a default
+    # every key of its subcommand that has a default; the runs name every
+    # record, so a new subcommand cannot skip this test
+    assert sorted(run[0] for run in _SMALL_RUNS) == sorted(cli._SUBCOMMANDS)
     out = tmp_path / "r.txt"
     assert cli.main(argv + ["--out", str(out)]) == 0
     given = {flag[2:] for flag in argv[1::2]} | {"out"}
-    keys = {**cli._COMMON, **cli._KEYS[argv[0]]}
+    keys = {**cli._COMMON, **cli._SUBCOMMANDS[argv[0]].keys}
     want = given | {k for k, (_, default) in keys.items()
                     if default is not None}
     line = out.read_text().splitlines()[1]
@@ -159,6 +168,20 @@ def test_report_config_is_every_defaulted_key(tmp_path, argv):
             if "=" in kv} == want
     mirror = json.loads((tmp_path / "r.txt.json").read_text())
     assert set(mirror["config"]) == want
+
+
+def test_readme_key_table_names_each_records_keys():
+    # README's "keys and defaults" table has one row per record, naming
+    # exactly the keys of that record
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        ).splitlines()
+    top = lines.index("| subcommand | keys and defaults |") + 2
+    rows = {}
+    for line in itertools.takewhile(lambda ln: ln.startswith("|"), lines[top:]):
+        sub, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[sub.strip("`")] = set(re.findall(r"`(\w+)(?:=[^`]*)?`", keys))
+    assert rows == {sub: set(record.keys)
+                    for sub, record in cli._SUBCOMMANDS.items()}
 
 
 def test_grid_must_ascend():
@@ -392,6 +415,11 @@ _REFUSED = [
     pytest.param(["expsum", "--c", "1.2", "--N", f"1000,{_BIG}"],
                  f"N=1000,{_BIG}: outside [0, 2^62]", None,
                  id="expsum-N-big"),
+    # the cut N^-theta1 of 1000^200 overflows a double, 1000^100 does not
+    pytest.param(["expsum", "--c", "1.2", "--N", "1000", "--theta1=-200"],
+                 "theta1=-200: the cut", ["expsum", "--c", "1.2", "--N",
+                                          "1000", "--theta1=-100"],
+                 id="expsum-theta1-cut"),
     pytest.param(["waring", "--lam", f"100,{_BIG}"],
                  f"lam=100,{_BIG}: outside [0, 2^62]", None,
                  id="waring-lam-big"),
@@ -450,7 +478,7 @@ def test_refused_before_work(tmp_path, monkeypatch, capsys, argv, says,
         assert cli.parse_config(admitted)
 
 
-# two sizes of each subcommand that builds tables; ergodic's second is
+# two sizes of each subcommand whose plan is not 0; ergodic's second is
 # sized by its weights, its first by its orbit
 _PLANNED = {
     "expsum-1e6": ["expsum", "--c", "1.2", "--N", "1000000", "--xi", "zero"],
@@ -489,7 +517,10 @@ def test_plan_covers_traced_peak(tmp_path, monkeypatch, argv):
     # a cold run holds at its peak at most its plan and at least a third
     # of it.  tracemalloc sees numpy's arrays but not pocketfft's own
     # buffers, so waring's estimate, which plans for RSS, lies well above
-    # its peak
+    # its peak.  Every record that plans bytes has its two sizes here
+    assert ({run[0] for run in _PLANNED.values()}
+            == {run[0] for run in _SMALL_RUNS
+                if cli._validate(cli.parse_config(run))})
     plan, peak = _plan_and_traced_peak(tmp_path, monkeypatch, argv)
     assert peak <= plan <= 3 * peak
 
@@ -528,7 +559,7 @@ def test_size_key_edge_tokens(sub, key, rest):
             return True
         return False
 
-    default = cli._KEYS[sub][key][1]
+    default = cli._SUBCOMMANDS[sub].keys[key][1]
     lo, hi = (default[-1] if isinstance(default, list) else default), 1 << 63
     assert not refused(lo) and refused(hi)
     while hi - lo > 1:
@@ -587,6 +618,111 @@ def test_non_finite_floats_refused_before_work(tmp_path, monkeypatch, capsys,
 def test_numeric_xi_tokens_still_run():
     cfg = cli.parse_config(["expsum", "--c", "1.2", "--xi", "zero,-0.25,1e-3"])
     assert cfg["xi"] == ["zero", "-0.25", "1e-3"]
+
+
+def _grid_token(rng, draw) -> str:
+    """One to three entries from draw(), ascending, the last sometimes
+    repeated: equal ends."""
+    grid = sorted(draw() for _ in range(rng.randint(1, 3)))
+    return ",".join(map(str, grid + grid[-1:] * (rng.random() < 0.1)))
+
+
+def _log_int(rng, lo: float, hi: float) -> int:
+    return int(10 ** rng.uniform(lo, hi))
+
+
+# per key, one value for the sweep below, mostly one the parser accepts.
+# N draws around 2^k: every x0 is a power of two (regvar's scan doubles),
+# so 2^k - 1, 2^k and 2^k + 1 straddle it.  cases stays small: nothing
+# bounds its time yet
+_DRAW = {
+    "format": lambda r: r.choice(["text", "json"]),
+    "threads": lambda r: r.choice(["1", "2"]),
+    "kind": lambda r: r.choice(["pure", "logpow", "explog", "itlog"]),
+    "c": lambda r: repr(r.uniform(1.0, 2.0)),
+    "a": lambda r: repr(r.uniform(-1.0, 1.0)),
+    "b": lambda r: repr(r.uniform(0.0, 1.2)),
+    "depth": lambda r: str(r.randint(0, 4)),
+    "N": lambda r: _grid_token(r, lambda: r.choice([
+        2 ** r.randint(1, 21) + r.randint(-1, 1), _log_int(r, 2, 6)])),
+    "xi": lambda r: ",".join(r.sample(
+        ["zero", "halfcut", "cut", repr(r.uniform(-1.0, 1.0))],
+        r.randint(1, 3))),
+    "theta1": lambda r: repr(r.choice([r.uniform(-1.0, 2.0),
+                                       -10 ** r.uniform(1.5, 3.0)])),
+    "epsilon": lambda r: repr(r.uniform(0.0, 0.4)),
+    "c1": lambda r: repr(r.uniform(1.0, 1.6)),
+    "c2": lambda r: repr(r.uniform(1.0, 1.6)),
+    "c3": lambda r: repr(r.uniform(1.0, 1.6)),
+    "lam": lambda r: _grid_token(r, lambda: _log_int(r, 0, 5)),
+    "start": lambda r: repr(r.uniform(-3.0, 3.0)),
+    "jmin": lambda r: str(r.randint(1, 14)),
+    "jmax": lambda r: str(r.randint(2, 20)),
+    "kgrid": lambda r: _grid_token(r, lambda: _log_int(r, 0, 5)),
+    "seed": lambda r: str(r.randint(-1, 99)),
+    "x": lambda r: _grid_token(r, lambda: 10 ** r.uniform(0.0, 6.5)),
+    "T": lambda r: _grid_token(r, lambda: 10 ** r.uniform(0.0, 3.0)),
+    "nmax": lambda r: str(_log_int(r, 0, 5)),
+    "v": lambda r: _grid_token(r, lambda: 10 ** r.uniform(-0.5, 2.0)),
+    "cases": lambda r: str(r.randint(0, 4)),
+}
+_EDGES = ["nan", "inf", "-inf", "-0", "1e300", str(2 ** 63)]
+
+
+def _data_values(out: str, fmt: str) -> list[list]:
+    if fmt == "json":
+        return json.loads(out)["rows"]
+    return [line.split() for line in out.splitlines()
+            if not line.startswith("#")]
+
+
+def test_every_request_runs_to_finite_rows_or_is_refused(monkeypatch,
+                                                         capsys):
+    # a seeded sweep over every key of every record (but the paths and
+    # --check, which exits 2 by design): main returns 0 or 1 and never
+    # raises; a refusal sieved nothing and printed no report; a run
+    # printed only finite data, but for the split row's param, nan by
+    # design.  The lowered cap keeps the accepted runs small
+    monkeypatch.setattr(cli, "_MEMORY_CAP", 8 << 20)
+    calls = _sieve_calls(monkeypatch)
+    rng = random.Random(36)
+    codes = {run[0]: set() for run in _SMALL_RUNS}
+    for base in _SMALL_RUNS:
+        keys = sorted(set(cli._COMMON).union(cli._SUBCOMMANDS[base[0]].keys)
+                      - {"out", "zero_table", "check"})
+        for _ in range(60):
+            # the small run with some keys drawn anew; the last flag wins
+            argv, edgy = list(base), rng.random() < 0.5
+            for key in keys:
+                if rng.random() < 0.6:
+                    continue
+                value = (rng.choice(_EDGES) if edgy and rng.random() < 0.3
+                         else _DRAW[key](rng))
+                argv.append(f"--{key.replace('_', '-')}={value}")
+            calls.clear()
+            primes._cache.update(hi=0, primes=np.empty(0, dtype=np.int64))
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # any escape fails the sweep
+                pytest.fail(f"{argv} raised {exc!r}")
+            out = capsys.readouterr().out
+            codes[base[0]].add(code)
+            assert code in (0, 1), argv
+            if code == 1:
+                assert calls == [] and out == "", argv
+                continue
+            fmt = "json" if "--format=json" in argv else "text"
+            for row in _data_values(out, fmt):
+                for i, value in enumerate(row):
+                    if (row[0], i) == ("split", 1):
+                        continue
+                    try:
+                        value = float(value)
+                    except ValueError:  # a label
+                        continue
+                    assert math.isfinite(value), (argv, row)
+    del codes["regvar-check"]  # no key of its own to refuse
+    assert all(got == {0, 1} for got in codes.values()), codes
 
 
 def test_threads_capped_in_the_parser():

@@ -1,6 +1,7 @@
 """Ergodic averages along floor(h(p)): systems, weights, O^2 / V^2."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -12,12 +13,6 @@ from hypothesis import strategies as st
 from primeorbits.ergodic import (
     OscillationReport,
     RotationSystem,
-    ShiftSystem,
-    average_multi_rotation,
-    average_multi_shift,
-    average_rotation,
-    average_shift,
-    box_oscillation,
     convergence_report,
     golden_surrogate,
     halfline_observable,
@@ -30,7 +25,19 @@ from primeorbits.ergodic import (
     weighted_average,
 )
 from primeorbits.primes import primes_upto
-from primeorbits.regvar import log_power, pure_power
+from primeorbits.regvar import pure_power
+
+
+@dataclass(frozen=True)
+class ShiftSystem:
+    """Integer shift; the observable is a finite-support map on Z."""
+
+    f: dict[int, float]
+    x: int = 0
+
+    def orbit_values(self, h, N: int) -> np.ndarray:
+        get, idx = self.f.get, orbit_indices(h, N)
+        return np.array([get(self.x - int(n), 0.0) for n in idx])
 
 
 def v2_oracle(vals) -> float:
@@ -115,57 +122,6 @@ def test_rotation_points_refuses_outside_int64_route(alpha, ns):
         rotation_points(alpha, 0.0, np.asarray(ns))
 
 
-# ---------------------------------------------------------------- averages
-
-def test_average_shift_all_ones():
-    h = pure_power(1.2)
-    f = {-int(n): 1.0 for n in orbit_indices(h, 100)}
-    assert average_shift(f, 0, h, 100) == 1.0
-
-
-def test_average_shift_never_returns():
-    # floor(h(p)) >= 1 so the orbit of 0 never revisits 0
-    assert average_shift({0: 1.0}, 0, pure_power(1.2), 100) == 0.0
-
-
-def test_average_shift_hand_value():
-    # orbit indices [2,3,6,10]; f picks up 1 at -2 and 2 at -3
-    f = {-2: 1.0, -3: 2.0}
-    assert average_shift(f, 0, pure_power(1.2), 10) == pytest.approx(0.75)
-
-
-def test_average_shift_convexity():
-    rng = np.random.default_rng(5)
-    h = pure_power(1.2)
-    for _ in range(10):
-        support = rng.integers(-30, 5, size=8)
-        f = {int(s): float(v) for s, v in zip(support, rng.normal(size=8))}
-        a = average_shift(f, 0, h, 200)
-        lo = min(min(f.values()), 0.0)  # unvisited points read as 0
-        hi = max(max(f.values()), 0.0)
-        assert lo - 1e-12 <= a <= hi + 1e-12
-
-
-def test_average_rotation_constant():
-    one = lambda y: np.ones_like(np.asarray(y, dtype=np.float64))
-    a = average_rotation(golden_surrogate(), one, 0.3, pure_power(1.2), 500)
-    assert a == pytest.approx(1.0, abs=1e-15)
-
-
-def test_average_rotation_alpha_zero_fixed_point():
-    f = lambda y: np.cos(2 * np.pi * np.asarray(y))
-    x = 0.31
-    a = average_rotation(Fraction(0), f, x, pure_power(1.2), 300)
-    assert a == pytest.approx(math.cos(2 * math.pi * x), rel=1e-12)
-
-
-def test_average_rotation_hand_value():
-    # alpha=1/4, orbit [2,3,6,10] -> points 0.5, 0.75, 0.5, 0.5
-    f = lambda y: np.asarray(y, dtype=np.float64)
-    a = average_rotation(Fraction(1, 4), f, 0.0, pure_power(1.2), 10)
-    assert a == pytest.approx((0.5 + 0.75 + 0.5 + 0.5) / 4, rel=1e-15)
-
-
 # ------------------------------------------------------- weighted averages
 
 def test_weighted_average_constant():
@@ -206,71 +162,6 @@ def test_lambda_partial_sums_decrease_in_k():
 def test_lambda_weights_rejects_small_k():
     with pytest.raises(ValueError):
         lambda_weights(1)
-
-
-# ----------------------------------------------------------- multiparameter
-
-def test_multi_rotation_direct_ones():
-    h = pure_power(1.2)
-    f = lambda y1, y2: np.ones(np.broadcast(y1, y2).shape)
-    a = average_multi_rotation([Fraction(1, 3), Fraction(1, 5)], f,
-                               [0.0, 0.0], [h, h], [100, 200])
-    assert a == pytest.approx(1.0, abs=1e-15)
-
-
-def test_multi_rotation_caps_and_arity():
-    h = pure_power(1.2)
-    f = lambda y1, y2: y1 + y2
-    with pytest.raises(ValueError, match="capped"):
-        average_multi_rotation([Fraction(1, 3), Fraction(1, 5)], f,
-                               [0.0, 0.0], [h, h], [100, 10 ** 4 + 1])
-    with pytest.raises(ValueError, match="k = 2"):
-        average_multi_rotation([Fraction(1, 3)] * 3, f, [0.0] * 3,
-                               [h] * 3, [100] * 3)
-
-
-def test_multi_shift_hand_value():
-    # both orbits are [2,3,6,10]; only (a,b) = (2,3) hits the support
-    h = pure_power(1.2)
-    f = {(-2, -3): 1.0}
-    a = average_multi_shift(f, [0, 0], [h, h], [10, 10])
-    assert a == pytest.approx(1.0 / 16, rel=1e-15)
-
-
-@pytest.mark.parametrize("Ns", [(50, 80), (300, 200)])
-def test_multi_shift_matches_double_loop(Ns):
-    h1, h2 = pure_power(1.2), log_power(1.15)
-    n1, n2 = orbit_indices(h1, Ns[0]), orbit_indices(h2, Ns[1])
-    rng = np.random.default_rng(7)
-    # support on every orbit pair and as many points off the orbits
-    f = {(3 - int(a), -1 - int(b)): float(rng.normal())
-         for a in n1[::3] for b in n2[::2]}
-    f.update({(int(i), int(j)): float(rng.normal())
-              for i, j in rng.integers(-5000, 5000, size=(200, 2))})
-    total = math.fsum(f.get((3 - int(a), -1 - int(b)), 0.0)
-                      for a in n1 for b in n2)
-    got = average_multi_shift(f, [3, -1], [h1, h2], Ns)
-    assert got == pytest.approx(total / (n1.size * n2.size), rel=1e-13)
-
-
-def test_multi_shift_runs_past_the_former_cap():
-    # a product observable averages to the product of one-parameter
-    # averages; N = 2e4 was refused while this was a double loop
-    h1, h2 = pure_power(1.2), pure_power(1.1)
-    g1 = {-int(a): 1.0 + (int(a) % 5) for a in orbit_indices(h1, 20000)[::7]}
-    g2 = {-int(b): 0.5 * (int(b) % 3) for b in orbit_indices(h2, 20000)[::11]}
-    f = {(i, j): u * v for i, u in g1.items() for j, v in g2.items()}
-    got = average_multi_shift(f, [0, 0], [h1, h2], [20000, 20000])
-    want = average_shift(g1, 0, h1, 20000) * average_shift(g2, 0, h2, 20000)
-    assert got > 0.0
-    assert got == pytest.approx(want, rel=1e-13)
-
-
-def test_multi_shift_arity():
-    # a one-parameter average is average_shift's
-    h = pure_power(1.2)
-    with pytest.raises(ValueError, match="k = 2"):
-        average_multi_shift({(-2,): 1.0}, [0], [h], [50])
 
 
 # --------------------------------------------------------------- O^2 / V^2
@@ -339,20 +230,6 @@ def test_variation2_dominates_oscillation(vals, rnd):
     k = rnd.randint(2, len(vals))
     I = np.sort(rnd.sample(range(len(vals)), k))
     assert variation2(vals) >= oscillation(grid, vals, I) - 1e-9
-
-
-def test_box_oscillation_hand_value():
-    grid = np.array([1, 2, 3])
-    a = np.array([[0.0, 1.0, 9.0],
-                  [2.0, 5.0, 9.0],
-                  [9.0, 9.0, 9.0]])
-    # one box [1,3)^2 anchored at a[0,0]: sup |{0,1,2,5} - 0| = 5
-    assert box_oscillation(grid, a, [1, 3]) == pytest.approx(5.0)
-
-
-def test_box_oscillation_constant_zero():
-    grid = np.arange(1, 5)
-    assert box_oscillation(grid, np.full((4, 4), 3.3), [1, 2, 4]) == 0.0
 
 
 # ------------------------------------------------------------------ reports

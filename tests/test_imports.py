@@ -85,15 +85,9 @@ def _unread_names(sources: dict[str, str], package: set[str]) -> list[str]:
                        if key != (path, i))]
 
 
-# top-level names that only tests read: ergodic's averages and
-# two-parameter oscillation, which the CLI's report does not use yet, and
-# the zero sums' pieces of criterion 07
+# top-level names that only tests read: the zero sums' pieces that
+# criterion 07 calibrates
 _TEST_ONLY = {
-    "src/primeorbits/ergodic.py: average_shift",
-    "src/primeorbits/ergodic.py: average_rotation",
-    "src/primeorbits/ergodic.py: average_multi_rotation",
-    "src/primeorbits/ergodic.py: average_multi_shift",
-    "src/primeorbits/ergodic.py: box_oscillation",
     "src/primeorbits/zeta.py: zero_power_sum",
     "src/primeorbits/zeta.py: theta3_default",
 }

@@ -197,6 +197,22 @@ def test_inverse_below_range_clamps():
     assert phi.value(h.value(h.x0) * 0.5) == h.x0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("h", [pure_power(1.2), log_power(1.15),
+                               exp_log(1.1), iterated_log(1.2)],
+                         ids=lambda h: h.kind)
+def test_inverse_refuses_non_finite_y(h, bad):
+    # the clamp would read a nan as x0 and -inf as below h(x0); every kind
+    # refuses such a y as a scalar, inside a short array and on the
+    # sorted-slices route, before it builds a block
+    phi = InverseHandle(h)
+    for y in (bad, np.array([1e3, bad]), np.append(np.full(5000, 1e3), bad)):
+        for f in (phi.value, phi.d1):
+            with pytest.raises(ValueError, match="finite y"):
+                f(y)
+    assert phi.blocks_built == 0
+
+
 # the three non-pure catalog kinds, and one whose phi has a branch point
 # just below h(x0) = h(2), where the first block is split
 NONPURE = [log_power(1.15, a=0.5), exp_log(1.1, a=0.3, b=0.5),
