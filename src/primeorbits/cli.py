@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -414,12 +413,13 @@ def _run_ergodic(cfg: dict):
     h, jmin, jmax = _function_from(cfg), cfg["jmin"], cfg["jmax"]
     alpha = ergodic.golden_surrogate()
     prime_list = primes.primes_upto(2 ** jmax, threads=cfg["threads"])
-    system = ergodic.RotationSystem(alpha, ergodic.halfline_observable,
-                                    x=cfg["start"])
+    orbit = ergodic.rotation_points(alpha, cfg["start"],
+                                    ergodic.orbit_indices(h, 2 ** jmax))
     grid = [2 ** j for j in range(jmin, jmax + 1)]
-    rep = ergodic.convergence_report(system, h, grid, seed=cfg["seed"])
+    rep = ergodic.convergence_report(ergodic.halfline_observable(orbit), grid,
+                                     seed=cfg["seed"])
     columns = ["N", "A_N", "abs_A_N", "D_N", "running_max_absf", "delta"]
-    deltas = np.concatenate([[0.0], rep.deltas])
+    deltas = np.concatenate([[0.0], np.diff(rep.values)])
     rows = [[int(n), float(a), abs(float(a)), float(d), float(m), float(dl)]
             for n, a, d, m, dl in zip(rep.grid, rep.values, rep.weighted,
                                       rep.running_max, deltas)]
@@ -447,15 +447,12 @@ def _plan_explicit(cfg: dict):
     if not 2.0 <= Ts[0] <= Ts[-1] <= xs[0]:
         raise ValueError(f"need 2 <= T <= min x = {xs[0]:g}, got T from "
                          f"{Ts[0]:g} to {Ts[-1]:g}")
-    need = primes.TABLE_BYTES_PER_PRIME * primes.pi_bound(xs[-1])
     path = cfg.get("zero_table")
+    need = (primes.TABLE_BYTES_PER_PRIME * primes.pi_bound(xs[-1])
+            + zeta.read_bytes(path))
     if not path:
-        return need + zeta.READ_BYTES, f"x={xs[-1]:g}", "prime tables"
-    # a valid table file holds at most (size + 1)/3 ordinates, '15\n'
-    # being its shortest line, each held twice by the read (parsed and
-    # copied) beside a one-byte mask of the ascending check
-    return (need + 17 * (os.path.getsize(path) + 1) // 3,
-            f"x={xs[-1]:g} zero_table={path}", "prime and zero tables")
+        return need, f"x={xs[-1]:g}", "prime tables"
+    return need, f"x={xs[-1]:g} zero_table={path}", "prime and zero tables"
 
 
 def _run_explicit(cfg: dict):

@@ -3,11 +3,11 @@ diagnostics.
 
 The system simulated is circle rotation by a rational surrogate
 alpha = p/q with huge denominator, so that orbit points n*alpha mod 1
-are exact integer arithmetic mod q; convergence_report takes any system
-with an orbit_values(h, N) method.  On top of the one-parameter averages
-A_N sit the log-weighted averages D_N, the lambda weights tying the two
-together by summation by parts, and the O^2 / V^2 statistics of average
-trajectories along lacunary time grids.
+are exact integer arithmetic mod q; convergence_report takes an
+observable's values along the orbit, one per prime.  On top of the
+one-parameter averages A_N sit the log-weighted averages D_N, the lambda
+weights tying the two together by summation by parts, and the O^2 / V^2
+statistics of average trajectories along lacunary time grids.
 """
 
 from __future__ import annotations
@@ -83,20 +83,6 @@ def rotation_points(alpha: Fraction, x: float, indices: np.ndarray) -> np.ndarra
     return (x % 1.0 + (rem % q).astype(np.float64) / q) % 1.0
 
 
-@dataclass(frozen=True)
-class RotationSystem:
-    """Circle rotation by a rational surrogate; f maps [0,1) arrays to values."""
-
-    alpha: Fraction
-    f: object
-    x: float = 0.0
-
-    def orbit_values(self, h: RegVarFunction, N: int) -> np.ndarray:
-        idx = orbit_indices(h, N)
-        return np.asarray(self.f(rotation_points(self.alpha, self.x, idx)),
-                          dtype=np.float64)
-
-
 def weighted_average(values: np.ndarray, primes: np.ndarray) -> float:
     """D_N: log-weighted orbit average, sum log(p) f / theta(N)."""
     logs = np.log(primes.astype(np.float64))
@@ -160,13 +146,11 @@ def variation2(values) -> float:
 class OscillationReport:
     grid: np.ndarray
     values: np.ndarray
-    deltas: np.ndarray
     running_max: np.ndarray
     i_dyadic: np.ndarray
     o2_dyadic: float
     o2_random: np.ndarray
     v2: float
-    seed: int
     weighted: np.ndarray  # D_N, the log-weighted average, at each grid N
 
     def trend_violations(self) -> int:
@@ -186,19 +170,19 @@ def _dyadic_subsequence(m: int) -> np.ndarray:
     return np.array(idx)
 
 
-def convergence_report(system, h: RegVarFunction, N_grid,
-                       seed: int = 0) -> OscillationReport:
+def convergence_report(values, N_grid, seed: int = 0) -> OscillationReport:
     """Average trajectory along N_grid with O^2 / V^2 diagnostics.
 
-    One orbit at max(N_grid) is computed and prefix-sliced per N, for A_N,
-    the |f| average and D_N alike; the I ensemble is every dyadic
-    subsequence start plus seeded random increasing sequences, since the
-    supremum over all I is untestable.
+    values holds f along the orbit at each prime p <= max(N_grid), prefix-
+    sliced per N for A_N, the |f| average and D_N alike; the I ensemble is
+    every dyadic subsequence start plus seeded random increasing
+    sequences, since the supremum over all I is untestable.
     """
     grid = np.asarray(sorted(N_grid), dtype=np.int64)
-    n_max = int(grid[-1])
-    vals = system.orbit_values(h, n_max)
-    primes = primes_upto(n_max)
+    vals = np.asarray(values, dtype=np.float64)
+    primes = primes_upto(int(grid[-1]))
+    if vals.shape != primes.shape:
+        raise ValueError(f"need one value per prime up to {grid[-1]}")
     counts = np.searchsorted(primes, grid, side="right")
     if counts[0] == 0:
         raise ValueError("smallest N has no primes")
@@ -216,11 +200,9 @@ def convergence_report(system, h: RegVarFunction, N_grid,
         pick = np.sort(rng.choice(grid.size, size=size, replace=False))
         o2_random.append(oscillation(grid, traj, grid[pick]))
     return OscillationReport(
-        grid=grid, values=traj, deltas=np.diff(traj),
-        running_max=np.maximum.accumulate(traj_abs),
+        grid=grid, values=traj, running_max=np.maximum.accumulate(traj_abs),
         i_dyadic=i_dyadic, o2_dyadic=o2_dyadic,
-        o2_random=np.array(o2_random), v2=variation2(traj), seed=seed,
-        weighted=weighted)
+        o2_random=np.array(o2_random), v2=variation2(traj), weighted=weighted)
 
 
 def halfline_observable(y: np.ndarray) -> np.ndarray:

@@ -123,9 +123,7 @@ class SumWork:
 class ExpSumResult:
     value: complex | np.ndarray  # an array for an array of xi
     n_terms: int
-    N: float
     xi: float | np.ndarray
-    kind: str
 
 
 def _mp_floor(v: mpmath.mpf) -> int:
@@ -285,8 +283,8 @@ def prime_floor_sum(h: RegVarFunction, N: float, xi,
     value = _phase_sum(lambda lo, hi: np.log(p[lo:hi].astype(np.float64)),
                        fl, xis.reshape(-1), work)
     if xis.ndim == 0:
-        return ExpSumResult(value[0], int(p.size), float(N), float(xi), "prime")
-    return ExpSumResult(np.array(value), int(p.size), float(N), xis, "prime")
+        return ExpSumResult(value[0], int(p.size), float(xi))
+    return ExpSumResult(np.array(value), int(p.size), xis)
 
 
 def von_mangoldt_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
@@ -295,8 +293,7 @@ def von_mangoldt_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
     n, w = primes.prime_powers(0, N + 1)
     fl, _ = guarded_floor(h, n)
     value = _phase_sum(lambda lo, hi: w[lo:hi], fl, [xi])[0]
-    return ExpSumResult(value, int(n.size), float(N), float(xi),
-                        "vonmangoldt")
+    return ExpSumResult(value, int(n.size), float(xi))
 
 
 # B_2k / (2k)!, k = 1 .. _EM_MAX_P.  The remainder bound's
@@ -420,12 +417,11 @@ def approximant_sum(h: RegVarFunction, N: float, xi: float,
         work.em_order += p
         work.inverse_blocks += inv.blocks_built - blocks
         work.node_newton += inv.node_evals - evals
-    return ExpSumResult(value, lam, float(N), float(xi), "approximant")
+    return ExpSumResult(value, lam, float(xi))
 
 
 @dataclass(frozen=True)
 class ApproxError:
-    N: float
     xi: float
     prime_sum: complex
     approximant: complex
@@ -444,8 +440,8 @@ def approx_error(h: RegVarFunction, N: float, xi: float,
     f = approximant_sum(h, N, xi, work)
     err = abs(s.value - f.value)
     norm = normalizer(N, epsilon)
-    return ApproxError(float(N), float(xi), s.value, f.value, err,
-                       err / float(N), norm, err / norm, epsilon)
+    return ApproxError(float(xi), s.value, f.value, err, err / float(N),
+                       norm, err / norm, epsilon)
 
 
 # -- minor-arc scanning ------------------------------------------------------
@@ -479,7 +475,6 @@ def sample_frequencies(N: float, theta1: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ArcProfile:
-    n_grid: tuple
     theta1: float
     chi: float
     xi_samples: tuple          # one tuple of frequencies per N
@@ -507,8 +502,8 @@ def minor_arc_scan(h: RegVarFunction, n_grid) -> ArcProfile:
         all_abs.append(tuple(mags.tolist()))
         maxima.append(float(mags.max()))
     slope = float(np.polyfit(np.log(n_grid), np.log(maxima), 1)[0])
-    return ArcProfile(tuple(n_grid), float(theta1), float(chi),
-                      tuple(all_xi), tuple(all_abs), tuple(maxima), slope)
+    return ArcProfile(float(theta1), float(chi), tuple(all_xi),
+                      tuple(all_abs), tuple(maxima), slope)
 
 
 # -- oscillatory integral ----------------------------------------------------

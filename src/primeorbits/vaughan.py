@@ -58,11 +58,7 @@ class VaughanParams:
 
 
 class VaughanWork:
-    """What one vaughan-check did, as counts, for its `# work:` note.
-
-    A plain class, not a dataclass: the decorator would add about a
-    millisecond to every import of the library.
-    """
+    """What one vaughan-check did, as counts, for its `# work:` note."""
 
     def __init__(self):
         self.sieve_terms = 0  # entries the range identity's t1, t2, t3 added
@@ -220,10 +216,7 @@ def lambda_via_vaughan_upto(nmax: int, v: float, w: float,
 
 @dataclass(frozen=True)
 class VaughanSplit:
-    P: float
-    P1: float
     xi: float
-    m: int
     params: VaughanParams
     s1: complex
     s21: complex
@@ -325,5 +318,5 @@ def exp_sum_split(h: RegVarFunction, P: float, P1: float, xi: float, m: int,
     if work is not None:
         work.split_terms += terms
         work.phase_sums += int(powers > 0)
-    return VaughanSplit(P, P1, float(xi), int(m), params, s1, s21, s22, s3,
-                        complex(ref), terms)
+    return VaughanSplit(float(xi), params, s1, s21, s22, s3, complex(ref),
+                        terms)

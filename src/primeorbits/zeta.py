@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -72,8 +73,17 @@ _PANEL_BYTES = 1100
 _MAX_BYTES = 1 << 29
 # peak bytes of reading the packaged table: each ordinate twice, parsed
 # and copied, and the ascending check's one-byte mask (tracemalloc: 0.96 MB
-# for its 56,412 ordinates); cli plans a table given by path from its size
+# for its 56,412 ordinates)
 READ_BYTES = 1 << 20
+
+
+def read_bytes(path: str | None = None) -> int:
+    """Peak bytes of reading the zero table at path, planned from the file's
+    size before it is read: at most (size + 1)/3 ordinates, '15\\n' being
+    the shortest valid line, at 17 bytes each.  READ_BYTES without a path."""
+    if not path:
+        return READ_BYTES
+    return 17 * (os.path.getsize(path) + 1) // 3
 
 
 def theta3_default(c: float) -> float:

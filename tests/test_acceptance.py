@@ -202,9 +202,10 @@ def test_criterion_08_ergodic_diagnostics(record_verdict):
             got = ergodic.oscillation(np.arange(m), vals, I)
             if abs(got - _o2_oracle(vals, I)) > 1e-9:
                 oracles_ok = False
-    system = ergodic.RotationSystem(ergodic.golden_surrogate(),
-                                    ergodic.halfline_observable, 0.35)
-    rep = ergodic.convergence_report(system, pure_power(1.1),
+    orbit = ergodic.rotation_points(
+        ergodic.golden_surrogate(), 0.35,
+        ergodic.orbit_indices(pure_power(1.1), 2 ** 20))
+    rep = ergodic.convergence_report(ergodic.halfline_observable(orbit),
                                      [2 ** j for j in range(10, 21)])
     rises = rep.trend_violations()
     ok = sums_ok and parts_ok and oracles_ok and rises <= 1

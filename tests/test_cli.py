@@ -239,7 +239,7 @@ def test_explicit_refuses_an_oversized_zero_table_before_reading(
     zeros.write_text("14.134725142\n")
     calls = _sieve_calls(monkeypatch)
     monkeypatch.setattr(zeta, "load_zeros", lambda path: calls.append(path))
-    monkeypatch.setattr(cli.os.path, "getsize", lambda path: 1 << 32)
+    monkeypatch.setattr(zeta.os.path, "getsize", lambda path: 1 << 32)
     assert cli.main(["explicit", "--x", "1e4", "--T", "100",
                      "--zero-table", str(zeros)]) == 1
     err = capsys.readouterr().err

@@ -1,7 +1,6 @@
-"""Ergodic averages along floor(h(p)): systems, weights, O^2 / V^2."""
+"""Ergodic averages along floor(h(p)): orbits, weights, O^2 / V^2."""
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 
 from primeorbits.ergodic import (
     OscillationReport,
-    RotationSystem,
     convergence_report,
     golden_surrogate,
     halfline_observable,
@@ -28,16 +26,15 @@ from primeorbits.primes import primes_upto
 from primeorbits.regvar import pure_power
 
 
-@dataclass(frozen=True)
-class ShiftSystem:
-    """Integer shift; the observable is a finite-support map on Z."""
+def shift_values(f: dict[int, float], x: int, h, N: int) -> np.ndarray:
+    """f(x - floor(h(p))) over primes p <= N: the integer shift's orbit
+    under an observable f of finite support on Z."""
+    return np.array([f.get(x - int(n), 0.0) for n in orbit_indices(h, N)])
 
-    f: dict[int, float]
-    x: int = 0
 
-    def orbit_values(self, h, N: int) -> np.ndarray:
-        get, idx = self.f.get, orbit_indices(h, N)
-        return np.array([get(self.x - int(n), 0.0) for n in idx])
+def rotation_values(f, x: float, h, N: int) -> np.ndarray:
+    """f along the golden rotation's orbit of x over primes p <= N."""
+    return f(rotation_points(golden_surrogate(), x, orbit_indices(h, N)))
 
 
 def v2_oracle(vals) -> float:
@@ -236,11 +233,11 @@ def test_variation2_dominates_oscillation(vals, rnd):
 
 def test_convergence_report_constant_observable():
     one = lambda y: np.ones_like(np.asarray(y, dtype=np.float64))
-    sys_ = RotationSystem(golden_surrogate(), one, 0.0)
     grid = [2 ** j for j in range(4, 11)]
-    rep = convergence_report(sys_, pure_power(1.2), grid)
+    rep = convergence_report(rotation_values(one, 0.0, pure_power(1.2),
+                                             grid[-1]), grid)
     np.testing.assert_allclose(rep.values, 1.0, rtol=1e-14)
-    np.testing.assert_allclose(rep.deltas, 0.0, atol=1e-14)
+    np.testing.assert_allclose(np.diff(rep.values), 0.0, atol=1e-14)
     assert rep.o2_dyadic == 0.0
     assert np.all(rep.o2_random == 0.0)
     assert rep.v2 == 0.0
@@ -249,46 +246,48 @@ def test_convergence_report_constant_observable():
 
 def test_convergence_report_delta_at_zero():
     # f = indicator of {0}: the orbit of 0 never returns, trajectory is 0
-    sys_ = ShiftSystem({0: 1.0}, 0)
-    rep = convergence_report(sys_, pure_power(1.2), [16, 64, 256])
+    rep = convergence_report(shift_values({0: 1.0}, 0, pure_power(1.2), 256),
+                             [16, 64, 256])
     np.testing.assert_allclose(rep.values, 0.0, atol=1e-15)
     assert rep.trend_violations() == 0
 
 
 def test_convergence_report_structure():
-    sys_ = RotationSystem(golden_surrogate(), halfline_observable, 0.35)
     grid = [2 ** j for j in range(4, 12)]
-    rep = convergence_report(sys_, pure_power(1.2), grid, seed=7)
+    vals = rotation_values(halfline_observable, 0.35, pure_power(1.2),
+                           grid[-1])
+    rep = convergence_report(vals, grid, seed=7)
     assert rep.grid.tolist() == sorted(grid)
-    np.testing.assert_allclose(rep.deltas, np.diff(rep.values), atol=1e-15)
     assert np.all(np.diff(rep.running_max) >= 0.0)
     assert rep.o2_random.size == 100
     assert rep.i_dyadic[0] == grid[0] and rep.i_dyadic[-1] == grid[-1]
     assert rep.v2 >= rep.o2_dyadic - 1e-12
     assert rep.v2 >= float(rep.o2_random.max()) - 1e-12
-    again = convergence_report(sys_, pure_power(1.2), grid, seed=7)
+    again = convergence_report(vals, grid, seed=7)
     np.testing.assert_array_equal(rep.o2_random, again.o2_random)
-    other = convergence_report(sys_, pure_power(1.2), grid, seed=8)
+    other = convergence_report(vals, grid, seed=8)
     assert not np.array_equal(rep.o2_random, other.o2_random)
     # D_N over the primes p <= N of the one orbit at max(grid)
-    vals, p = sys_.orbit_values(pure_power(1.2), grid[-1]), primes_upto(grid[-1])
+    p = primes_upto(grid[-1])
     assert rep.weighted.tolist() == [
         weighted_average(vals[:c], p[:c])
         for c in np.searchsorted(p, grid, side="right")]
 
 
 def test_convergence_report_needs_primes():
-    sys_ = ShiftSystem({0: 1.0}, 0)
+    vals = shift_values({0: 1.0}, 0, pure_power(1.2), 16)
     with pytest.raises(ValueError, match="no primes"):
-        convergence_report(sys_, pure_power(1.2), [1, 16])
+        convergence_report(vals, [1, 16])
+    # one value per prime p <= max(N_grid): 6 up to 16, 7 up to 17
+    with pytest.raises(ValueError, match="one value per prime up to 17"):
+        convergence_report(vals, [16, 17])
 
 
 def test_trend_violations_counts():
     rep = OscillationReport(
         grid=np.arange(4), values=np.array([3.0, -2.0, 2.5, 1.0]),
-        deltas=np.zeros(3), running_max=np.zeros(4),
-        i_dyadic=np.arange(2), o2_dyadic=0.0,
-        o2_random=np.zeros(1), v2=0.0, seed=0, weighted=np.zeros(4))
+        running_max=np.zeros(4), i_dyadic=np.arange(2), o2_dyadic=0.0,
+        o2_random=np.zeros(1), v2=0.0, weighted=np.zeros(4))
     # |values| = 3, 2, 2.5, 1: one rise
     assert rep.trend_violations() == 1
 

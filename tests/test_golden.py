@@ -1,8 +1,9 @@
-"""Golden data rows: eleven CLI runs must print the rows they printed when
+"""Golden data rows: twelve CLI runs must print the rows they printed when
 the fixture was recorded, bit for bit.
 
-The runs are the six README commands, four non-pure expsum runs and a
-waring run over a pure power with integer values.
+The runs are the six README commands, four non-pure expsum runs, a
+waring run over a pure power with integer values and an ergodic run off
+the default orbit.
 Only data rows are compared (lines not starting with '#'); headers carry
 versions, paths and work notes.  To re-record after an intended change of
 results: PYTHONPATH=src python tests/test_golden.py
@@ -37,6 +38,10 @@ GOLDEN = [
     # exact (floors from math.isqrt(m**3))
     ["waring", "--c1", "1.5", "--c2", "1.5", "--c3", "1.5",
      "--lam", "970299,970300"],
+    # a non-pure h and a start off 0.35; no --check, since its trend check
+    # fails here, as it does for most starts
+    ["ergodic", "--kind", "logpow", "--c", "1.3", "--start", "0.9",
+     "--jmin", "8", "--jmax", "16", "--kgrid", "10,50"],
 ]
 
 

@@ -1,7 +1,7 @@
 """Every module of the package and of the tests reads each name it imports,
-and every top-level name of the package is read somewhere: in src,
+every top-level name of the package is read somewhere: in src,
 perfbench or scripts, or, for the listed test-only names, in tests
-alone."""
+alone, and every field of a package class is read as an attribute."""
 
 import ast
 import re
@@ -56,16 +56,18 @@ def _defined(tree: ast.Module):
                     yield i, name.id
 
 
-def _reads(node: ast.AST) -> set[str]:
-    """Names read under node: loaded names, attributes, imported names and
-    string constants that spell a dotted name, as the tracer's targets do."""
+def _reads(node: ast.AST, names: bool = True) -> set[str]:
+    """Names read under node: attributes and string constants that spell a
+    dotted name, as the tracer's targets do, and unless names is False,
+    loaded names and imported names."""
     out = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+        if (names and isinstance(sub, ast.Name)
+                and not isinstance(sub.ctx, ast.Store)):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
-        elif isinstance(sub, ast.alias):
+        elif names and isinstance(sub, ast.alias):
             out.add(sub.name.split(".")[-1])
         elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
               and _DOTTED.fullmatch(sub.value)):
@@ -111,3 +113,34 @@ def test_no_unread_top_level_names():
     program = {path: text for path, text in sources.items()
                if not path.startswith("tests")}
     assert set(_unread_names(program, names)) == _TEST_ONLY
+
+
+def _unread_fields(sources: dict[str, str], package: set[str]) -> list[str]:
+    """Annotated fields of the package's classes whose name no attribute
+    or dotted-name string in any source reads; a plain name does not
+    count, since a field is only read off its record."""
+    reads = set().union(*(_reads(ast.parse(text), names=False)
+                          for text in sources.values()))
+    return [f"{path}: {node.name}.{stmt.target.id}" for path in sorted(package)
+            for node in ast.walk(ast.parse(sources[path]))
+            if isinstance(node, ast.ClassDef)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in reads]
+
+
+def test_no_unread_record_fields():
+    assert _unread_fields(
+        {"m.py": "class R:\n    a: int\n    b: int\n    c: int = 0\n"
+                 "    def f(self):\n        return self.a\n",
+         "t.py": "b = 1\nprint(b, 'r.c')\n"}, {"m.py"}) == ["m.py: R.b"]
+    # this file is left out: its toy sources' names ('m.py') read no record
+    package = sorted((_ROOT / "src" / "primeorbits").glob("*.py"))
+    files = [*package,
+             *(p for d in ("tests", "perfbench", "scripts")
+               for p in (_ROOT / d).glob("*.py")
+               if p != Path(__file__).resolve())]
+    sources = {str(p.relative_to(_ROOT)): p.read_text() for p in files}
+    names = {str(p.relative_to(_ROOT)) for p in package}
+    assert _unread_fields(sources, names) == []
