@@ -215,7 +215,7 @@ def _validate(cfg: dict) -> float:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, int):
         return str(int(v))
     if isinstance(v, float):
         return format(v, ".17g")
@@ -236,21 +236,13 @@ def render_text(cfg: dict, columns: list[str], rows: list[list],
 
 def render_json(cfg: dict, columns: list[str], rows: list[list],
                 notes: list[str]) -> str:
-    def clean(v):
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        if isinstance(v, (np.floating,)):
-            return float(v)
-        return v
-
     payload = {
         "version": __version__,
         "subcommand": cfg["subcommand"],
-        "config": {k: clean(v) for k, v in sorted(cfg.items())
-                   if k != "subcommand"},
+        "config": {k: v for k, v in cfg.items() if k != "subcommand"},
         "notes": notes,
         "columns": columns,
-        "rows": [[clean(v) for v in row] for row in rows],
+        "rows": rows,
     }
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 

@@ -123,7 +123,6 @@ class SumWork:
 class ExpSumResult:
     value: complex | np.ndarray  # an array for an array of xi
     n_terms: int
-    xi: float | np.ndarray
 
 
 def _mp_floor(v: mpmath.mpf) -> int:
@@ -283,8 +282,8 @@ def prime_floor_sum(h: RegVarFunction, N: float, xi,
     value = _phase_sum(lambda lo, hi: np.log(p[lo:hi].astype(np.float64)),
                        fl, xis.reshape(-1), work)
     if xis.ndim == 0:
-        return ExpSumResult(value[0], int(p.size), float(xi))
-    return ExpSumResult(np.array(value), int(p.size), xis)
+        return ExpSumResult(value[0], int(p.size))
+    return ExpSumResult(np.array(value), int(p.size))
 
 
 def von_mangoldt_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
@@ -293,7 +292,7 @@ def von_mangoldt_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
     n, w = primes.prime_powers(0, N + 1)
     fl, _ = guarded_floor(h, n)
     value = _phase_sum(lambda lo, hi: w[lo:hi], fl, [xi])[0]
-    return ExpSumResult(value, int(n.size), float(xi))
+    return ExpSumResult(value, int(n.size))
 
 
 # B_2k / (2k)!, k = 1 .. _EM_MAX_P.  The remainder bound's
@@ -417,19 +416,17 @@ def approximant_sum(h: RegVarFunction, N: float, xi: float,
         work.em_order += p
         work.inverse_blocks += inv.blocks_built - blocks
         work.node_newton += inv.node_evals - evals
-    return ExpSumResult(value, lam, float(xi))
+    return ExpSumResult(value, lam)
 
 
 @dataclass(frozen=True)
 class ApproxError:
-    xi: float
     prime_sum: complex
     approximant: complex
     abs_error: float
     rel_error: float       # abs_error / N
     normalizer: float      # N * exp(-(log N)**(1/3 - epsilon))
     ratio: float
-    epsilon: float
 
 
 def approx_error(h: RegVarFunction, N: float, xi: float,
@@ -440,8 +437,7 @@ def approx_error(h: RegVarFunction, N: float, xi: float,
     f = approximant_sum(h, N, xi, work)
     err = abs(s.value - f.value)
     norm = normalizer(N, epsilon)
-    return ApproxError(float(xi), s.value, f.value, err, err / float(N),
-                       norm, err / norm, epsilon)
+    return ApproxError(s.value, f.value, err, err / float(N), norm, err / norm)
 
 
 # -- minor-arc scanning ------------------------------------------------------
@@ -645,14 +641,15 @@ def osc_integral(h: RegVarFunction, a: float, b: float, xi: float) -> complex:
     (min(b, x0) - a) e(xi h(x0)) exactly.  Above it s = phi(y) and the
     integral is that of e(xi y) phi'(y) over [h(max(a, x0)), h(b)], which
     _filon takes; within 1e-12 (b - a) of 30-digit values in the tests.
+    A negative xi needs no branch of its own: phase and legendre_moments
+    conjugate exactly, as do the sums and products _filon makes of them,
+    so the value at -xi is the conjugate of that at xi bit for bit.
     """
     a, b, xi = float(a), float(b), float(xi)
     if b <= a:
         return 0j
     if xi == 0.0:
         return complex(b - a)
-    if xi < 0.0:
-        return complex(np.conj(osc_integral(h, a, b, -xi)))
     y0, y1 = h.value(max(a, h.x0)), h.value(b)
     below = 0j
     if a < h.x0:
@@ -673,8 +670,6 @@ def von_mangoldt_block_sum(h: RegVarFunction, P: float, P1: float,
 
 @dataclass(frozen=True)
 class BlockCheck:
-    t: float
-    xi: float
     block_sum: complex
     integral: complex
     abs_error: float
@@ -690,5 +685,5 @@ def dyadic_block_check(h: RegVarFunction, t: float, xi: float) -> BlockCheck:
     integral = osc_integral(h, t / 2.0, t, xi)
     err = abs(block - integral)
     norm = normalizer(t)
-    return BlockCheck(t, float(xi), block, integral, err, norm, err / norm)
+    return BlockCheck(block, integral, err, norm, err / norm)
 

@@ -28,8 +28,6 @@ TABLE_BYTES_PER_PRIME = 24
 
 def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     """Primes in [lo, hi) given base primes covering sqrt(hi)."""
-    if hi <= lo:
-        return np.empty(0, dtype=np.int64)
     out = []
     if lo <= 2 < hi:
         out.append(np.array([2], dtype=np.int64))
@@ -71,7 +69,7 @@ def sieve_range(lo: int, hi: int, threads: int = 1) -> np.ndarray:
             parts = list(pool.map(lambda ab: _sieve_segment(*ab, base), jobs))
     else:
         parts = [_sieve_segment(a, b, base) for a, b in jobs]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return np.concatenate(parts)
 
 
 # -- cached global table ---------------------------------------------------
@@ -110,8 +108,6 @@ def prime_count(n: int) -> int:
 def chebyshev_theta(n: float) -> float:
     """Sum of log p over primes p <= n, fixed-tree summation."""
     p = primes_upto(int(n))
-    if p.size == 0:
-        return 0.0
     return float(pairwise_sum(np.log(p.astype(np.float64))))
 
 

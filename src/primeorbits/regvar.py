@@ -295,13 +295,7 @@ class _Jet:
         self.a = a
 
     def __add__(self, other):
-        if isinstance(other, _Jet):
-            return _Jet(self.a + other.a)
-        a = self.a.copy()
-        a[0] += other
-        return _Jet(a)
-
-    __radd__ = __add__
+        return _Jet(self.a + other.a)
 
     def __mul__(self, other):
         if not isinstance(other, _Jet):

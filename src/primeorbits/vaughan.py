@@ -216,7 +216,6 @@ def lambda_via_vaughan_upto(nmax: int, v: float, w: float,
 
 @dataclass(frozen=True)
 class VaughanSplit:
-    xi: float
     params: VaughanParams
     s1: complex
     s21: complex
@@ -318,5 +317,4 @@ def exp_sum_split(h: RegVarFunction, P: float, P1: float, xi: float, m: int,
     if work is not None:
         work.split_terms += terms
         work.phase_sums += int(powers > 0)
-    return VaughanSplit(float(xi), params, s1, s21, s22, s3, complex(ref),
-                        terms)
+    return VaughanSplit(params, s1, s21, s22, s3, complex(ref), terms)

@@ -265,14 +265,6 @@ def check_lambda(functions, lam: float) -> None:
             raise ValueError(f"lambda={lam} below h(x0) for {f.label()}")
 
 
-def _phi_d1_product(config: WaringConfig, lam: float) -> float:
-    check_lambda(config.functions, lam)
-    prod = 1.0
-    for f in config.functions:
-        prod *= f.inverse.d1(float(lam))
-    return prod
-
-
 def gamma_constant(config: WaringConfig) -> float:
     g1, g2, g3 = config.gammas
     return (math.gamma(g1) * math.gamma(g2) * math.gamma(g3)
@@ -301,9 +293,10 @@ def count_report(config: WaringConfig, lams: list[int],
     for lam in lams:
         r = int(r_all[lam])
         R = float(w_all[lam])
-        phis = lam * lam * _phi_d1_product(config, float(lam))
+        phis = lam * lam * math.prod(f.inverse.d1(float(lam))
+                                     for f in config.functions)
         mt = gamma_constant(config) * phis
-        damp = math.exp(-math.log(lam) ** (1.0 / 3.0 - epsilon)) if lam > 1 else 1.0
+        damp = math.exp(-math.log(lam) ** (1.0 / 3.0 - epsilon))
         out.append(WaringCount(
             lam=lam, r=r, R=R, main_term=mt,
             ratio_r=r / mt if mt > 0 else math.inf,

@@ -184,8 +184,6 @@ def truncated_psi(x: float, T: float, table: ZetaZeroTable) -> float:
     if T > table.max_gamma:
         raise ValueError(f"T={T} beyond table coverage {table.max_gamma:.3f}")
     g = table.gammas[: table.count_upto(T)]
-    if g.size == 0:
-        return float(x)
     rho = table.assumed_beta + 1j * g
     terms = 2.0 * np.real(x ** table.assumed_beta
                           * np.exp(1j * g * math.log(x)) / rho)
@@ -198,7 +196,6 @@ class ZeroSumBound:
 
     value: complex
     n_zeros: int
-    t: float
     normalizer: float
     n_panels: int = 0
 
@@ -218,7 +215,7 @@ def zero_power_sum(t: float, T1: float, table: ZetaZeroTable) -> ZeroSumBound:
         raise ValueError(f"need t >= 1, got {t}")
     n = table.count_upto(T1)
     value = n * t ** table.assumed_beta / math.sqrt(T1)
-    return ZeroSumBound(value=value, n_zeros=n, t=t, normalizer=normalizer(t))
+    return ZeroSumBound(value=value, n_zeros=n, normalizer=normalizer(t))
 
 
 def _osc_panels(h: RegVarFunction, t: float,
@@ -289,7 +286,7 @@ def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
     g = table.gammas[: table.count_upto(T)]
     c0, half, n_panels = _osc_panels(h, t, xi)
     if g.size == 0:
-        return ZeroSumBound(value=0.0 + 0.0j, n_zeros=0, t=t,
+        return ZeroSumBound(value=0.0 + 0.0j, n_zeros=0,
                             normalizer=normalizer(t), n_panels=n_panels)
 
     K = _NODES_PER_PANEL
@@ -330,5 +327,5 @@ def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
         w += gemm
     # a zero and its conjugate add half c_jk 2 Re(e^{i c_j gamma} 2 i^k j_k)
     re, im = 4.0 * half * (cols @ w.ravel())
-    return ZeroSumBound(value=complex(re, im), n_zeros=int(g.size), t=t,
+    return ZeroSumBound(value=complex(re, im), n_zeros=int(g.size),
                         normalizer=normalizer(t), n_panels=n_panels)

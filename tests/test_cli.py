@@ -266,18 +266,35 @@ def test_vaughan_check_passes(tmp_path):
 
 
 def test_waring_check_oracle_mode(tmp_path):
-    out = tmp_path / "w.txt"
-    code = cli.main(["waring", "--c1", "1.2", "--c2", "1.2", "--c3", "1.2",
-                     "--lam", "100,200", "--check", "--out", str(out)])
-    assert code == 0
-    assert "check: pass" in out.read_text()
-    # the transform work sits in the header and the mirror, not in the rows
-    work = [ln for ln in out.read_text().splitlines()
-            if ln.startswith("# work:")]
-    length = waring._transform_length(2 * 200 + 1)
-    assert len(work) == 1 and f"transform_length={length} limbs=1" in work[0]
-    mirror = json.loads((tmp_path / "w.txt.json").read_text())
-    assert work[0][2:] in mirror["notes"]
+    # up to lambda 200 the triple-loop oracle checks every count; from
+    # lambda 1000 the ratio r / main term must lie in [0.5, 2]
+    for argv, lmax in (
+            (["--c1", "1.2", "--c2", "1.2", "--c3", "1.2", "--lam", "100,200"], 200),
+            (["--lam", "1000,10000"], 10000)):
+        out = tmp_path / f"w{lmax}.txt"
+        code = cli.main(["waring", *argv, "--check", "--out", str(out)])
+        assert code == 0
+        assert "check: pass" in out.read_text()
+        # the transform work sits in the header and the mirror, not in the rows
+        work = [ln for ln in out.read_text().splitlines()
+                if ln.startswith("# work:")]
+        length = waring._transform_length(2 * lmax + 1)
+        assert len(work) == 1 and f"transform_length={length} limbs=1" in work[0]
+        mirror = json.loads((tmp_path / f"w{lmax}.txt.json").read_text())
+        assert work[0][2:] in mirror["notes"]
+
+
+@pytest.mark.parametrize("argv, code, says", [
+    (["--c", "1.2", "--N", "10000,100000", "--xi", "zero,halfcut,cut"], 0, ""),
+    # not criterion 04's grid: err/N at the cut rises from 1e4 to 2e4
+    (["--c", "1.3", "--N", "10000,20000", "--xi", "cut"], 2,
+     "check failure: err/N not decreasing at xi=cut: 1.638e-02 -> 2.046e-02\n"),
+])
+def test_expsum_check(tmp_path, capsys, argv, code, says):
+    out = tmp_path / "e.txt"
+    assert cli.main(["expsum", *argv, "--check", "--out", str(out)]) == code
+    assert capsys.readouterr().err == says
+    assert ("# check: pass" in out.read_text().splitlines()) == (code == 0)
 
 
 @pytest.mark.parametrize("lam", ["0,100", "100,100000000"])
@@ -1042,6 +1059,16 @@ def test_json_mirror_schema(tmp_path):
     row = next(r for r in mirror["rows"] if r[0] == 4000 and r[1] != 0.0)
     assert row[1] in (pytest.approx(0.5 * 4000 ** -theta1),
                       pytest.approx(4000 ** -theta1))
+    # each mirror value is its text token: an int, or the float that its
+    # .17g reads back as
+    for line, values in zip(data_lines, mirror["rows"]):
+        tokens = line.split()
+        assert len(tokens) == len(values)
+        for tok, v in zip(tokens, values):
+            if isinstance(v, int):
+                assert tok == str(v)
+            else:
+                assert isinstance(v, float) and float(tok) == v
 
 
 def test_json_format_swaps_mirror(tmp_path):

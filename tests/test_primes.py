@@ -134,6 +134,8 @@ def test_mobius_values():
     assert mobius(6) == 1
     assert mobius(2) == -1
     assert mobius(30) == -1
+    with pytest.raises(ValueError, match="n >= 1"):
+        mobius(0)
 
 
 @given(st.integers(min_value=1, max_value=3000))

@@ -189,6 +189,9 @@ def test_split_identity_random_cases(seed):
 def test_split_rejects_bad_block():
     with pytest.raises(ValueError):
         vaughan.exp_sum_split(pure_power(1.2), 16.0, 8.0, 0.1, 0)
+    # the default v at P1 = 1e6 is 50
+    with pytest.raises(ValueError, match="P >= v"):
+        vaughan.exp_sum_split(pure_power(1.2), 10.0, 1e6, 0.1, 0)
 
 
 # -- range identity and table-driven split ------------------------------------

@@ -36,6 +36,12 @@ def test_table_validation_rejects_garbage():
         zeta.ZetaZeroTable(np.array([-1.0, 14.134725]))
     with pytest.raises(ValueError):
         zeta.ZetaZeroTable(np.array([20.0, 21.0]))  # first zero is wrong
+    with pytest.raises(ValueError, match="non-finite"):
+        zeta.ZetaZeroTable(np.array([14.134725, np.nan]))
+    # 61 ordinates up to T = 15, more than T log T = 40.6
+    dense = np.concatenate([[14.134725], np.linspace(14.2, 15.0, 61)[1:]])
+    with pytest.raises(ValueError, match="T log T"):
+        zeta.ZetaZeroTable(dense)
 
 
 def test_count_upto():
@@ -164,6 +170,8 @@ def test_zero_power_sum_monotone_prefactor_free():
 def test_zero_power_sum_coverage():
     with pytest.raises(ValueError):
         zeta.zero_power_sum(1e6, 1e6, TAB)
+    with pytest.raises(ValueError, match="need t >= 1"):
+        zeta.zero_power_sum(0.5, 100.0, TAB)
 
 
 def test_zero_osc_sum_single_zero_closed_form():
@@ -175,6 +183,12 @@ def test_zero_osc_sum_single_zero_closed_form():
     want = 2.0 * ((t**rho - (t / 2.0) ** rho) / rho).real
     got = zeta.zero_osc_sum(H11, t, 0.0, g1, one).value
     assert abs(got - want) < 1e-8
+
+
+def test_zero_osc_sum_below_first_zero():
+    # T = 10 is below the first ordinate 14.13: an empty sum
+    r = zeta.zero_osc_sum(H11, 1e3, 1e-3, 10.0, TAB)
+    assert r.value == 0 and r.n_zeros == 0
 
 
 def test_zero_osc_sum_real_at_zero_xi():
