@@ -316,11 +316,6 @@ def _run_expsum(cfg: dict):
                     failures.append(
                         f"err/N not decreasing at xi={tok}: "
                         f"{prev.rel_error:.3e} -> {cur.rel_error:.3e}")
-            cap = 10.0 * series[0].ratio
-            for res in series[1:]:
-                if series[0].ratio > 0 and res.ratio > cap:
-                    failures.append(f"normalized ratio blew past 10x "
-                                    f"calibration at xi={tok}")
     notes = [f"theta1={theta1:.6f}", f"h={h.label()}", work.note()]
     return columns, rows, notes, failures
 
@@ -422,10 +417,6 @@ def _run_ergodic(cfg: dict):
         weight_notes.append(f"k={k}: |sum-1|={gap:.2e}")
         if cfg["check"] and gap > 1e-12:
             failures.append(f"lambda weights at k={k} sum off by {gap:.2e}")
-    if cfg["check"]:
-        v = rep.trend_violations()
-        if v > 1:
-            failures.append(f"|A_N| trajectory rose {v} times (allowed 1)")
     notes = ([f"alpha={alpha.numerator}/{alpha.denominator}",
               f"h={h.label()}", f"o2_dyadic={rep.o2_dyadic:.6e}",
               f"o2_random_max={rep.o2_random.max():.6e}",

@@ -16,14 +16,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .accum import pairwise_sum
+from .accum import _BLOCK, CHUNK, chunk_sums, chunked, halving_sum
 
 SEGMENT = 1 << 20  # odd numbers per block, ~1 MiB of flags
 # bytes per prime p <= x that a cold primes_upto(x) and then
-# chebyshev_psi(x) hold at their peak: the cache's int64 table and either
-# the sieve's parts and their join or theta's float copy of the primes and
-# its logs (tracemalloc: 24.3 at x = 3e7, 24.1 at 1e8)
-TABLE_BYTES_PER_PRIME = 24
+# chebyshev_psi(x) hold at their peak: the sieve's parts and their join
+# into the cache's int64 table; theta's logs are made a block at a time
+# (tracemalloc: 16.01 at x = 3e7, 16.00 at 1e8)
+TABLE_BYTES_PER_PRIME = 17
 
 
 def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
@@ -106,15 +106,19 @@ def prime_count(n: int) -> int:
 
 
 def chebyshev_theta(n: float) -> float:
-    """Sum of log p over primes p <= n, fixed-tree summation."""
+    """Sum of log p over primes p <= n by pairwise_sum's tree, the logs
+    made a block at a time; _BLOCK is a multiple of CHUNK, so the chunk
+    sums are those of the whole."""
     p = primes_upto(int(n))
-    return float(pairwise_sum(np.log(p.astype(np.float64))))
+    sums = np.empty(-(-p.size // CHUNK))
+    for lo, hi in chunked(p.size, _BLOCK):
+        sums[lo // CHUNK:-(-hi // CHUNK)] = chunk_sums(
+            np.log(p[lo:hi].astype(np.float64)))
+    return float(halving_sum(sums))
 
 
 def _int_root(n: int, k: int) -> int:
-    """Floor of n**(1/k) in exact integer arithmetic."""
-    if n < 1:
-        return 0
+    """Floor of n**(1/k) in exact integer arithmetic, n >= 1."""
     r = int(round(n ** (1.0 / k)))
     while r > 1 and r ** k > n:
         r -= 1

@@ -1,5 +1,6 @@
 """CLI surface: config parsing, report emission, exit codes."""
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from primeorbits import cli, ergodic, expsum, primes, vaughan, waring, zeta
-from primeorbits.regvar import pure_power
+from primeorbits.regvar import InverseHandle, RegVarFunction, pure_power
 
 
 def write_config(tmp_path, text: str):
@@ -248,8 +249,8 @@ def test_explicit_refuses_an_oversized_zero_table_before_reading(
 
 
 def test_explicit_x_cap_admits_its_boundary():
-    # 24 bytes per prime on pi_bound(x) plus the packaged zero table's read
-    top = 1505899955
+    # 17 bytes per prime on pi_bound(x) plus the packaged zero table's read
+    top = 2162375709
     assert cli.parse_config(["explicit", "--x", str(top), "--T", "100"])
     with pytest.raises(ValueError, match="bytes of prime tables"):
         cli.parse_config(["explicit", "--x", str(top + 1), "--T", "100"])
@@ -289,6 +290,12 @@ def test_waring_check_oracle_mode(tmp_path):
     # not criterion 04's grid: err/N at the cut rises from 1e4 to 2e4
     (["--c", "1.3", "--N", "10000,20000", "--xi", "cut"], 2,
      "check failure: err/N not decreasing at xi=cut: 1.638e-02 -> 2.046e-02\n"),
+    # at xi=cut |S - F| grows past 10x its first normalized ratio: only
+    # the err/N steps fail, since no theorem bounds that ratio's growth
+    (["--kind", "itlog", "--c", "1.6498", "--depth", "2", "--N", "6398,11598",
+      "--xi", "0.888,zero,cut"], 2,
+     "check failure: err/N not decreasing at xi=zero: 8.006e-03 -> 1.236e-02\n"
+     "check failure: err/N not decreasing at xi=cut: 1.178e-03 -> 1.525e-02\n"),
 ])
 def test_expsum_check(tmp_path, capsys, argv, code, says):
     out = tmp_path / "e.txt"
@@ -668,9 +675,9 @@ _DRAW = {
     "theta1": lambda r: repr(r.choice([r.uniform(-1.0, 2.0),
                                        -10 ** r.uniform(1.5, 3.0)])),
     "epsilon": lambda r: repr(r.uniform(0.0, 0.4)),
-    "c1": lambda r: repr(r.uniform(1.0, 1.6)),
-    "c2": lambda r: repr(r.uniform(1.0, 1.6)),
-    "c3": lambda r: repr(r.uniform(1.0, 1.6)),
+    "c1": lambda r: repr(r.uniform(1.0, 2.0)),
+    "c2": lambda r: repr(r.uniform(1.0, 2.0)),
+    "c3": lambda r: repr(r.uniform(1.0, 2.0)),
     "lam": lambda r: _grid_token(r, lambda: _log_int(r, 0, 5)),
     "start": lambda r: repr(r.uniform(-3.0, 3.0)),
     "jmin": lambda r: str(r.randint(1, 14)),
@@ -695,23 +702,27 @@ def _data_values(out: str, fmt: str) -> list[list]:
 
 def test_every_request_runs_to_finite_rows_or_is_refused(monkeypatch,
                                                          capsys):
-    # a seeded sweep over every key of every record (but the paths and
-    # --check, which exits 2 by design): main returns 0 or 1 and never
-    # raises; a refusal sieved nothing and printed no report; a run
-    # printed only finite data, but for the split row's param, nan by
-    # design.  The lowered cap keeps the accepted runs small
+    # a seeded sweep over every key of every record (but the paths):
+    # main returns 0 or 1 and never raises, but for expsum's --check,
+    # whose err/N step is criterion 04's open claim and may exit 2; a
+    # refusal sieved nothing and printed no report; a run printed only
+    # finite data, but for the split row's param, nan by design.  The
+    # lowered cap keeps the accepted runs small
     monkeypatch.setattr(cli, "_MEMORY_CAP", 8 << 20)
     calls = _sieve_calls(monkeypatch)
     rng = random.Random(36)
     codes = {run[0]: set() for run in _SMALL_RUNS}
     for base in _SMALL_RUNS:
         keys = sorted(set(cli._COMMON).union(cli._SUBCOMMANDS[base[0]].keys)
-                      - {"out", "zero_table", "check"})
+                      - {"out", "zero_table"})
         for _ in range(60):
             # the small run with some keys drawn anew; the last flag wins
             argv, edgy = list(base), rng.random() < 0.5
             for key in keys:
                 if rng.random() < 0.6:
+                    continue
+                if key == "check":  # a bare flag
+                    argv.append("--check")
                     continue
                 value = (rng.choice(_EDGES) if edgy and rng.random() < 0.3
                          else _DRAW[key](rng))
@@ -722,9 +733,15 @@ def test_every_request_runs_to_finite_rows_or_is_refused(monkeypatch,
                 code = cli.main(argv)
             except Exception as exc:  # any escape fails the sweep
                 pytest.fail(f"{argv} raised {exc!r}")
-            out = capsys.readouterr().out
+            out, err = capsys.readouterr()
             codes[base[0]].add(code)
-            assert code in (0, 1), argv
+            if code == 2:
+                assert base[0] == "expsum", argv
+                assert all(line.startswith("check failure: err/N not "
+                                           "decreasing")
+                           for line in err.splitlines()), (argv, err)
+            else:
+                assert code in (0, 1), argv
             if code == 1:
                 assert calls == [] and out == "", argv
                 continue
@@ -739,7 +756,7 @@ def test_every_request_runs_to_finite_rows_or_is_refused(monkeypatch,
                         continue
                     assert math.isfinite(value), (argv, row)
     del codes["regvar-check"]  # no key of its own to refuse
-    assert all(got == {0, 1} for got in codes.values()), codes
+    assert all(got - {2} == {0, 1} for got in codes.values()), codes
 
 
 def test_threads_capped_in_the_parser():
@@ -980,6 +997,66 @@ def test_check_violation_exits_two(tmp_path, monkeypatch):
     assert "check: FAIL" in out.read_text()
 
 
+def _plus_one_at_150(real):
+    def counts(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[150] += 1
+        return out
+    return counts
+
+
+def _last_weight_up(real):
+    def weights(k):
+        lam = real(k)
+        lam[-1] += 1e-6
+        return lam
+    return weights
+
+
+_SPLIT_RUN = ["vaughan-check", "--nmax", "300", "--v", "2", "--cases", "1"]
+
+
+# one fault per remaining --check predicate, in the kernel it guards; the
+# explicit bound and the err/N step have tests of their own above
+@pytest.mark.parametrize("argv, target, name, fault, says", [
+    pytest.param(["waring", "--lam", "100,200"], waring, "triple_counts_all",
+                 _plus_one_at_150, "convolution r(150)=", id="waring-oracle"),
+    pytest.param(["waring", "--lam", "1000,10000"], waring, "gamma_constant",
+                 lambda real: lambda config: 3.0 * real(config),
+                 "ratio r/main at lambda=1000 outside [0.5, 2]",
+                 id="waring-ratio"),
+    pytest.param(["ergodic", "--jmin", "10", "--jmax", "12",
+                  "--kgrid", "10,100"], ergodic, "lambda_weights",
+                 _last_weight_up, "lambda weights at k=10 sum off by 1.00e-06",
+                 id="ergodic-weights"),
+    pytest.param(_SPLIT_RUN, vaughan, "lambda_via_vaughan_upto",
+                 lambda real: lambda *a, **kw: real(*a, **kw) + 1e-6,
+                 "identity residual", id="vaughan-identity"),
+    pytest.param(_SPLIT_RUN, vaughan, "exp_sum_split",
+                 lambda real: lambda *a, **kw: dataclasses.replace(
+                     real(*a, **kw), s3=0j),
+                 "four-sum split residual", id="vaughan-split"),
+    pytest.param(["regvar-check"], InverseHandle, "value",
+                 lambda real: lambda self, y: real(self, y) * (1.0 + 1e-6),
+                 "roundtrip", id="regvar-roundtrip"),
+    pytest.param(["regvar-check"], RegVarFunction, "d1",
+                 lambda real: lambda self, x: real(self, x) * 1.1,
+                 "index error", id="regvar-index"),
+    pytest.param(["regvar-check"], InverseHandle, "doubling_constant",
+                 lambda real: lambda self: 0.0, "doubling bound violated",
+                 id="regvar-doubling"),
+])
+def test_check_fires_on_a_named_fault(tmp_path, monkeypatch, capsys, argv,
+                                      target, name, fault, says):
+    monkeypatch.setattr(target, name, fault(getattr(target, name)))
+    out = tmp_path / "f.txt"
+    assert cli.main([*argv, "--check", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert says in err
+    assert all(ln.startswith("check failure: ") for ln in err.splitlines())
+    assert "check: FAIL" in out.read_text()
+
+
 def test_regvar_check(tmp_path):
     out = tmp_path / "r.txt"
     assert cli.main(["regvar-check", "--check", "--out", str(out)]) == 0
@@ -990,7 +1067,7 @@ def test_regvar_check(tmp_path):
 
 
 def test_ergodic_run(tmp_path):
-    # the trend check wants the dyadic band where decay has set in
+    # --check passes: the lambda weights at each kgrid entry sum to 1
     out = tmp_path / "erg.txt"
     code = cli.main(["ergodic", "--c", "1.1", "--jmin", "10", "--jmax", "20",
                      "--kgrid", "10,100", "--check", "--out", str(out)])

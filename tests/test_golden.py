@@ -38,10 +38,9 @@ GOLDEN = [
     # exact (floors from math.isqrt(m**3))
     ["waring", "--c1", "1.5", "--c2", "1.5", "--c3", "1.5",
      "--lam", "970299,970300"],
-    # a non-pure h and a start off 0.35; no --check, since its trend check
-    # fails here, as it does for most starts
+    # a non-pure h and a start off 0.35
     ["ergodic", "--kind", "logpow", "--c", "1.3", "--start", "0.9",
-     "--jmin", "8", "--jmax", "16", "--kgrid", "10,50"],
+     "--jmin", "8", "--jmax", "16", "--kgrid", "10,50", "--check"],
 ]
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primeorbits import primes
+from primeorbits.accum import pairwise_sum
 from primeorbits.primes import (
     chebyshev_psi,
     chebyshev_theta,
@@ -159,6 +160,18 @@ def test_chebyshev_small_values():
 def test_chebyshev_non_integer_cutoff():
     assert chebyshev_theta(10.9) == chebyshev_theta(10)
     assert chebyshev_psi(2.5) == math.log(2)
+
+
+@pytest.mark.parametrize("n", [-5, 0, 1, 1.9])
+def test_chebyshev_psi_below_two_is_zero(n):
+    assert chebyshev_psi(n) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, 10 ** 5, 10 ** 6])
+def test_chebyshev_theta_is_pairwise_sum_of_the_logs(n):
+    # the logs are made a block at a time, the tree is the whole array's
+    p = primes_upto(n)
+    assert chebyshev_theta(n) == pairwise_sum(np.log(p.astype(np.float64)))
 
 
 def test_von_mangoldt_range_matches_pointwise(monkeypatch):

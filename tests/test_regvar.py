@@ -484,3 +484,9 @@ def test_iterated_log_too_deep_names_depth(depth):
     # past a double from depth 4 on
     with pytest.raises(ValueError, match=f"depth={depth}"):
         iterated_log(1.2, depth=depth)
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_iterated_log_needs_depth_one(depth):
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        iterated_log(1.2, depth=depth)
