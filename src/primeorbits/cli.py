@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 from typing import Callable, NamedTuple
 
@@ -106,7 +107,7 @@ def _grid(kind):
 _index = _checked(_finite, lambda v: 1.0 < v < 2.0, "outside (1, 2)")
 _EPSILON = (_checked(_finite, lambda v: 0.0 < v < 1.0 / 3.0,
                      "outside (0, 1/3)"), expsum.EPSILON)
-# numpy's generators take no negative seed
+# random.Random(seed) draws the same for -seed as for seed
 _SEED = (_checked(int, lambda v: v >= 0, "must be >= 0"), 0)
 # --threads above this is refused: sieve_range starts that many workers,
 # and the thread-count determinism check compares 1, 4 and 8
@@ -487,14 +488,14 @@ def _run_vaughan(cfg: dict):
         rows.append(["identity", vw, nmax - int(vw), worst])
         if cfg["check"] and worst > 1e-10:
             failures.append(f"identity residual {worst:.2e} at v=w={vw}")
-    rng = np.random.default_rng(cfg["seed"])
+    rng = random.Random(cfg["seed"])
     h = pure_power(1.2)
     worst = 0.0
     for _ in range(cases):
-        p1 = float(rng.uniform(2000.0, 12000.0))
-        p = float(rng.uniform(max(2.0, p1 ** (1 / 3)), p1 / 2.0))
-        xi = float(rng.uniform(-0.5, 0.5))
-        m = int(rng.integers(0, 4))
+        p1 = rng.uniform(2000.0, 12000.0)
+        p = rng.uniform(max(2.0, p1 ** (1 / 3)), p1 / 2.0)
+        xi = rng.uniform(-0.5, 0.5)
+        m = rng.randrange(4)
         split = vaughan.exp_sum_split(h, p, p1, xi, m, work=work)
         worst = max(worst, abs(split.residual))
     rows.append(["split", float("nan"), cases, worst])

@@ -13,6 +13,7 @@ statistics of average trajectories along lacunary time grids.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -191,13 +192,13 @@ def convergence_report(values, N_grid, seed: int = 0) -> OscillationReport:
                          for c in counts])
     weighted = np.array([weighted_average(vals[:c], primes[:c])
                          for c in counts])
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     i_dyadic = grid[_dyadic_subsequence(grid.size)]
     o2_dyadic = oscillation(grid, traj, i_dyadic)
     o2_random = []
     for _ in range(_RANDOM_SEQUENCES):
-        size = int(rng.integers(2, grid.size + 1))
-        pick = np.sort(rng.choice(grid.size, size=size, replace=False))
+        size = rng.randint(2, grid.size)
+        pick = sorted(rng.sample(range(grid.size), size))
         o2_random.append(oscillation(grid, traj, grid[pick]))
     return OscillationReport(
         grid=grid, values=traj, running_max=np.maximum.accumulate(traj_abs),

@@ -12,7 +12,6 @@ sieves once.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -65,6 +64,7 @@ def sieve_range(lo: int, hi: int, threads: int = 1) -> np.ndarray:
     bounds = list(range(lo, hi, 2 * SEGMENT)) + [hi]
     jobs = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
     if threads > 1 and len(jobs) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda ab: _sieve_segment(*ab, base), jobs))
     else:
@@ -203,21 +203,12 @@ def spf_table(n: int) -> np.ndarray:
     return spf
 
 
-def factorize(n: int, spf: np.ndarray | None = None) -> list[tuple[int, int]]:
-    """Prime factorization as (prime, exponent) pairs."""
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization as (prime, exponent) pairs, by trial division."""
     n = int(n)
     if n < 1:
         raise ValueError("factorize needs n >= 1")
     out: list[tuple[int, int]] = []
-    if spf is not None and n < spf.size:
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -232,29 +223,29 @@ def factorize(n: int, spf: np.ndarray | None = None) -> list[tuple[int, int]]:
     return out
 
 
-def divisors(n: int, spf: np.ndarray | None = None) -> list[int]:
+def divisors(n: int) -> list[int]:
     """All positive divisors, ascending."""
     ds = [1]
-    for p, e in factorize(n, spf):
+    for p, e in factorize(n):
         ds = [d * p ** k for d in ds for k in range(e + 1)]
     return sorted(ds)
 
 
-def von_mangoldt(n: int, spf: np.ndarray | None = None) -> float:
+def von_mangoldt(n: int) -> float:
     """Lambda(n): log p if n is a power of the prime p, else 0."""
     if n < 2:
         return 0.0
-    f = factorize(n, spf)
+    f = factorize(n)
     return math.log(f[0][0]) if len(f) == 1 else 0.0
 
 
-def mobius(n: int, spf: np.ndarray | None = None) -> int:
+def mobius(n: int) -> int:
     """Moebius function."""
     if n < 1:
         raise ValueError("mobius needs n >= 1")
     if n == 1:
         return 1
-    f = factorize(n, spf)
+    f = factorize(n)
     if any(e > 1 for _, e in f):
         return 0
     return -1 if len(f) % 2 else 1

@@ -75,25 +75,24 @@ def default_params(P1: float) -> VaughanParams:
     return VaughanParams(max(v, 1.0), max(v, 1.0))
 
 
-def pi_vw(l: int, v: float, w: float,
-          spf: np.ndarray | None = None) -> float:
+def pi_vw(l: int, v: float, w: float) -> float:
     """sum of Lambda(r) mu(s) over factorizations l = r*s, r<=v, s<=w."""
     total = 0.0
-    for r in primes.divisors(l, spf):
+    for r in primes.divisors(l):
         if r > v:
             break
-        lam = primes.von_mangoldt(r, spf)
+        lam = primes.von_mangoldt(r)
         if lam == 0.0:
             continue
         s = l // r
         if s <= w:
-            total += lam * primes.mobius(s, spf)
+            total += lam * primes.mobius(s)
     return total
 
 
-def xi_w(l: int, w: float, spf: np.ndarray | None = None) -> int:
+def xi_w(l: int, w: float) -> int:
     """sum of mu(d) over divisors d of l exceeding w."""
-    return sum(primes.mobius(d, spf) for d in primes.divisors(l, spf) if d > w)
+    return sum(primes.mobius(d) for d in primes.divisors(l) if d > w)
 
 
 def kahan_sum(values) -> float:
@@ -109,17 +108,16 @@ def kahan_sum(values) -> float:
     return s + comp
 
 
-def lambda_via_vaughan(n: int, v: float, w: float,
-                       spf: np.ndarray | None = None) -> float:
+def lambda_via_vaughan(n: int, v: float, w: float) -> float:
     """Reassemble Lambda(n) from the three combinatorial terms (n > v)."""
     n = int(n)
     if n <= v:
         raise ValueError("identity requires n > v")
-    ds = primes.divisors(n, spf)
-    t1 = kahan_sum(math.log(n // l) * primes.mobius(l, spf)
+    ds = primes.divisors(n)
+    t1 = kahan_sum(math.log(n // l) * primes.mobius(l)
                    for l in ds if l <= w and n // l >= 1)
-    t2 = kahan_sum(pi_vw(l, v, w, spf) for l in ds if l <= v * w)
-    t3 = kahan_sum(primes.von_mangoldt(n // l, spf) * xi_w(l, w, spf)
+    t2 = kahan_sum(pi_vw(l, v, w) for l in ds if l <= v * w)
+    t3 = kahan_sum(primes.von_mangoldt(n // l) * xi_w(l, w)
                    for l in ds if l > w and n // l > v)
     return t1 - t2 + t3
 

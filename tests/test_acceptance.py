@@ -29,12 +29,11 @@ def table():
 
 def test_criterion_01_vaughan_exactness(record_verdict):
     nmax = 10 ** 4
-    spf = primes.spf_table(nmax)
     lam = primes.von_mangoldt_range(0, nmax + 1)
     worst = 0.0
     for vw in (2.0, 5.0, 10.0):
         for n in range(int(vw) + 1, nmax + 1):
-            got = vaughan.lambda_via_vaughan(n, vw, vw, spf=spf)
+            got = vaughan.lambda_via_vaughan(n, vw, vw)
             worst = max(worst, abs(got - lam[n]))
     rng = np.random.default_rng(11)
     h = pure_power(1.2)

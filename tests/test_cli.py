@@ -1,5 +1,6 @@
 """CLI surface: config parsing, report emission, exit codes."""
 
+import concurrent.futures
 import dataclasses
 import functools
 import itertools
@@ -11,7 +12,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -945,12 +945,11 @@ def test_vaughan_work_note(tmp_path):
     lam = primes.von_mangoldt_range(0, nmax + 1)
     t3 = sum(nmax // k - 2 for k in range(3, nmax // 3 + 1) if lam[k])
     sieve = nmax + nmax // 2 + nmax // 2 + nmax // 4 + t3
-    rng = np.random.default_rng(0)
-    p1 = float(rng.uniform(2000.0, 12000.0))
-    p = float(rng.uniform(max(2.0, p1 ** (1 / 3)), p1 / 2.0))
+    rng = random.Random(0)
+    p1 = rng.uniform(2000.0, 12000.0)
+    p = rng.uniform(max(2.0, p1 ** (1 / 3)), p1 / 2.0)
     split = vaughan.exp_sum_split(pure_power(1.2), p, p1,
-                                  float(rng.uniform(-0.5, 0.5)),
-                                  int(rng.integers(0, 4)))
+                                  rng.uniform(-0.5, 0.5), rng.randrange(4))
     # at these sizes one phase sum per bilinear sum and the reference
     assert work == [f"# work: sieve_terms={sieve} "
                     f"split_terms={split.n_terms} phase_sums=5"]
@@ -961,7 +960,10 @@ def test_vaughan_work_note(tmp_path):
 
 
 def test_readme_commands_leave_numpy_ma_out(tmp_path):
-    # numpy.ma costs about 13 ms at its first import; no subcommand needs it
+    # modules no README command needs, each costly at its first import:
+    # numpy.ma about 13 ms, numpy.random 5-6 MB and 16-23 ms (the seeded
+    # draws use the random module), concurrent.futures about 0.4 MB (the
+    # sieve's pool, only for --threads > 1)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -979,11 +981,12 @@ def test_readme_commands_leave_numpy_ma_out(tmp_path):
         "        ['regvar-check', '--check']]\n"
         "for i, argv in enumerate(runs):\n"
         f"    assert cli.main(argv + ['--out', r'{tmp_path}/r%d' % i]) == 0\n"
-        "print('numpy.ma' in sys.modules)\n")
+        "print([m for m in ['numpy.ma', 'numpy.random',\n"
+        "                   'concurrent.futures'] if m in sys.modules])\n")
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_check_violation_exits_two(tmp_path, monkeypatch):
@@ -1185,16 +1188,17 @@ def test_function_from_unknown_kind():
 
 def test_rows_identical_when_the_sieve_pool_runs(tmp_path, monkeypatch):
     # 2^22 spans two sieve jobs of 2 * SEGMENT numbers, so --threads 2
-    # really starts a pool; the data rows must not notice
+    # really starts a pool, which sieve_range imports from
+    # concurrent.futures when it needs one; the data rows must not notice
     assert 2 ** 22 > 2 * primes.SEGMENT
     pools = []
 
-    class CountingPool(ThreadPoolExecutor):
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs.get("max_workers", args[0] if args else None))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(primes, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     rows = []
     for k in (1, 2):
         monkeypatch.setattr(primes, "_cache",

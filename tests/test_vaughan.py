@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primeorbits import expsum, primes, vaughan
-from primeorbits.primes import mobius, spf_table, von_mangoldt_range
+from primeorbits.primes import mobius, von_mangoldt_range
 from primeorbits.regvar import pure_power
 
 
@@ -125,11 +125,10 @@ def test_identity_sweep_small():
     # every n in (v, 3000] reproduces Lambda exactly for v = w = 2, 5, 10
     nmax = 3000
     lam = von_mangoldt_range(0, nmax + 1)
-    spf = spf_table(nmax)
     for v in (2.0, 5.0, 10.0):
         worst = 0.0
         for n in range(int(v) + 1, nmax + 1):
-            got = vaughan.lambda_via_vaughan(n, v, v, spf=spf)
+            got = vaughan.lambda_via_vaughan(n, v, v)
             worst = max(worst, abs(got - lam[n]))
         assert worst < 1e-10
 
@@ -197,11 +196,6 @@ def test_split_rejects_bad_block():
 # -- range identity and table-driven split ------------------------------------
 
 
-@pytest.fixture(scope="module")
-def spf3000():
-    return spf_table(3000)
-
-
 def test_tables_equal_scalar_functions():
     # mu and xi_w are integers; pi_vw adds over r in pi_vw's order, so
     # its table holds the scalar's bits
@@ -220,13 +214,13 @@ def test_tables_equal_scalar_functions():
 @pytest.mark.parametrize("v, w", [(1.5, 1.5), (2.0, 2.0), (2.5, 2.5),
                                   (5.0, 5.0), (10.0, 10.0), (1.5, 3.0),
                                   (3.0, 1.5)])
-def test_identity_upto_matches_scalar(v, w, spf3000):
+def test_identity_upto_matches_scalar(v, w):
     # entry 0 is the first n > v, so n = floor(v) + 1 is compared too
     nmax = 3000
     n0 = math.floor(v) + 1
     got = vaughan.lambda_via_vaughan_upto(nmax, v, w)
     assert got.shape == (nmax - n0 + 1,)
-    want = np.array([vaughan.lambda_via_vaughan(n, v, w, spf=spf3000)
+    want = np.array([vaughan.lambda_via_vaughan(n, v, w)
                      for n in range(n0, nmax + 1)])
     assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -296,7 +290,6 @@ def split_per_l(h, P, P1, xi, m, params):
     v, w = params.v, params.w
     freq = float(xi) + float(m)
     iP1 = int(math.floor(P1))
-    spf = spf_table(iP1)
     lam_dense = von_mangoldt_range(0, iP1 + 1)
 
     def phase_sum(n, weights):
@@ -311,13 +304,13 @@ def split_per_l(h, P, P1, xi, m, params):
     terms = 0
     s1 = s21 = s22 = s3 = 0j
     for l in range(1, int(math.floor(w)) + 1):
-        mu = mobius(l, spf)
+        mu = mobius(l)
         ks = k_range(l)
         if mu and ks.size:
             s1 += mu * phase_sum(ks * l, np.log(ks.astype(np.float64)))
             terms += ks.size
     for l in range(1, int(math.floor(v * w)) + 1):
-        coef = vaughan.pi_vw(l, v, w, spf)
+        coef = vaughan.pi_vw(l, v, w)
         ks = k_range(l)
         if coef != 0.0 and ks.size:
             part = coef * phase_sum(ks * l, np.ones(ks.size))
@@ -327,7 +320,7 @@ def split_per_l(h, P, P1, xi, m, params):
                 s22 += part
             terms += ks.size
     for l in range(int(math.floor(w)) + 1, int(math.floor(P1 / v)) + 1):
-        coef = vaughan.xi_w(l, w, spf)
+        coef = vaughan.xi_w(l, w)
         ks = k_range(l)
         ks = ks[ks > v]
         if coef != 0 and ks.size:
@@ -339,7 +332,9 @@ def split_per_l(h, P, P1, xi, m, params):
     return (s1, s21, s22, s3), terms
 
 
-def _cli_cases(seed, count):
+def _drawn_cases(seed, count):
+    # over vaughan-check's ranges of P1, P, xi and m; numpy's draws, whose
+    # values name the tests
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -350,7 +345,7 @@ def _cli_cases(seed, count):
     return out
 
 
-SPLIT_CASES = _cli_cases(0, 4) + [
+SPLIT_CASES = _drawn_cases(0, 4) + [
     (2.0, 4.0, 0.17, 0, None),
     (8.0, 16.0, 0.3, 1, None),
     (40.0, 900.0, -0.21, 2, vaughan.VaughanParams(3.0, 2.0)),
