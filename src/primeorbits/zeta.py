@@ -12,29 +12,46 @@ is evaluated by a Filon scheme in u = log s: the slow factor
 f(u) = e^{beta u} e(xi h(e^u)) is projected on degree-16 Legendre pieces
 over P equal panels sized by the xi*h phase, and the e^{i gamma u} factor
 is integrated exactly against each Legendre mode via spherical Bessel
-moments.  One panel decomposition therefore serves every zero, which is
-what makes height cuts in the tens of thousands affordable.
+moments (expsum.legendre_moments, with the tables of expsum.osc_integral).
+One panel decomposition therefore serves every zero.
 
-The panel centers form one arithmetic progression c_j = c0 + s j, used
-by both the Legendre nodes and the carriers e^{i c_j gamma}.  With
-j = a B + b, A = round(sqrt(P / 17)) and B = ceil(P / A), each carrier is
-the product of E2[a] = e^{i (c0 + s B a) gamma} and E1[b] = e^{i s b gamma},
-both read off power tables (_carriers): a zero costs A + B carriers, from
-1 + log2 A + log2 B complex exponentials, instead of P.  With a common
-beta the moments 2 i^k j_k(gamma s / 2) have real j_k, so a zero and its
-conjugate together add sum_{j,k} c_jk 2 Re(e^{i c_j gamma} 2 i^k j_k)
-times s / 2.  The kernel therefore sums over zeros first, into the real
-P x 17 matrix W[j, k] = sum over zeros of Re(E1[b] E2[a] i^k j_k), and
-returns 2 s sum_{j,k} c_jk W[j, k].  Per block of zeros, W grows by one
-real matrix product: the E1 table, each zero's entry as its (re, im)
-pair, against the (A, 17) products conj(E2[a] i^k j_k), which is 68 P
-flops per zero; the panels x zeros carrier matrix is never formed.
-Zeros are taken in blocks whose tables stay under _BLOCK_BYTES, one
-matrix product per block.  The Legendre tables are those of
-expsum.osc_integral, and j_0 .. j_16 come from one recurrence pass over
-the orders (expsum.bessel_rows).  A request whose estimated peak memory,
-panels x _PANEL_BYTES + _BLOCK_PEAK, exceeds _MAX_BYTES is refused
-before any exponential is formed.
+The panels cover the window [u0, u1] of width L = 2 P half; u_c is its
+midpoint.  With u = u_c + v, each zero's integral is
+F(gamma) = e^{i gamma u_c} G(gamma), where G is the Fourier transform of
+the projected f on |v| <= L/2.  So G is band-limited, and it is read off
+a uniform grid in gamma at least twice as fine as its Nyquist step 2 pi / L
+(the type-2 nonuniform FFT of Barnett, Magland and af Klinteberg, SIAM J.
+Sci. Comput. 41 (2019) C479-C504):
+
+- Grid.  M >= 2P is the smallest 2^a {1, 3, 5, 15}, and the step is
+  pi / (M half).  At gamma = n step every panel carrier is an M-th root of
+  unity, so G there is half e^{i pi n (1 - P) / M} sum_k 2 i^k
+  j_k(n pi / M) D_k[n mod M], with D = the unscaled inverse FFT of the
+  coefficients over the panels (_panel_transform): one transform of
+  length M per Legendre order.  The orders whose moments stay below
+  2^-60 at every tap (|j_k(x)| <= x^k / (2k+1)!!) are left out.
+- Interpolation.  G(gamma) = sum over the 16 grid points n within 8 of
+  gamma / step of ES(gamma / step - n) Gc(n step), with the kernel
+  ES(x) = exp(beta (sqrt(1 - (x/8)^2) - 1)), beta = 2.30 * 16, and Gc the
+  grid transform of f / Psi: the node values are divided, before they
+  are projected, by Psi(s) = int ES(x) cos(pi s x) dx, the kernel's
+  Fourier transform at the node's offset s = (u - u_c) / (M half), which
+  |s| <= P / M <= 1/2 bounds.  1 / Psi is a shipped polynomial in 4 s^2
+  (_PSI_INV).  -gamma has the same weights on the mirrored taps.
+- Sum.  The zeros are taken in chunks of at most _ZERO_CHUNK whose taps
+  span at most _GRID_CHUNK + 16 grid points.  Each chunk spreads
+  e^{i gamma u_c} ES(gamma / step - n) onto its grid points (one
+  bincount), and the spread meets Gc at n and, conjugated, at -n.
+
+Cost: about 17 M log M for the transforms, 17 per grid point up to
+T / step, and 2 x 16 per zero, against 68 P per zero for a GEMM over
+panels x zeros.  Against the direct kernel (one exponential per panel
+and zero, the oracle in tests/test_zeta.py) the measured deviation is at
+most 6.2e-13 of the normalizer.  Memory: D takes 16 bytes per kept order
+and grid point, at most 680 per panel, and the chunks of panels and of
+zeros a few MiB.  A request whose estimated peak, panels x _PANEL_BYTES
++ _CHUNK_PEAK, exceeds _MAX_BYTES is refused before any exponential is
+formed.
 """
 
 from __future__ import annotations
@@ -48,28 +65,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accum import pairwise_sum
-from .expsum import (_GL_U, _K_RANGE, _NODES_PER_PANEL, _PROJ, bessel_rows,
-                     normalizer, theta1_default)
+from .expsum import (_GL_U, _ODD, _PROJ, legendre_moments, normalizer,
+                     theta1_default)
 from .regvar import RegVarFunction
+from .waring import _transform_length
 
 _FIRST_GAMMA = 14.1347
-# (-i)^k, k < 17: the conjugate of the moments' phase i^k
-_CONJ_PHASE = np.array([1.0, -1.0j, -1.0, 1.0j])[_K_RANGE % 4][:, None]
-# bytes of one block's tables, per zero 16 ((17 + 1) A + B + 2 * 17):
-# the (A, 17) products, the carriers E2 and E1 and the moments.  A block
-# makes about 170 numpy calls (the moments' recurrence and the carrier
-# tables), whose overhead sets the time of small blocks; 4 MiB was the
-# fastest of 1-16 MiB on the zeros benchmark's sizes
-_BLOCK_BYTES = 1 << 22
-# peak bytes of one block: its tables and the temporaries of the moments'
-# recurrence and the carriers (tracemalloc: at most 4.16 MiB on top of
-# panels x _PANEL_BYTES, at 8-40,670 panels with 1 to 56,412 zeros)
-_BLOCK_PEAK = 5 * _BLOCK_BYTES // 4
-# peak bytes per panel of zero_osc_sum on top of the blocks of zeros
-# (1,088-1,089 measured with tracemalloc at 2e3 to 4e4 panels with one
-# zero and with 649; _panel_coeffs' temporaries set it)
-_PANEL_BYTES = 1100
-# largest estimated peak, panels x _PANEL_BYTES + _BLOCK_PEAK, it accepts
+# the interpolation kernel ES(x) = exp(beta (sqrt(1 - (2x/W)^2) - 1)) on
+# |x| <= W/2 (Barnett, Magland, af Klinteberg 2019): W = 16 taps, beta =
+# 2.30 W, the width and shape they give for a grid twice as fine as
+# Nyquist; its Fourier transform Psi(s) = int ES(x) cos(pi s x) dx
+_ES_TAPS = 16
+_ES_BETA = 2.30 * _ES_TAPS
+# 1 / Psi(s) on |s| <= 1/2 as a polynomial in 4 s^2, lowest power first:
+# the interpolant at 16 Chebyshev nodes of 8 s^2 - 1, from 40-digit
+# quadrature (a test re-derives it), within 2.7e-16 relative of 1 / Psi.
+# All coefficients but one (-2.5e-6) are positive, so Horner's rule
+# hardly cancels, in 2 array operations a term against Clenshaw's 3
+_PSI_INV = np.array([
+    0.3056547542910235, 0.6292581379817044, 0.6653094939960703,
+    0.48167987047705435, 0.26864677604969817, 0.12311469259606685,
+    0.048289248887027326, 0.016673739934434075, 0.005170246997417104,
+    0.0014707489372466148, 0.00037241234178012, 0.00010773570097934666,
+    8.280631449204674e-06, 1.3176719999245368e-05, -2.513072378249698e-06,
+    9.504172401672527e-07])
+# moments j_k below this at every grid point are left out of the sum
+_MOMENT_FLOOR = 2.0 ** -60
+# panels projected at a time (_panel_transform): the temporaries of their
+# nodes take about 1.4 kB a panel
+_PANEL_CHUNK = 2048
+# a chunk of zeros holds at most _ZERO_CHUNK zeros, whose taps span at most
+# _GRID_CHUNK + _ES_TAPS grid points
+_ZERO_CHUNK = 4096
+_GRID_CHUNK = 512
+# peak bytes of zero_osc_sum past the transform D: a panel chunk's
+# temporaries, or a chunk of zeros with its grid values (tracemalloc: at
+# most 2.7 MiB, a full panel chunk, at 8-40,670 panels with 1 to 56,412
+# zeros)
+_CHUNK_PEAK = 1 << 22
+# peak bytes per panel: D holds 16 bytes per order kept and grid point,
+# at most 17 orders of M < 2.5 P points (680 B a panel), and the in-place
+# transform of a row copies it (40 B a panel)
+_PANEL_BYTES = 720
+# largest estimated peak, panels x _PANEL_BYTES + _CHUNK_PEAK, it accepts
 _MAX_BYTES = 1 << 29
 # peak bytes of reading the packaged table: each ordinate twice, parsed
 # and copied, and the ascending check's one-byte mask (tracemalloc: 0.96 MB
@@ -228,7 +266,7 @@ def _osc_panels(h: RegVarFunction, t: float,
     """
     cycles = abs(xi) * (h.value(t) - h.value(t / 2.0))
     n_panels = int(math.ceil(4.0 * cycles)) + 8
-    need = n_panels * _PANEL_BYTES + _BLOCK_PEAK
+    need = n_panels * _PANEL_BYTES + _CHUNK_PEAK
     if need > _MAX_BYTES:
         raise ValueError(f"memory budget exceeded: {n_panels} panels for "
                          f"xi={xi:g}, t={t:g} need about {need / 2**20:.0f} MiB "
@@ -238,35 +276,33 @@ def _osc_panels(h: RegVarFunction, t: float,
     return u0 + half, half, n_panels
 
 
-def _panel_coeffs(h: RegVarFunction, xi: float, beta: float, c0: float,
-                  half: float, n_panels: int) -> np.ndarray:
-    """Degree-16 Legendre coefficients (panels x modes) of
-    f(u) = e^{beta u} e(xi h(e^u)) on the panels of _osc_panels."""
-    u = (c0 + 2.0 * half * np.arange(n_panels))[:, None] + half * _GL_U[None, :]
-    return np.exp(beta * u + 2j * np.pi * xi * h.value(np.exp(u))) @ _PROJ
-
-
-def _carriers(g: np.ndarray, start: float, step: float,
-              out: np.ndarray) -> np.ndarray:
-    """e^{i g (start + step a)} for a < out.shape[0], one row per a, into
-    out (count x zeros, complex).
-
-    A power table: row 0 is e^{i g start} (exactly 1 at start 0), and
-    the rows [w, 2w) are the rows [0, w) times e^{i g step w}, each of
-    those exponentials computed directly, for w = 1, 2, 4, ...  So row a
-    is the product of at most 1 + log2(a) direct exponentials whose
-    phases add up to g (start + step a): its phase error is a few
-    u (|g start| + 2 |g step a| + 1), as for a direct exponential of the
-    whole phase.
-    """
-    count = out.shape[0]
-    out[0] = np.exp(1j * (g * start)) if start else 1.0
-    w = 1
-    while w < count:
-        hi = min(2 * w, count)
-        np.multiply(out[:hi - w], np.exp(1j * (g * (step * w))), out=out[w:hi])
-        w = hi
-    return out
+def _panel_transform(h: RegVarFunction, xi: float, beta: float, c0: float,
+                     half: float, n_panels: int, length: int,
+                     kept: int) -> np.ndarray:
+    """D[k, n] = sum_j c_jk e^{2 pi i n j / length}, k < kept, n < length:
+    the unscaled inverse DFT over the panels of the degree-16 Legendre
+    coefficients c_jk of f(u) / Psi(s), f(u) = e^{beta u} e(xi h(e^u)), on
+    the panels of _osc_panels.  s = (u - u_c) / (length half) is a node's
+    offset from the window's midpoint u_c; the coefficients are projected
+    _PANEL_CHUNK panels at a time."""
+    d = np.zeros((kept, length), dtype=np.complex128)
+    for lo in range(0, n_panels, _PANEL_CHUNK):
+        j = np.arange(lo, min(lo + _PANEL_CHUNK, n_panels))
+        u = (c0 + 2.0 * half * j)[:, None] + half * _GL_U[None, :]
+        # 4 s^2, s = (2 j - (P - 1) + v) / length at the node v of panel j
+        y = np.square(((2.0 * j - (n_panels - 1))[:, None] + _GL_U[None, :])
+                      * (2.0 / length))
+        # Horner in place: polyval's temporaries add 2 ms at P = 7483
+        corr = np.full_like(y, _PSI_INV[-1])
+        for a in _PSI_INV[-2::-1]:
+            corr *= y
+            corr += a
+        f = np.exp(beta * u + 2j * np.pi * xi * h.value(np.exp(u)))
+        f *= corr
+        d[:, lo:lo + j.size] = (f @ _PROJ[:, :kept]).T
+    for row in d:
+        np.fft.ifft(row, norm="forward", out=row)
+    return d
 
 
 def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
@@ -289,43 +325,43 @@ def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
         return ZeroSumBound(value=0.0 + 0.0j, n_zeros=0,
                             normalizer=normalizer(t), n_panels=n_panels)
 
-    K = _NODES_PER_PANEL
-    # panel j = a*B + b is centred at c_j = c0 + 2*half*j, so its carrier
-    # e^{i c_j gamma} is E2[a] * E1[b], E2 = e^{i (c0 + 2 half B a) gamma}
-    # and E1 = e^{i 2 half b gamma}: A + B carriers per zero, not P, and
-    # A = sqrt(P / 17) makes the 17 A + B table entries per zero fewest
-    A = max(1, round(math.sqrt(n_panels / K)))
-    B = -(-n_panels // A)
-    A = -(-n_panels // B)
-    # W[b, a K + k] sums Re(E1[b] E2[a] i^k j_k) over the zeros; padded
-    # panels j >= P have zero coefficients
-    cw = np.zeros((A * B, K), dtype=np.complex128)
-    cw[:n_panels] = _panel_coeffs(h, xi, beta, c0, half, n_panels)
-    cw = cw.reshape(A, B, K).transpose(1, 0, 2)
-    cols = np.stack([cw.real, cw.imag]).reshape(2, B * A * K)
-    del cw
-
-    block = max(1, _BLOCK_BYTES // (16 * ((K + 1) * A + B + 2 * K)))
-    n = min(block, g.size)
-    e1_buf = np.empty(B * n, dtype=np.complex128)
-    e2_buf = np.empty(A * n, dtype=np.complex128)
-    q_buf = np.empty(A * K * n, dtype=np.complex128)
-    gemm, w = np.empty((B, A * K)), np.zeros((B, A * K))
-    for lo in range(0, g.size, block):
-        gs = g[lo:lo + block]
-        m = gs.size
-        e1 = _carriers(gs, 0.0, 2.0 * half, e1_buf[:B * m].reshape(B, m))
-        e2_conj = _carriers(gs, -c0, -2.0 * half * B,
-                            e2_buf[:A * m].reshape(A, m))
-        # q = conj(E2[a] i^k j_k); over each zero's (re, im) pair,
-        # Re E1 Re(E2 i^k j_k) - Im E1 Im(E2 i^k j_k) = Re(E1 E2 i^k j_k)
-        q = q_buf[:A * K * m].reshape(A, K, m)
-        np.multiply(e2_conj[:, None, :], bessel_rows(gs * half) * _CONJ_PHASE,
-                    out=q)
-        np.matmul(e1.view(np.float64),
-                  q.reshape(A * K, m).view(np.float64).T, out=gemm)
-        w += gemm
-    # a zero and its conjugate add half c_jk 2 Re(e^{i c_j gamma} 2 i^k j_k)
-    re, im = 4.0 * half * (cols @ w.ravel())
-    return ZeroSumBound(value=complex(re, im), n_zeros=int(g.size),
+    P, W = n_panels, _ES_TAPS
+    M = _transform_length(2 * P)
+    # at gamma = n step every carrier e^{i gamma 2 half j} is an M-th root
+    # of unity and the moments' argument gamma half is n pi / M
+    step = np.pi / (M * half)
+    # |j_k(x)| <= x^k / (2k+1)!!: the orders past the last one above
+    # _MOMENT_FLOOR at the highest tap are left out
+    x_top = (int(g[-1] / step) + W // 2) * np.pi / M
+    bound = np.cumprod(x_top / _ODD[1:])
+    kept = 1 + int(np.count_nonzero(bound >= _MOMENT_FLOOR))
+    d = _panel_transform(h, xi, beta, c0, half, P, M, kept)
+    u_c = c0 + half * (P - 1)
+    taps = np.arange(W)
+    total, lo = 0j, 0
+    while lo < g.size:
+        hi = min(lo + _ZERO_CHUNK,
+                 int(np.searchsorted(g, g[lo] + _GRID_CHUNK * step)))
+        gs = g[lo:hi]
+        y = gs / step
+        first = np.floor(y).astype(np.int64) - (W // 2 - 1)
+        # G at the grid points n step and -n step, n = first[0], ... the
+        # last tap; the moments at -n are the conjugates of those at n
+        n = np.arange(first[0], first[-1] + W)
+        mom = legendre_moments(n * (np.pi / M))[:, :kept].T
+        rot = np.exp((1j * np.pi / M) * (n * (1 - P) % (2 * M)))
+        pos = rot * (mom * d[:, n % M]).sum(axis=0)
+        neg = rot.conj() * (mom.conj() * d[:, -n % M]).sum(axis=0)
+        # a[n] sums e^{i gamma u_c} ES(gamma / step - n) over the zeros
+        # whose taps hold n; the taps of -gamma are those of gamma mirrored,
+        # with the same weights, so conj(a) spreads e^{-i gamma u_c}
+        x = ((y - first)[:, None] - taps) * (2.0 / W)
+        w = np.exp(_ES_BETA * (np.sqrt(1.0 - x * x) - 1.0))
+        e = np.exp(1j * (gs * u_c))
+        at = ((first - first[0])[:, None] + taps).ravel()
+        a = (np.bincount(at, (w * e.real[:, None]).ravel(), n.size)
+             + 1j * np.bincount(at, (w * e.imag[:, None]).ravel(), n.size))
+        total += pos @ a + neg @ a.conj()
+        lo = hi
+    return ZeroSumBound(value=complex(half * total), n_zeros=int(g.size),
                         normalizer=normalizer(t), n_panels=n_panels)

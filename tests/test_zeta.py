@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import spherical_jn
@@ -206,9 +207,9 @@ def test_zero_osc_sum_validations():
 
 
 def test_zero_osc_sum_budget(monkeypatch):
-    # a cap worth one block and 16 panels runs a request of at most 16
+    # a cap worth the chunks and 16 panels runs a request of at most 16
     # panels (never fewer than 8) and refuses one of 10^3-odd panels
-    monkeypatch.setattr(zeta, "_MAX_BYTES", zeta._BLOCK_PEAK + 16 * zeta._PANEL_BYTES)
+    monkeypatch.setattr(zeta, "_MAX_BYTES", zeta._CHUNK_PEAK + 16 * zeta._PANEL_BYTES)
     r = zeta.zero_osc_sum(H11, 1e3, 1e-6, 100.0, TAB)
     assert 8 <= r.n_panels <= 16 and np.isfinite(r.value.real)
     with pytest.raises(ValueError, match="budget"):
@@ -252,7 +253,7 @@ def test_explicit_formula_chain():
             assert b.abs_error <= abs(osc.value) + rem
 
 
-# -- the direct kernel, kept as the oracle of the factored one ---------------
+# -- the direct kernel, kept as the oracle of the grid route ----------------
 
 _K = 17
 _U, _W = np.polynomial.legendre.leggauss(_K)
@@ -291,58 +292,75 @@ def _xi_for_panels(h, t, panels):
     return (panels - 8.5) / (4.0 * (h.value(t) - h.value(t / 2.0)))
 
 
-# a block's tables take 16 ((17 + 1) A + B + 2 * 17) bytes per zero, and
-# every panel count P >= 8 gives A >= 1 and (17 + 1) A + B >= 18 + 8
-_MIN_ZERO_BYTES = 16 * (18 + 8 + 34)
-
-
 @pytest.mark.parametrize("panels, sign", [(8, 0), (9, 1), (100, 1), (100, -1),
                                           (101, 1), (101, -1), (1531, 1)])
-@pytest.mark.parametrize("T", [15.0, 1e3, 1e4])
+@pytest.mark.parametrize("T", [15.0, 1e3, 1e4, None])
 def test_zero_osc_sum_matches_direct_kernel(panels, sign, T):
     # P = 8 is the fewest panels, 9 the fewest at xi != 0, 100 a perfect
-    # square, 101 a prime and 1531 the major-arc cutoff; 101 and 1531
-    # leave padded panels (A B > P); the cutoffs give 1 zero, 649 zeros
-    # and more zeros than one block holds
+    # square, 101 a prime and 1531 the major-arc cutoff; the cutoffs give
+    # 1 zero, 649 zeros, and more zeros than one chunk holds at 1e4 and at
+    # the table top (None), where the grid route gains most
     t = 1e4
+    T = TAB.max_gamma if T is None else T
     xi = sign * min(_xi_for_panels(H11, t, panels),
                     t ** -expsum.theta1_default(1.1))
     r = zeta.zero_osc_sum(H11, t, xi, T, TAB)
     want, n = _direct_osc_sum(H11, t, xi, T, TAB)
     assert r.n_panels == n == panels
-    assert r.n_zeros == {15.0: 1, 1e3: 649, 1e4: 10142}[T]
-    if T == 1e4:
-        assert r.n_zeros * _MIN_ZERO_BYTES > zeta._BLOCK_BYTES
+    assert r.n_zeros == {15.0: 1, 1e3: 649, 1e4: 10142}.get(T, TAB.count)
+    if T >= 1e4:
+        assert r.n_zeros > zeta._ZERO_CHUNK
     assert abs(r.value - want) <= 1e-12 * r.normalizer
     if sign == 0:
         assert abs(r.value.imag) <= 1e-9 * max(1.0, abs(r.value.real))
 
 
-def test_carriers_match_direct_exponentials_at_largest_phase():
-    # both power tables of zero_osc_sum for x^1.1 at t = 1e5 (481 panels,
-    # A = 5 by B = 97), E2 also conjugated as the kernel takes it, every
-    # zero of the table: gamma c_j reaches 5.2e5 rad, and each carrier
-    # stays within 4 (|phase| + 1) u of a direct exponential
-    t = 1e5
-    c0, half, panels = zeta._osc_panels(
-        H11, t, 0.06 * t ** -expsum.theta1_default(1.1))
-    A, B = 5, 97
-    assert panels == 481 and (A - 1) * B < panels <= A * B
-    u = np.finfo(np.float64).eps / 2.0
-    worst, largest = 0.0, 0.0
-    for start, step, count in [(0.0, 2.0 * half, B), (c0, 2.0 * half * B, A),
-                               (-c0, -2.0 * half * B, A)]:
-        offsets = start + step * np.arange(count)
-        for lo in range(0, TAB.count, 4096):
-            g = TAB.gammas[lo:lo + 4096]
-            got = zeta._carriers(g, start, step,
-                                 np.empty((count, g.size), dtype=np.complex128))
-            phase = np.outer(offsets, g)
-            err = np.abs(got - np.exp(1j * phase)) / ((np.abs(phase) + 1.0) * u)
-            worst = max(worst, float(err.max()))
-            largest = max(largest, float(np.abs(phase).max()))
-    assert largest > 5e5
-    assert worst <= 4.0
+@pytest.mark.parametrize("t", [1e3, 1e4, 1e5])
+@pytest.mark.parametrize("T", [1e3, 1e4, None])
+def test_zero_osc_sum_closed_form_over_many_zeros(t, T):
+    # at xi = 0 each zero's integral is [s^rho / rho] over (t/2, t]; summed
+    # with its conjugate over every zero up to T, up to all 56,412 of the
+    # packaged table (None)
+    T = TAB.max_gamma if T is None else T
+    g = TAB.gammas[: TAB.count_upto(T)]
+    rho = 0.5 + 1j * g
+    terms = 2.0 * ((t ** rho - (t / 2.0) ** rho) / rho).real
+    r = zeta.zero_osc_sum(H11, t, 0.0, T, TAB)
+    assert r.n_zeros == g.size
+    assert abs(r.value - math.fsum(terms)) <= 1e-12 * r.normalizer
+
+
+def test_psi_inverse_coefficients_rederived_by_quadrature():
+    # 1 / Psi(s), Psi(s) = int ES(x) cos(pi s x) dx, interpolated at 16
+    # Chebyshev nodes of 8 s^2 - 1 from 30-digit quadrature, then written
+    # in powers of y = 4 s^2; x = (W/2) sin(theta) makes the integrand smooth
+    W, n = zeta._ES_TAPS, zeta._PSI_INV.size
+    with mp.workdps(30):
+        beta = mp.mpf(zeta._ES_BETA)
+
+        def psi(s):
+            def f(th):
+                return (mp.exp(beta * (mp.cos(th) - 1)) * mp.cos(th)
+                        * mp.cos(mp.pi * s * W / 2 * mp.sin(th)))
+            return W / 2 * mp.quad(f, [-mp.pi / 2, 0, mp.pi / 2])
+
+        half = mp.mpf(1) / 2
+        inv = [1 / psi(mp.sqrt((mp.cos(mp.pi * (k + half) / n) + 1) / 8))
+               for k in range(n)]
+        cheb = [2 * mp.fsum(v * mp.cos(mp.pi * j * (k + half) / n)
+                            for k, v in enumerate(inv)) / n for j in range(n)]
+        cheb[0] /= 2
+        # T_j(2y - 1) in powers of y, by T_{j+1} = 2 (2y - 1) T_j - T_{j-1}
+        zero = [mp.mpf(0)] * n
+        rows = [[mp.mpf(1)] + zero, [mp.mpf(-1), mp.mpf(2)] + zero]
+        for _ in range(2, n):
+            a, b = rows[-1], rows[-2]
+            rows.append([4 * (a[i - 1] if i else 0) - 2 * a[i] - b[i]
+                         for i in range(n + 1)])
+        want = [mp.fsum(c * row[i] for c, row in zip(cheb, rows))
+                for i in range(n)]
+        worst = max(abs(mp.mpf(c) - w) for c, w in zip(zeta._PSI_INV, want))
+    assert worst <= 1e-16
 
 
 def test_zero_osc_sum_memory_below_carrier_matrix():
@@ -362,7 +380,7 @@ def test_zero_osc_sum_memory_below_carrier_matrix():
 
 @pytest.mark.parametrize("panels", [9, 85, 770, 1531, 7483])
 def test_zero_osc_sum_peak_within_refusal_estimate(panels):
-    # few panels and every zero is where the blocks, not the panels, set
+    # few panels and every zero is where the chunks, not the panels, set
     # the peak; 1531 panels is the major-arc cutoff at t = 1e4, and 7483
     # panels at t = 1e5 with 649 zeros the zeros benchmark's largest request
     t, T = (1e5, 1e3) if panels == 7483 else (1e4, TAB.max_gamma)
@@ -375,27 +393,30 @@ def test_zero_osc_sum_peak_within_refusal_estimate(panels):
     finally:
         tracemalloc.stop()
     assert (r.n_panels, r.n_zeros) == (panels, TAB.count_upto(T))
-    assert peak <= panels * zeta._PANEL_BYTES + zeta._BLOCK_PEAK
+    assert peak <= panels * zeta._PANEL_BYTES + zeta._CHUNK_PEAK
 
 
 @pytest.mark.parametrize("t, panels, T", [(1e4, 85, None), (1e5, 7483, 1e3)])
 def test_zero_osc_sum_independent_of_block_size(monkeypatch, t, panels, T):
-    # a block is one matrix product, so the block size only regroups the
-    # sum over zeros; blocks of 256 KiB split both requests into 8 or more
+    # the chunks of panels and of zeros only regroup the projection and the
+    # sum over zeros: chunks of 1000 panels and of at most 64 zeros over
+    # 64 grid points split both requests into 8 zero chunks or more
     T = TAB.max_gamma if T is None else T
     xi = _xi_for_panels(H11, t, panels)
     want = zeta.zero_osc_sum(H11, t, xi, T, TAB)
-    blocks = []
-    rows = zeta.bessel_rows
+    grids = []
+    moments = zeta.legendre_moments
 
-    def counting(x):
-        blocks.append(x.size)
-        return rows(x)
+    def counting(omega):
+        grids.append(omega.size)
+        return moments(omega)
 
-    monkeypatch.setattr(zeta, "bessel_rows", counting)
-    monkeypatch.setattr(zeta, "_BLOCK_BYTES", 1 << 18)
+    monkeypatch.setattr(zeta, "legendre_moments", counting)
+    monkeypatch.setattr(zeta, "_PANEL_CHUNK", 1000)
+    monkeypatch.setattr(zeta, "_ZERO_CHUNK", 64)
+    monkeypatch.setattr(zeta, "_GRID_CHUNK", 64)
     got = zeta.zero_osc_sum(H11, t, xi, T, TAB)
-    assert len(blocks) >= 8 and sum(blocks) == want.n_zeros
+    assert len(grids) >= 8 and max(grids) <= 64 + zeta._ES_TAPS
     assert (got.n_panels, got.n_zeros) == (want.n_panels, want.n_zeros) \
         == (panels, TAB.count_upto(T))
     assert abs(got.value - want.value) <= 1e-13 * want.normalizer
