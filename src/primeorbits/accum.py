@@ -75,6 +75,13 @@ def pairwise_sum(x: np.ndarray) -> complex | float:
     return halving_sum(chunk_sums(np.asarray(x).ravel()))
 
 
+def pairwise_roundings(n: int) -> int:
+    """d = 23 + ceil(log2 m), m the chunk sums of n entries: the most
+    roundings an entry meets in pairwise_sum's tree (see the module's
+    bound)."""
+    return 23 + (max(-(-n // CHUNK), 1) - 1).bit_length()
+
+
 def chunked(n: int, size: int):
     """Yield (lo, hi) index ranges covering range(n) in fixed-size blocks."""
     for lo in range(0, n, size):

@@ -368,6 +368,11 @@ def _run_waring(cfg: dict):
                 bad = int(np.flatnonzero(got != want)[0])
                 failures.append(f"convolution r({bad})={got[bad]} != "
                                 f"exhaustive {want[bad]}")
+            # the rows come from count_report's own route, not the above
+            for rc in report:
+                if rc.r != want[rc.lam]:
+                    failures.append(f"reported r({rc.lam})={rc.r} != "
+                                    f"exhaustive {want[rc.lam]}")
         else:
             for rc in report:
                 if rc.lam >= 1000 and not 0.5 <= rc.ratio_r <= 2.0:

@@ -502,6 +502,21 @@ def minor_arc_scan(h: RegVarFunction, n_grid) -> ArcProfile:
                       tuple(all_abs), tuple(maxima), slope)
 
 
+# -- transform lengths -------------------------------------------------------
+
+# transform lengths are 2^a m: pocketfft's radix-3 and radix-5 passes keep
+# these about as fast per point as a power of two; adding 9, 25, 27, 45 or
+# 75 won at some lambda and lost at others (README "Waring counts")
+_ODD_PARTS = (1, 3, 5, 15)
+
+
+def transform_length(full: int) -> int:
+    """Smallest 2^a m >= full, m in (1, 3, 5, 15): the FFT length that
+    holds a linear convolution of `full` coefficients (waring) or a grid
+    of `full` points (zeta)."""
+    return min(m << max(-(-full // m) - 1, 0).bit_length() for m in _ODD_PARTS)
+
+
 # -- oscillatory integral ----------------------------------------------------
 
 # Both Filon kernels, osc_integral here and zeta.zero_osc_sum, project a

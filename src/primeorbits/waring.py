@@ -2,13 +2,24 @@
 
 r(lambda) counts triples (m1, m2, m3) with floor(h1(m1)) + floor(h2(m2))
 + floor(h3(m3)) = lambda; R(lambda) is the same count over prime arguments
-weighted by log(p1) log(p2) log(p3).  Both reduce to two convolutions of
-per-function histograms, which makes the full lambda range available at
-once.  Each convolution is a real FFT, at the smallest length 2^a m with
-m in {1, 3, 5, 15} that holds it, whose error is held under an
-a-priori bound of Percival's form (Math. Comp. 72 (2003)); integer
-counts are rounded only while that bound stays below 1/4, and otherwise
-the larger operand is split into 16-bit limbs, so r is exact.  The
+weighted by log(p1) log(p2) log(p3).  Both are threefold convolutions of
+per-function histograms h1, h2, h3, taken in two stages.  The first,
+h12 = h1 * h2 up to lambda_max, is a real FFT at the smallest length
+2^a m with m in {1, 3, 5, 15} that holds it (expsum.transform_length),
+whose error is held under an a-priori bound of Percival's form (Math.
+Comp. 72 (2003)); integer counts are rounded only while that bound stays
+below 1/4, and otherwise the larger operand is split into 16-bit limbs,
+so the integer h12 is exact.  Two readers take h12 on:
+
+  triple_counts_all  convolves h12 with h3 by a second such product,
+                     which gives every lambda <= lambda_max at once;
+  triple_counts_at   sums S(lambda) = sum_{c <= lambda} h12[lambda - c]
+                     h3[c] directly at each requested lambda (Vaughan,
+                     The Hardy-Littlewood Method, 2nd ed. 1997, ch. 2):
+                     in int64 under a 64-bit guard, so r is exact, and
+                     by accum.pairwise_sum for R, within a stated bound.
+
+count_report, which reads two or three lambda, takes the second.  The
 expected main term is Gamma(g1) Gamma(g2) Gamma(g3) / Gamma(g1+g2+g3) *
 lambda^2 phi1'(lambda) phi2'(lambda) phi3'(lambda) with gi = 1/ci.
 """
@@ -20,16 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expsum import EPSILON, guarded_floor, prime_floors
+from .accum import pairwise_roundings, pairwise_sum
+from .expsum import EPSILON, guarded_floor, prime_floors, transform_length
 from .regvar import RegVarFunction
 
 _INT64_CAP = 2 ** 62  # headroom under the signed 64-bit limit
 
 # peak bytes of a count_report, measured on numpy 2.4.6 for lambda from 1e4
-# to 3e6 and rounded up: beyond its histograms a report held up to 51 bytes
-# of RSS per transform slot, at 2^a 15 lengths and powers of two alike (one
-# threefold product alone took 38-40)
-_BYTES_PER_SLOT = 56
+# to 3e6 at c = 1.01, 1.5 and 1.99 and rounded up: beyond its histograms a
+# report held up to 49 bytes of RSS per transform slot at lambda = 1e4 and
+# 28-31 from 1e5 on, with one FFT product per triple (51 with two)
+_BYTES_PER_SLOT = 52
 _BYTES_PER_ARG = 64      # floor evaluation and sieve per argument m
 _BYTES_PER_LAMBDA = 48   # the six float64/int64 histograms
 
@@ -90,7 +102,7 @@ def memory_estimate(functions, lambda_max: int) -> int:
     """Bytes a count_report up to lambda_max is expected to hold at peak."""
     m_max = max(arg_cutoff(f, lambda_max) for f in functions)
     return (_BYTES_PER_ARG * m_max + _BYTES_PER_LAMBDA * (lambda_max + 1)
-            + _BYTES_PER_SLOT * _transform_length(2 * lambda_max + 1))
+            + _BYTES_PER_SLOT * transform_length(2 * lambda_max + 1))
 
 
 def floor_image_histogram(h: RegVarFunction, lambda_max: int) -> np.ndarray:
@@ -122,7 +134,10 @@ class ConvolutionWork:
     split into (1: no split), bound the absolute error bound of the
     result: for integer histograms the largest bound that was accepted
     before rounding (the counts themselves are exact), for real ones the
-    bound on every returned coefficient.
+    bound on every returned coefficient.  triple_counts_at runs only the
+    first product, so its record has that product's length, limbs and
+    accepted bound, or for real histograms the largest bound of a
+    returned S(lambda).
     """
     length: int
     limbs: int
@@ -132,16 +147,6 @@ class ConvolutionWork:
 _UNIT_ROUNDOFF = 2.0 ** -53
 _ROUND_BOUND = 0.25   # rint is exact below 1/2; keep a factor 2 in hand
 _LIMB_BITS = 16
-# transform lengths are 2^a m: pocketfft's radix-3 and radix-5 passes keep
-# these about as fast per point as a power of two; adding 9, 25, 27, 45 or
-# 75 won at some lambda and lost at others (README "Waring counts")
-_ODD_PARTS = (1, 3, 5, 15)
-
-
-def _transform_length(full: int) -> int:
-    """Smallest 2^a m >= full, m in _ODD_PARTS: the FFT length that holds a
-    linear convolution of `full` coefficients."""
-    return min(m << max(-(-full // m) - 1, 0).bit_length() for m in _ODD_PARTS)
 
 
 def _percival_factor(length: int) -> float:
@@ -177,7 +182,7 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray,
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     full = a.size + b.size - 1
-    length = _transform_length(full)
+    length = transform_length(full)
     bound = (float(np.linalg.norm(a)) * float(np.linalg.norm(b))
              * _percival_factor(length))
     spec = np.fft.rfft(a, length)
@@ -194,14 +199,24 @@ def _limbs(x: np.ndarray) -> list[np.ndarray]:
             + [x >> (_LIMB_BITS * (k - 1))])
 
 
+def _int64_guard(a: np.ndarray, b: np.ndarray) -> None:
+    """Refuse int64 sums of products a[i] b[j] that could leave the range.
+
+    No coefficient of a * b, nor any partial sum of one, exceeds
+    sum |a| * max |b|.  Both factors are taken in float64, whose relative
+    error here is far inside the factor 2 that 2^62 leaves under 2^63.
+    """
+    bound = (float(np.abs(a, dtype=np.float64).sum())
+             * float(np.abs(b, dtype=np.float64).max(initial=0.0)))
+    if bound >= _INT64_CAP:
+        raise OverflowError(f"convolution coefficient bound {bound:.4g} "
+                            f"exceeds the 64-bit guard")
+
+
 def _convolve_exact(a: np.ndarray, b: np.ndarray,
                     out_len: int) -> tuple[np.ndarray, int, float]:
     """Exact int64 convolution: (coefficients, limbs used, accepted bound)."""
-    # pre-check that no coefficient can overflow
-    bound = int(a.sum()) * int(b.max(initial=0))
-    if bound >= _INT64_CAP:
-        raise OverflowError(f"convolution coefficient bound {bound} "
-                            f"exceeds the 64-bit guard")
+    _int64_guard(a, b)
     z, err = _fft_convolve(a, b, out_len)
     if err < _ROUND_BOUND:
         return np.rint(z).astype(np.int64), 1, err
@@ -221,6 +236,37 @@ def _convolve_exact(a: np.ndarray, b: np.ndarray,
     return out, len(parts), worst
 
 
+def _operands(hists, out_len: int) -> tuple[list[np.ndarray], bool]:
+    """The histograms cut to out_len entries, and whether all are integer;
+    if not, all are taken as float64."""
+    hs = [np.asarray(h)[:out_len] for h in hists]
+    if all(np.issubdtype(h.dtype, np.integer) for h in hs):
+        return hs, True
+    return [np.asarray(h, dtype=np.float64) for h in hs], False
+
+
+def _first_stage(hs: list[np.ndarray], exact: bool,
+                 out_len: int) -> tuple[np.ndarray, int, float]:
+    """h12 = hs[0] * hs[1] up to out_len: (coefficients, limbs, bound),
+    exact int64 for integer histograms, else float64 within bound of
+    every exact coefficient."""
+    if exact:
+        return _convolve_exact(hs[0], hs[1], out_len)
+    h12, bound = _fft_convolve(hs[0], hs[1], out_len)
+    return h12, 1, bound
+
+
+def _snap_zeros(values: np.ndarray, bound, hs: list[np.ndarray]) -> None:
+    """Set to 0.0 the values within `bound` (a scalar, or one per value)
+    of 0 where that proves the exact value 0."""
+    if all((h >= 0).all() for h in hs):
+        # a nonzero coefficient is at least the product of the smallest
+        # positive entries; while the bound is below half of that, a
+        # value within the bound of 0 can only be an exact 0
+        least = math.prod(float(h[h > 0].min(initial=math.inf)) for h in hs)
+        values[(np.abs(values) <= bound) & (bound < 0.5 * least)] = 0.0
+
+
 def triple_counts_all(hist1: np.ndarray, hist2: np.ndarray,
                       hist3: np.ndarray, lambda_max: int,
                       work: list | None = None) -> np.ndarray:
@@ -232,30 +278,72 @@ def triple_counts_all(hist1: np.ndarray, hist2: np.ndarray,
     back as 0.0.  A ConvolutionWork record is appended to `work` if given.
     """
     out_len = lambda_max + 1
-    hs = [h[:out_len] for h in (hist1, hist2, hist3)]
-    length = _transform_length(min(hs[0].size + hs[1].size - 1, out_len)
-                               + hs[2].size - 1)
-    if all(np.issubdtype(h.dtype, np.integer) for h in hs):
-        h12, limbs12, err12 = _convolve_exact(hs[0], hs[1], out_len)
+    hs, exact = _operands((hist1, hist2, hist3), out_len)
+    length = transform_length(min(hs[0].size + hs[1].size - 1, out_len)
+                              + hs[2].size - 1)
+    h12, limbs12, err12 = _first_stage(hs, exact, out_len)
+    if exact:
         full, limbs, err = _convolve_exact(h12, hs[2], out_len)
         record = ConvolutionWork(length, max(limbs12, limbs), max(err12, err))
     else:
-        hs = [np.asarray(h, dtype=np.float64) for h in hs]
-        h12, err12 = _fft_convolve(hs[0], hs[1], out_len)
         full, err = _fft_convolve(h12, hs[2], out_len)
         # the error of h12 passes through the second product times ||h3||_1
         bound = err12 * float(np.abs(hs[2]).sum()) + err
-        if all((h >= 0).all() for h in hs):
-            # a nonzero coefficient is at least the product of the smallest
-            # positive entries; while the bound is below half of that, a
-            # value within the bound of 0 can only be an exact 0
-            least = math.prod(float(h[h > 0].min(initial=math.inf)) for h in hs)
-            if bound < 0.5 * least:
-                full[np.abs(full) <= bound] = 0.0
+        _snap_zeros(full, bound, hs)
         record = ConvolutionWork(length, 1, bound)
     if work is not None:
         work.append(record)
     return full
+
+
+def triple_counts_at(hist1: np.ndarray, hist2: np.ndarray,
+                     hist3: np.ndarray, lams: list[int],
+                     work: list | None = None) -> np.ndarray:
+    """The threefold convolution at each lambda of lams, one per entry.
+
+    h12 = hist1 * hist2 is formed up to max(lams) as in triple_counts_all,
+    and S(lam) = sum_{c <= lam} h12[lam - c] hist3[c] is summed directly.
+    Integer histograms give exact int64 counts, summed in int64 under the
+    64-bit guard.  Otherwise S(lam) is pairwise_sum of the float64
+    products, and lies within
+
+        err12 * sum_{c <= lam} |hist3[c]| + g * sum_c |h12[lam - c] hist3[c]|
+
+    of the exact value, with err12 the first product's bound and
+    g = (d+1)u / (1 - (d+1)u): pairwise_sum's d roundings and one for the
+    product, u = 2^-53.  For nonnegative histograms the values that are
+    exactly zero come back as 0.0, as in triple_counts_all.  A
+    ConvolutionWork record is appended to `work` if given.
+    """
+    out_len = max(lams) + 1
+    hs, exact = _operands((hist1, hist2, hist3), out_len)
+    length = transform_length(hs[0].size + hs[1].size - 1)
+    h12, limbs, err12 = _first_stage(hs, exact, out_len)
+    h3 = hs[2]
+    out = np.zeros(len(lams), dtype=np.int64 if exact else np.float64)
+    bounds = np.zeros(len(lams))
+    for i, lam in enumerate(lams):
+        # c runs over [lo, hi), where both h12[lam - c] and h3[c] exist
+        lo, hi = max(0, lam - h12.size + 1), min(lam + 1, h3.size)
+        a, b = h12[lam - hi + 1:lam - lo + 1][::-1], h3[lo:hi]
+        if exact:
+            _int64_guard(a, b)
+            out[i] = np.dot(a, b)
+        else:
+            prod = a * b
+            out[i] = pairwise_sum(prod)
+            d = pairwise_roundings(prod.size) + 1
+            bounds[i] = (err12 * pairwise_sum(np.abs(b))
+                         + d * _UNIT_ROUNDOFF / (1.0 - d * _UNIT_ROUNDOFF)
+                         * pairwise_sum(np.abs(prod)))
+    if exact:
+        record = ConvolutionWork(length, limbs, err12)
+    else:
+        _snap_zeros(out, bounds, hs)
+        record = ConvolutionWork(length, 1, float(bounds.max(initial=0.0)))
+    if work is not None:
+        work.append(record)
+    return out
 
 
 def check_lambda(functions, lam: float) -> None:
@@ -276,23 +364,24 @@ def count_report(config: WaringConfig, lams: list[int],
                  work: list | None = None) -> list[WaringCount]:
     """r, R, main term, and the normalized r-vs-R gap at each requested lambda.
 
-    The ConvolutionWork records of r and then R are appended to `work`
-    if given.
+    r and R come from triple_counts_at: one FFT product of the first two
+    histograms up to max(lams), then a direct sum at each lambda, so the
+    report never convolves over every lambda.  r is exact; R is within
+    the bound of its ConvolutionWork record.  The records of r and then
+    R are appended to `work` if given.
     """
     lmax = max(lams)
     if lmax > config.lambda_max:
         raise ValueError(f"lambda {lmax} beyond configured {config.lambda_max}")
     check_lambda(config.functions, min(lams))
     gs = [floor_image_histogram(f, lmax) for f in config.functions]
-    r_all = triple_counts_all(*gs, lmax, work=work)
+    r_at = triple_counts_at(*gs, lams, work=work)
     # the two triples of histograms are never alive together
     del gs
     ws = [prime_weighted_histogram(f, lmax) for f in config.functions]
-    w_all = triple_counts_all(*ws, lmax, work=work)
+    R_at = triple_counts_at(*ws, lams, work=work)
     out = []
-    for lam in lams:
-        r = int(r_all[lam])
-        R = float(w_all[lam])
+    for lam, r, R in zip(lams, r_at.tolist(), R_at.tolist()):
         phis = lam * lam * math.prod(f.inverse.d1(float(lam))
                                      for f in config.functions)
         mt = gamma_constant(config) * phis

@@ -66,9 +66,8 @@ import numpy as np
 
 from .accum import pairwise_sum
 from .expsum import (_GL_U, _ODD, _PROJ, legendre_moments, normalizer,
-                     theta1_default)
+                     theta1_default, transform_length)
 from .regvar import RegVarFunction
-from .waring import _transform_length
 
 _FIRST_GAMMA = 14.1347
 # the interpolation kernel ES(x) = exp(beta (sqrt(1 - (2x/W)^2) - 1)) on
@@ -326,7 +325,7 @@ def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
                             normalizer=normalizer(t), n_panels=n_panels)
 
     P, W = n_panels, _ES_TAPS
-    M = _transform_length(2 * P)
+    M = transform_length(2 * P)
     # at gamma = n step every carrier e^{i gamma 2 half j} is an M-th root
     # of unity and the moments' argument gamma half is n pi / M
     step = np.pi / (M * half)

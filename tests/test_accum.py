@@ -137,6 +137,7 @@ def test_pairwise_sum_within_the_stated_bound(n, seed, spread, complex_):
         [half, -half * (1.0 + 1e-9 * rng.standard_normal(n // 2)), half[:n % 2]]))
     got = complex(pairwise_sum(x))
     d = 23 + math.ceil(math.log2(max(1, -(-n // CHUNK))))
+    assert accum.pairwise_roundings(n) == d
     gamma = d * 2.0 ** -53 / (1.0 - d * 2.0 ** -53)
     for part, got_part in [(x.real, got.real), (np.imag(x), got.imag)]:
         assert _fsum_error(part, got_part) <= gamma * math.fsum(np.abs(part))

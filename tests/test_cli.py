@@ -279,7 +279,7 @@ def test_waring_check_oracle_mode(tmp_path):
         # the transform work sits in the header and the mirror, not in the rows
         work = [ln for ln in out.read_text().splitlines()
                 if ln.startswith("# work:")]
-        length = waring._transform_length(2 * lmax + 1)
+        length = expsum.transform_length(2 * lmax + 1)
         assert len(work) == 1 and f"transform_length={length} limbs=1" in work[0]
         mirror = json.loads((tmp_path / f"w{lmax}.txt.json").read_text())
         assert work[0][2:] in mirror["notes"]
@@ -1024,6 +1024,9 @@ _SPLIT_RUN = ["vaughan-check", "--nmax", "300", "--v", "2", "--cases", "1"]
 @pytest.mark.parametrize("argv, target, name, fault, says", [
     pytest.param(["waring", "--lam", "100,200"], waring, "triple_counts_all",
                  _plus_one_at_150, "convolution r(150)=", id="waring-oracle"),
+    pytest.param(["waring", "--lam", "100,200"], waring, "triple_counts_at",
+                 lambda real: lambda *a, **kw: real(*a, **kw) + 1,
+                 "reported r(100)=", id="waring-pointwise"),
     pytest.param(["waring", "--lam", "1000,10000"], waring, "gamma_constant",
                  lambda real: lambda config: 3.0 * real(config),
                  "ratio r/main at lambda=1000 outside [0.5, 2]",

@@ -55,6 +55,29 @@ def test_golden_rows(tmp_path, argv):
     assert data_rows(argv, tmp_path / "run.txt") == want
 
 
+# R of the two waring runs while count_report took a second FFT product
+# over every lambda; the direct sum at each lambda moved R only within
+# the run's R bound
+R_BEFORE = {
+    " ".join(GOLDEN[1]): {1000: 335570.85061508318, 10000: 36914745.962538444},
+    " ".join(GOLDEN[10]): {970299: 856940.92009769718,
+                           970300: 664398.34137132531},
+}
+
+
+@pytest.mark.parametrize("run", R_BEFORE)
+def test_waring_R_moved_within_its_bound(tmp_path, run):
+    out = tmp_path / "run.txt"
+    rows = data_rows(run.split(), out)
+    note = next(ln for ln in out.read_text().splitlines()
+                if ln.startswith("# work:"))
+    bound = float(note.rsplit("R_bound=", 1)[1])
+    assert len(rows) == len(R_BEFORE[run])
+    for row in rows:
+        lam, _, R = row.split()[:3]
+        assert abs(float(R) - R_BEFORE[run][int(lam)]) <= bound
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         rows = {" ".join(argv): data_rows(argv, Path(tmp) / "run.txt")

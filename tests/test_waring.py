@@ -1,6 +1,7 @@
 """Ternary floor-representation counts: histograms, convolutions, main term."""
 
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeorbits import waring
+from primeorbits import expsum, waring
 from primeorbits.regvar import pure_power
 from primeorbits.waring import (
     WaringConfig,
@@ -19,6 +20,7 @@ from primeorbits.waring import (
     gamma_constant,
     prime_weighted_histogram,
     triple_counts_all,
+    triple_counts_at,
 )
 
 
@@ -218,7 +220,7 @@ def test_fft_counts_match_direct_convolution(cs):
     assert got.dtype == np.int64
     assert np.array_equal(got, convolve_oracle(*gs, lmax))
     assert work[0].limbs == 1 and work[0].bound < 0.25
-    assert work[0].length == waring._transform_length(2 * lmax + 1)
+    assert work[0].length == expsum.transform_length(2 * lmax + 1)
 
 
 def test_fft_limb_split_is_exact():
@@ -267,6 +269,19 @@ def test_convolution_overflow_guard():
     big = np.full(4, 2 ** 32, dtype=np.int64)
     with pytest.raises(OverflowError, match="64-bit"):
         triple_counts_all(big, big, big, 9)
+    # signed entries: sum a = 1, but r(0) = 2^40 2^30 = 2^70, so the guard
+    # takes sum |a|
+    signed = [np.array(h, dtype=np.int64)
+              for h in ([2 ** 40, -2 ** 40 + 1], [2 ** 30, 2 ** 30], [1, 0])]
+    with pytest.raises(OverflowError, match="64-bit"):
+        triple_counts_all(*signed, 1)
+    with pytest.raises(OverflowError, match="64-bit"):
+        triple_counts_at(*signed, [0, 1])
+    # h12 = [2^60] is exact (by limbs); its direct sum with [8] is not
+    one = np.array([2 ** 30], dtype=np.int64)
+    assert triple_counts_at(one, one, np.array([3]), [0]).tolist() == [3 << 60]
+    with pytest.raises(OverflowError, match="64-bit"):
+        triple_counts_at(one, one, np.array([8]), [0])
 
 
 def test_float_histograms_take_float_path():
@@ -296,12 +311,12 @@ def percival_levels(n: int) -> float:
 def test_transform_length_is_the_smallest_allowed_form():
     allowed = np.array(sorted(m << a for m in ODD_PARTS for a in range(20)))
     full = np.arange(1, 70000)
-    got = np.array([waring._transform_length(int(f)) for f in full])
+    got = np.array([expsum.transform_length(int(f)) for f in full])
     assert np.array_equal(got, allowed[np.searchsorted(allowed, full)])
     assert (got >= full).all() and (np.diff(got) >= 0).all()
     assert {odd_part(int(L)) for L in got} == set(ODD_PARTS)
     # the waring workload's 2 lambda + 1, and lambda = 1e6 staying at 2^21
-    assert [waring._transform_length(2 * lam + 1)
+    assert [expsum.transform_length(2 * lam + 1)
             for lam in (10 ** 4, 2 * 10 ** 4, 4 * 10 ** 4, 10 ** 6)] == [
         20480, 40960, 81920, 2 ** 21]
 
@@ -321,7 +336,7 @@ def operands_with_bound(n: int, target: float, seed: int):
     """Integer operands of size n whose unsplit bound is just under target."""
     rng = np.random.default_rng(seed)
     u, v = rng.random((2, n))
-    factor = waring._percival_factor(waring._transform_length(2 * n - 1))
+    factor = waring._percival_factor(expsum.transform_length(2 * n - 1))
 
     def bound(t):
         a, b = np.floor(u * t), np.floor(v * t)
@@ -339,7 +354,7 @@ def operands_with_bound(n: int, target: float, seed: int):
 def test_unsplit_counts_exact_just_under_quarter(n, odd):
     # 2n - 1 coefficients take 5 * 2^10 and 15 * 2^9: the integer product
     # is rounded unsplit with its bound just under 1/4, and is exact
-    assert odd_part(waring._transform_length(2 * n - 1)) == odd
+    assert odd_part(expsum.transform_length(2 * n - 1)) == odd
     a, b = operands_with_bound(n, 0.25, seed=n)
     got, limbs, bound = waring._convolve_exact(a, b, n)
     assert limbs == 1 and 0.24 < bound < 0.25
@@ -352,7 +367,7 @@ def test_observed_fft_error_within_bound_at_each_form(n, odd):
     # L = 2^12, 5 * 2^10, 3 * 2^11 and 15 * 2^9.  Entries below 2^20 keep
     # the exact coefficients under 2^53; the bound sat at 174, 131, 119
     # and 110 times the observed error
-    assert odd_part(waring._transform_length(2 * n - 1)) == odd
+    assert odd_part(expsum.transform_length(2 * n - 1)) == odd
     rng = np.random.default_rng(n)
     a, b = rng.integers(0, 2 ** 20, size=(2, n))
     got, bound = waring._fft_convolve(a, b, 2 * n - 1)
@@ -462,6 +477,78 @@ def test_ratio_trend_near_one():
         gaps.append(abs(row.R - row.r) / (row.main_term / gc))
     assert abs(rows[1].ratio_r - 1.0) <= abs(rows[0].ratio_r - 1.0) + 0.1
     assert gaps[1] < gaps[0]
+
+
+# ------------------------------------------- the direct sum at each lambda
+
+@pytest.mark.parametrize("cs", [(1.2, 1.2, 1.2), (1.01, 1.01, 1.01),
+                                (1.05, 1.1, 1.15)])
+def test_count_report_r_equals_all_counts_on_criterion_02_configs(cs):
+    lmax = 2000
+    hs = [pure_power(c) for c in cs]
+    rows = count_report(WaringConfig(*hs, lmax), list(range(1, lmax + 1)))
+    r_all = triple_counts_all(*(floor_image_histogram(h, lmax) for h in hs),
+                              lmax)
+    assert r_all[0] == 0
+    assert [row.r for row in rows] == r_all[1:].tolist()
+
+
+def test_count_report_matches_all_counts_on_seeded_triples():
+    # r equal, R within the sum of both bounds and exactly 0.0 where the
+    # two-product route gives 0.0 (below 3 floor(2^c) = 6 for every c here)
+    rng = random.Random(46)
+    for _ in range(8):
+        cs = [1.0 + rng.uniform(1e-6, 0.2) for _ in range(3)]
+        lmax = rng.choice([200, 3000, 20000])
+        lams = sorted({rng.randint(1, 5), rng.randint(6, lmax), lmax})
+        hs = [pure_power(c) for c in cs]
+        work = []
+        rows = count_report(WaringConfig(*hs, lmax), lams, work=work)
+        ws = [prime_weighted_histogram(h, lmax) for h in hs]
+        work_all = []
+        R_all = triple_counts_all(*ws, lmax, work=work_all)[lams]
+        r_all = triple_counts_all(
+            *(floor_image_histogram(h, lmax) for h in hs), lmax)[lams]
+        assert [row.r for row in rows] == r_all.tolist(), cs
+        R = np.array([row.R for row in rows])
+        assert (np.abs(R - R_all) <= work[1].bound + work_all[0].bound).all()
+        assert (R_all == 0.0).any()
+        assert np.array_equal(R == 0.0, R_all == 0.0), cs
+
+
+def two_prod(a: np.ndarray, b: np.ndarray):
+    """hi + lo = a * b exactly, elementwise (Dekker's splitting)."""
+    hi = a * b
+    split = 134217729.0  # 2**27 + 1
+    ca, cb = split * a, split * b
+    ahi, bhi = ca - (ca - a), cb - (cb - b)
+    alo, blo = a - ahi, b - bhi
+    return hi, ((ahi * bhi - hi) + ahi * blo + alo * bhi) + alo * blo
+
+
+def exact_triple(w1, w2, w3, lam: int) -> float:
+    """sum over a + b + c = lam of w1[a] w2[b] w3[c], correctly rounded:
+    each product of three doubles is four doubles exactly, and math.fsum
+    adds them all."""
+    a, b = np.divmod(np.arange((lam + 1) ** 2), lam + 1)
+    a, b = a[a + b <= lam], b[a + b <= lam]
+    hi, lo = two_prod(w1[a], w2[b])
+    c = w3[lam - a - b]
+    return math.fsum(np.concatenate([*two_prod(hi, c), *two_prod(lo, c)]).tolist())
+
+
+@pytest.mark.parametrize("cs", [(1.01, 1.01, 1.01), (1.05, 1.1, 1.15),
+                                (1.2, 1.3, 1.5)])
+def test_direct_sum_R_within_its_bound_of_the_exact_sum(cs):
+    lmax = 150
+    ws = [prime_weighted_histogram(pure_power(c), lmax) for c in cs]
+    for lam in range(lmax + 1):
+        work = []
+        got = triple_counts_at(*ws, [lam], work=work)[0]
+        want = exact_triple(*ws, lam)
+        assert abs(got - want) <= work[0].bound, lam
+        assert (got == 0.0) == (want == 0.0), lam
+    assert 0.0 < work[0].bound < 1e-6
 
 
 # R of `waring --c1 1.01 --c2 1.01 --c3 1.01 --lam 1000,10000` when every
