@@ -105,8 +105,6 @@ def _grid(kind):
 
 
 _index = _checked(_finite, lambda v: 1.0 < v < 2.0, "outside (1, 2)")
-_EPSILON = (_checked(_finite, lambda v: 0.0 < v < 1.0 / 3.0,
-                     "outside (0, 1/3)"), expsum.EPSILON)
 # random.Random(seed) draws the same for -seed as for seed
 _SEED = (_checked(int, lambda v: v >= 0, "must be >= 0"), 0)
 # --threads above this is refused: sieve_range starts that many workers,
@@ -122,7 +120,7 @@ _COMMON = {
                          f"must be in [1, {_THREAD_CAP}]"), 1),
     "check": (lambda raw: raw.lower() in {"1", "true", "yes", "on"}, False),
 }
-# no default here: a, b and depth take the constructors', theta1 follows c
+# no default here: a, b and depth take the constructors'
 _SHAPE = {"a": (_finite, None), "b": (_finite, None), "depth": (int, None)}
 
 
@@ -279,11 +277,6 @@ def _resolve_xi(token: str, n: float, theta1: float) -> float:
 def _plan_expsum(cfg: dict):
     h, n_min, n_max = _function_from(cfg), min(cfg["N"]), max(cfg["N"])
     _check_above_x0(h, f"N={n_min}", n_min)
-    try:  # the largest cut N^-theta1; the default theta1's never overflows
-        _resolve_xi("cut", float(n_max), cfg.get("theta1", 0.0))
-    except OverflowError:
-        raise ValueError(f"theta1={cfg['theta1']:g}: the cut N^-theta1 at "
-                         f"N={n_max} overflows a double") from None
     terms = h.value(float(n_max))
     if terms > _TERM_CAP:
         raise ValueError(f"N={n_max} needs about {terms:.3g} "
@@ -294,8 +287,7 @@ def _plan_expsum(cfg: dict):
 
 def _run_expsum(cfg: dict):
     h, n_grid, tokens = _function_from(cfg), cfg["N"], cfg["xi"]
-    theta1 = cfg.get("theta1", expsum.theta1_default(h.c))
-    eps = cfg["epsilon"]
+    theta1 = expsum.theta1_default(h.c)
     primes.primes_upto(max(n_grid), threads=cfg["threads"])
     columns = ["N", "xi", "abs_sum", "approx_abs", "abs_err",
                "err_over_N", "norm_ratio"]
@@ -305,7 +297,7 @@ def _run_expsum(cfg: dict):
     for n in n_grid:
         for tok in tokens:
             xi = _resolve_xi(tok, float(n), theta1)
-            res = expsum.approx_error(h, float(n), xi, epsilon=eps, work=work)
+            res = expsum.approx_error(h, float(n), xi, work=work)
             rows.append([int(n), xi, abs(res.prime_sum),
                          abs(res.approximant), res.abs_error, res.rel_error,
                          res.ratio])
@@ -352,8 +344,7 @@ def _run_waring(cfg: dict):
     primes.primes_upto(max(waring.arg_cutoff(h, max(lams)) for h in hs),
                        threads=cfg["threads"])
     work = []
-    report = waring.count_report(config, lams, epsilon=cfg["epsilon"],
-                                 work=work)
+    report = waring.count_report(config, lams, work=work)
     columns = ["lambda", "r", "R", "main_term", "ratio_r", "normalized_gap"]
     rows = [[rc.lam, rc.r, rc.R, rc.main_term, rc.ratio_r, rc.normalized_gap]
             for rc in report]
@@ -397,7 +388,7 @@ def _plan_ergodic(cfg: dict):
                          "a double has no fractional bit left")
     # the orbit and its primes stay alive while the weights are built
     kmax = cfg["kgrid"][-1]
-    return (ergodic.ORBIT_BYTES_PER_PRIME * primes.pi_bound(2.0 ** jmax)
+    return (expsum.BYTES_PER_PRIME * primes.pi_bound(2.0 ** jmax)
             + ergodic.WEIGHT_BYTES_PER_K * (kmax + 1),
             f"jmax={jmax} kgrid={kmax}", "orbit and weight tables")
 
@@ -546,12 +537,11 @@ _SUBCOMMANDS = {
     "expsum": _Subcommand(
         {"kind": (str, "pure"), "c": (_index, None), **_SHAPE,
          "N": (_grid(_size), [10 ** 4, 10 ** 5]),
-         "xi": (_xi_tokens, list(_XI_NAMES)),
-         "theta1": (_finite, None), "epsilon": _EPSILON},
+         "xi": (_xi_tokens, list(_XI_NAMES))},
         _plan_expsum, _run_expsum),
     "waring": _Subcommand(
         {"c1": (_index, 1.01), "c2": (_index, 1.01), "c3": (_index, 1.01),
-         "lam": (_grid(_size), [100, 200]), "epsilon": _EPSILON},
+         "lam": (_grid(_size), [100, 200])},
         _plan_waring, _run_waring),
     "ergodic": _Subcommand(
         {"kind": (str, "pure"), "c": (_index, 1.1), **_SHAPE,

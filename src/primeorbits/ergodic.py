@@ -38,13 +38,6 @@ _RANDOM_SEQUENCES = 100
 # bytes per k that lambda_weight_sum(k) holds at its peak, sieve included
 # (tracemalloc from an empty prime cache: 56.5-56.8 at k = 1e5 to 3e7)
 WEIGHT_BYTES_PER_K = 57
-# bytes per prime p <= 2^jmax that an ergodic run holds at its peak for
-# the orbit: the sieve and the prime cache, h's prime floors and the
-# guarded floor's or rotation_points' temporaries (tracemalloc from an
-# empty prime cache: 57.7, 56.1, 48.1 and 48.0 at 2^22, 2^24, 2^25 and
-# 2^26, falling once pi(2^jmax) passes the floors' chunk of 2^20
-# primes), counted on primes.pi_bound
-ORBIT_BYTES_PER_PRIME = 60
 
 
 def golden_surrogate() -> Fraction:

@@ -16,12 +16,13 @@ x = m^(2^k), the floor is set to m^a exactly.
 
 Phases take one of two routes, chosen by the argument's dtype.  Integer
 arguments, the floors of the prime and von Mangoldt sums and the
-approximant's head 1, 2, ..., M - 1, go through accum.DigitPhase: one set of small
-digit tables per sum, sized from its largest argument, and a product of
-table entries per term, within DigitPhase's stated bound of the exact
-phase.  Real arguments, h(n) in dyadic_block_check and the panel
-centres and ends of the Filon integrals, go through accum.phase: the argument is reduced
-modulo 1 in double-double arithmetic and exponentiated.  Every
+approximant's head 1, 2, ..., M - 1, go through accum.DigitPhase: one
+set of small digit tables per sum, sized from its largest argument, and
+a product of table entries per term, within DigitPhase's stated bound of
+the exact phase.  Real arguments, h(n) in von_mangoldt_block_sum and in
+vaughan's bilinear sums, the panel centres of the Filon integrals, the
+Euler-Maclaurin ends and osc_integral's h(x0), go through accum.phase:
+reduced modulo 1 in double-double arithmetic and exponentiated.  Every
 accumulation uses the fixed-shape pairwise tree from accum, so results
 are reproducible bit for bit and conjugate-symmetric in xi.
 
@@ -67,15 +68,17 @@ from .accum import (_BLOCK, CHUNK, DigitPhase, chunk_sums, chunked,
                     halving_sum, pairwise_sum, phase)
 from .regvar import InverseHandle, RegVarFunction
 
-EPSILON = 1.0 / 12.0  # default subpolynomial-decay parameter
+EPSILON = 1.0 / 12.0  # the epsilon of the saving exp(-(log n)^(1/3 - eps))
 GUARD = 1.0e-9
 _DYADIC_MAX_K = 5  # x^(a/2^k) has integer values below 2^53 only for k <= 5
 
 _CHUNK = 1 << 20
-# bytes per prime p <= max N that an expsum run holds at its peak: the
-# sieve and the prime cache, h's prime floors and the guarded floor's
-# temporaries over at most _CHUNK primes (tracemalloc from an empty prime
-# cache: 57.1-57.4 at N = 1e6 to 8e6), counted on primes.pi_bound
+# bytes per prime p <= max N (expsum) or 2^jmax (ergodic's orbit) that a
+# run holds at its peak: the sieve and the prime cache, h's prime floors
+# and the temporaries of the guarded floor over at most _CHUNK primes or
+# of rotation_points (tracemalloc from an empty prime cache: 57.1-57.4 at
+# N = 1e6 to 8e6; the orbit 57.7, 56.1, 48.1 and 48.0 at 2^22 to 2^26),
+# counted on primes.pi_bound
 BYTES_PER_PRIME = 60
 
 
@@ -84,21 +87,23 @@ def theta1_default(c: float) -> float:
     return 6.0 * c / 5.0 - 14.0 / 15.0
 
 
-def chi_bound(c: float, theta1: float | None = None) -> float:
-    """Largest admissible minor-arc saving exponent for this c, theta1."""
-    if theta1 is None:
-        theta1 = theta1_default(c)
+def chi_bound(c: float) -> float:
+    """Largest minor-arc saving exponent for c, at theta1_default(c)."""
+    theta1 = theta1_default(c)
     cap = min((8.0 - 6.0 * c) / 45.0, (6.0 * c - 2.0 - 9.0 * theta1) / 36.0)
     if cap <= 0.0:
         raise ValueError(f"no positive saving for c={c}, theta1={theta1}")
     return cap
 
 
-def normalizer(n: float, epsilon: float = EPSILON) -> float:
-    """n * exp(-(log n)**(1/3 - epsilon))."""
-    if not 0.0 <= epsilon < 1.0 / 3.0:
-        raise ValueError("epsilon must lie in [0, 1/3)")
-    return float(n) * math.exp(-math.log(n) ** (1.0 / 3.0 - epsilon))
+def saving(n: float) -> float:
+    """exp(-(log n)**(1/3 - EPSILON)), the subpolynomial saving."""
+    return math.exp(-math.log(n) ** (1.0 / 3.0 - EPSILON))
+
+
+def normalizer(n: float) -> float:
+    """n * saving(n)."""
+    return float(n) * saving(n)
 
 
 @dataclass
@@ -143,9 +148,9 @@ def _mp_floor(v: mpmath.mpf) -> int:
 
 
 def _integer_values(h: RegVarFunction, x: np.ndarray,
-                    v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+                    v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(indices i, exact h(x[i])) at the points x where h(x) is an integer,
-    or None for an h without integer values.
+    both empty for an h without integer values.
 
     Only a pure power has such points.  Its double c is a/2^k in lowest
     terms, and for an integer n >= 2, n^c is an integer exactly when
@@ -155,7 +160,8 @@ def _integer_values(h: RegVarFunction, x: np.ndarray,
     a, den = h.c.as_integer_ratio()
     k = den.bit_length() - 1
     if h.kind != "pure" or k > _DYADIC_MAX_K:
-        return None
+        none = np.empty(0, dtype=np.int64)
+        return none, none
     # m^a < 2^63 wherever v < 2^62, since v is m^a within a few ulps
     idx = np.flatnonzero((x >= h.x0) & (x <= 2.0 ** 53) & (x == np.floor(x))
                          & (v < 2.0 ** 62))
@@ -176,11 +182,9 @@ def guarded_floor(h: RegVarFunction, n: np.ndarray) -> tuple[np.ndarray, int]:
     frac = v - fl
     near = (frac <= GUARD) | (frac >= 1.0 - GUARD)
     out = fl.astype(np.int64)
-    integer = _integer_values(h, x, v)
-    if integer is not None:
-        exact, values = integer
-        out[exact] = values
-        near[exact] = False
+    exact, values = _integer_values(h, x, v)
+    out[exact] = values
+    near[exact] = False
     bad = np.flatnonzero(near)
     if h.kind == "pure" and h.x0 <= 1.0:
         # 1^c = 1 for every double c, also where c is not a/2^k, k <= 5
@@ -425,18 +429,17 @@ class ApproxError:
     approximant: complex
     abs_error: float
     rel_error: float       # abs_error / N
-    normalizer: float      # N * exp(-(log N)**(1/3 - epsilon))
+    normalizer: float      # normalizer(N)
     ratio: float
 
 
 def approx_error(h: RegVarFunction, N: float, xi: float,
-                 epsilon: float = EPSILON,
                  work: SumWork | None = None) -> ApproxError:
     """Distance between the prime sum and its smooth approximant."""
     s = prime_floor_sum(h, N, xi, work)
     f = approximant_sum(h, N, xi, work)
     err = abs(s.value - f.value)
-    norm = normalizer(N, epsilon)
+    norm = normalizer(N)
     return ApproxError(s.value, f.value, err, err / float(N), norm, err / norm)
 
 
@@ -483,7 +486,7 @@ def minor_arc_scan(h: RegVarFunction, n_grid) -> ArcProfile:
     """Max prime-sum magnitude over minor-arc frequencies, per N, at the
     default theta1(c); chi_bound refuses c >= 4/3."""
     theta1 = theta1_default(h.c)
-    chi = chi_bound(h.c, theta1)
+    chi = chi_bound(h.c)
     n_grid = [float(n) for n in n_grid]
     if len(n_grid) < 2:
         raise ValueError("need at least two N values for a slope")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accum import pairwise_roundings, pairwise_sum
-from .expsum import EPSILON, guarded_floor, prime_floors, transform_length
+from .expsum import guarded_floor, prime_floors, saving, transform_length
 from .regvar import RegVarFunction
 
 _INT64_CAP = 2 ** 62  # headroom under the signed 64-bit limit
@@ -173,8 +173,9 @@ def _percival_factor(length: int) -> float:
 
 
 def _fft_convolve(a: np.ndarray, b: np.ndarray,
-                  out_len: int) -> tuple[np.ndarray, float]:
-    """First out_len coefficients of a * b by real FFT, with an error bound.
+                  out_len: int) -> tuple[np.ndarray, float, int]:
+    """First out_len coefficients of a * b by real FFT: (coefficients,
+    error bound, transform length).
 
     Every returned coefficient lies within the bound of the exact
     convolution of the float64 inputs.
@@ -187,7 +188,7 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray,
              * _percival_factor(length))
     spec = np.fft.rfft(a, length)
     spec *= np.fft.rfft(b, length)
-    return np.fft.irfft(spec, length)[:min(full, out_len)], bound
+    return np.fft.irfft(spec, length)[:min(full, out_len)], bound, length
 
 
 def _limbs(x: np.ndarray) -> list[np.ndarray]:
@@ -214,26 +215,27 @@ def _int64_guard(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _convolve_exact(a: np.ndarray, b: np.ndarray,
-                    out_len: int) -> tuple[np.ndarray, int, float]:
-    """Exact int64 convolution: (coefficients, limbs used, accepted bound)."""
+                    out_len: int) -> tuple[np.ndarray, int, float, int]:
+    """Exact int64 convolution: (coefficients, limbs used, accepted bound,
+    transform length)."""
     _int64_guard(a, b)
-    z, err = _fft_convolve(a, b, out_len)
+    z, err, length = _fft_convolve(a, b, out_len)
     if err < _ROUND_BOUND:
-        return np.rint(z).astype(np.int64), 1, err
+        return np.rint(z).astype(np.int64), 1, err, length
     if np.abs(a).max(initial=0) < np.abs(b).max(initial=0):
         a, b = b, a
     parts = _limbs(a.astype(np.int64))
     out = np.zeros(z.size, dtype=np.int64)
     worst = 0.0
     for i, limb in enumerate(parts):
-        z, err = _fft_convolve(limb, b, out_len)
+        z, err, _ = _fft_convolve(limb, b, out_len)
         if err >= _ROUND_BOUND:
             raise OverflowError(f"FFT error bound {err:.3g} of a 16-bit limb "
                                 f"leaves no exact rounding")
         # int64 wraps modulo 2^64 and the guard keeps the sum in range
         out += np.rint(z).astype(np.int64) << (_LIMB_BITS * i)
         worst = max(worst, err)
-    return out, len(parts), worst
+    return out, len(parts), worst, length
 
 
 def _operands(hists, out_len: int) -> tuple[list[np.ndarray], bool]:
@@ -246,14 +248,14 @@ def _operands(hists, out_len: int) -> tuple[list[np.ndarray], bool]:
 
 
 def _first_stage(hs: list[np.ndarray], exact: bool,
-                 out_len: int) -> tuple[np.ndarray, int, float]:
-    """h12 = hs[0] * hs[1] up to out_len: (coefficients, limbs, bound),
-    exact int64 for integer histograms, else float64 within bound of
-    every exact coefficient."""
+                 out_len: int) -> tuple[np.ndarray, int, float, int]:
+    """h12 = hs[0] * hs[1] up to out_len: (coefficients, limbs, bound,
+    transform length), exact int64 for integer histograms, else float64
+    within bound of every exact coefficient."""
     if exact:
         return _convolve_exact(hs[0], hs[1], out_len)
-    h12, bound = _fft_convolve(hs[0], hs[1], out_len)
-    return h12, 1, bound
+    h12, bound, length = _fft_convolve(hs[0], hs[1], out_len)
+    return h12, 1, bound, length
 
 
 def _snap_zeros(values: np.ndarray, bound, hs: list[np.ndarray]) -> None:
@@ -279,14 +281,12 @@ def triple_counts_all(hist1: np.ndarray, hist2: np.ndarray,
     """
     out_len = lambda_max + 1
     hs, exact = _operands((hist1, hist2, hist3), out_len)
-    length = transform_length(min(hs[0].size + hs[1].size - 1, out_len)
-                              + hs[2].size - 1)
-    h12, limbs12, err12 = _first_stage(hs, exact, out_len)
+    h12, limbs12, err12, _ = _first_stage(hs, exact, out_len)
     if exact:
-        full, limbs, err = _convolve_exact(h12, hs[2], out_len)
+        full, limbs, err, length = _convolve_exact(h12, hs[2], out_len)
         record = ConvolutionWork(length, max(limbs12, limbs), max(err12, err))
     else:
-        full, err = _fft_convolve(h12, hs[2], out_len)
+        full, err, length = _fft_convolve(h12, hs[2], out_len)
         # the error of h12 passes through the second product times ||h3||_1
         bound = err12 * float(np.abs(hs[2]).sum()) + err
         _snap_zeros(full, bound, hs)
@@ -317,8 +317,7 @@ def triple_counts_at(hist1: np.ndarray, hist2: np.ndarray,
     """
     out_len = max(lams) + 1
     hs, exact = _operands((hist1, hist2, hist3), out_len)
-    length = transform_length(hs[0].size + hs[1].size - 1)
-    h12, limbs, err12 = _first_stage(hs, exact, out_len)
+    h12, limbs, err12, length = _first_stage(hs, exact, out_len)
     h3 = hs[2]
     out = np.zeros(len(lams), dtype=np.int64 if exact else np.float64)
     bounds = np.zeros(len(lams))
@@ -360,7 +359,6 @@ def gamma_constant(config: WaringConfig) -> float:
 
 
 def count_report(config: WaringConfig, lams: list[int],
-                 epsilon: float = EPSILON,
                  work: list | None = None) -> list[WaringCount]:
     """r, R, main term, and the normalized r-vs-R gap at each requested lambda.
 
@@ -385,9 +383,8 @@ def count_report(config: WaringConfig, lams: list[int],
         phis = lam * lam * math.prod(f.inverse.d1(float(lam))
                                      for f in config.functions)
         mt = gamma_constant(config) * phis
-        damp = math.exp(-math.log(lam) ** (1.0 / 3.0 - epsilon))
         out.append(WaringCount(
             lam=lam, r=r, R=R, main_term=mt,
             ratio_r=r / mt if mt > 0 else math.inf,
-            normalized_gap=abs(R - r) / (phis * damp)))
+            normalized_gap=abs(R - r) / (phis * saving(lam))))
     return out

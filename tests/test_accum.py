@@ -215,6 +215,28 @@ def test_phase_matches_mpmath(n, xi):
     assert abs(got - complex(want)) < 1e-12
 
 
+def test_phase_within_its_bound_at_real_arguments():
+    # phase's stated domain: any doubles with |n|, |xi| <= 2^996 and
+    # |n*xi| <= 2^1022, integer or not, either sign, down to subnormals.
+    # At 300 bits the product of two doubles and its frac are exact
+    import mpmath
+
+    rng = np.random.default_rng(47)
+    n_exp = rng.integers(-1074, 997, 600)
+    xi_exp = np.minimum(rng.integers(-1074, 997, 600), 1020 - n_exp)
+    sign = rng.choice([-1.0, 1.0], (2, 600))
+    ns = sign[0] * np.ldexp(rng.uniform(1.0, 2.0, 600), n_exp)
+    xis = sign[1] * np.ldexp(rng.uniform(1.0, 2.0, 600), xi_exp)
+    # and the callers' own range: h(n), panel midpoints, |xi| <= 3.5
+    ns[:200] = rng.uniform(1.0, 2.0 ** 40, 200)
+    xis[:200] = rng.uniform(-3.5, 3.5, 200)
+    with mpmath.workprec(300):
+        for n, xi in zip(ns.tolist(), xis.tolist()):
+            got = phase(np.array([n]), xi)[0]
+            want = mpmath.expjpi(2 * mpmath.frac(mpmath.mpf(n) * xi))
+            assert abs(mpmath.mpc(got) - want) <= PHASE_ERROR, (n, xi)
+
+
 # -- the in-place phase kernel against the textbook expressions ---------------
 
 

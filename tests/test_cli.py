@@ -40,7 +40,6 @@ def test_parse_happy_path():
     assert cfg["format"] == "text"
     assert cfg["threads"] == 1
     assert cfg["kind"] == "pure"
-    assert cfg["epsilon"] == pytest.approx(1.0 / 12.0)
 
 
 def test_flag_overrides_config_file(tmp_path):
@@ -74,21 +73,28 @@ def test_flag_wrong_subcommand():
         cli.parse_config(["waring", "--N", "5"])
 
 
-# keys no runner of that subcommand reads: each is a usage error
+# keys no runner of that subcommand reads: each is a usage error.
+# epsilon and theta1 are no subcommand's keys: the saving's epsilon is
+# expsum.EPSILON and theta1 is theta1_default(c)
 _UNREAD = [("expsum", "seed"), ("waring", "seed"), ("explicit", "seed"),
            ("regvar-check", "seed"), ("ergodic", "epsilon"),
            ("explicit", "epsilon"), ("vaughan-check", "epsilon"),
-           ("regvar-check", "epsilon")]
+           ("regvar-check", "epsilon"), ("expsum", "epsilon"),
+           ("waring", "epsilon"), ("expsum", "theta1"), ("waring", "theta1")]
 _SMALL = {"expsum": ["--c", "1.2", "--N", "1000", "--xi", "zero"]}
 
 
 @pytest.mark.parametrize("sub, key", _UNREAD)
 def test_unread_key_exits_one(tmp_path, capsys, sub, key):
-    value = "0.1" if key == "epsilon" else "3"
+    value = {"epsilon": "0.1", "theta1": "0.5"}.get(key, "3")
     out = tmp_path / "r.txt"
     assert cli.main([sub, *_SMALL.get(sub, []), f"--{key}", value,
                      "--out", str(out)]) == 1
-    assert f"--{key} not valid for {sub}" in capsys.readouterr().err
+    if any(key in record.keys for record in cli._SUBCOMMANDS.values()):
+        assert f"--{key} not valid for {sub}" in capsys.readouterr().err
+    else:
+        assert (f"unrecognized arguments: --{key} {value}"
+                in capsys.readouterr().err)
     p = write_config(tmp_path, f"# a run\n{key} = {value}\n")
     assert cli.main([sub, *_SMALL.get(sub, []), "--config", str(p),
                      "--out", str(out)]) == 1
@@ -131,8 +137,7 @@ def _config_line(cfg: dict) -> dict:
 def test_header_shows_effective_defaults():
     got = _config_line(cli.parse_config(["expsum", "--c", "1.2"]))
     assert got == {"N": "[10000,100000]", "c": "1.2", "check": "False",
-                   "epsilon": "0.08333333333333333", "format": "text",
-                   "kind": "pure", "threads": "1",
+                   "format": "text", "kind": "pure", "threads": "1",
                    "xi": "['zero','halfcut','cut']"}
     got = _config_line(cli.parse_config(["ergodic"]))
     assert got == {"c": "1.1", "check": "False", "format": "text",
@@ -191,8 +196,6 @@ def test_grid_must_ascend():
 
 
 def test_epsilon_and_threads_validation():
-    with pytest.raises(ValueError, match="epsilon"):
-        cli.parse_config(["expsum", "--c", "1.2", "--epsilon", "0.4"])
     with pytest.raises(ValueError, match="threads"):
         cli.parse_config(["expsum", "--c", "1.2", "--threads", "0"])
     with pytest.raises(ValueError, match="format"):
@@ -439,11 +442,6 @@ _REFUSED = [
     pytest.param(["expsum", "--c", "1.2", "--N", f"1000,{_BIG}"],
                  f"N=1000,{_BIG}: outside [0, 2^62]", None,
                  id="expsum-N-big"),
-    # the cut N^-theta1 of 1000^200 overflows a double, 1000^100 does not
-    pytest.param(["expsum", "--c", "1.2", "--N", "1000", "--theta1=-200"],
-                 "theta1=-200: the cut", ["expsum", "--c", "1.2", "--N",
-                                          "1000", "--theta1=-100"],
-                 id="expsum-theta1-cut"),
     pytest.param(["waring", "--lam", f"100,{_BIG}"],
                  f"lam=100,{_BIG}: outside [0, 2^62]", None,
                  id="waring-lam-big"),
@@ -620,7 +618,7 @@ def test_ergodic_refuses_oversized_jmax_before_work(tmp_path, monkeypatch,
 @pytest.mark.parametrize("argv, key", [
     (["expsum", "--c", "1.2", "--xi", "nan"], "xi"),
     (["expsum", "--c", "1.2", "--xi", "zero,inf"], "xi"),
-    (["expsum", "--c", "1.2", "--theta1", "nan"], "theta1"),
+    (["waring", "--c2", "inf"], "c2"),
     (["expsum", "--kind", "logpow", "--c", "1.2", "--a", "inf"], "a"),
     (["expsum", "--c", "nan"], "c"),
     (["ergodic", "--start", "nan"], "start"),
@@ -672,9 +670,6 @@ _DRAW = {
     "xi": lambda r: ",".join(r.sample(
         ["zero", "halfcut", "cut", repr(r.uniform(-1.0, 1.0))],
         r.randint(1, 3))),
-    "theta1": lambda r: repr(r.choice([r.uniform(-1.0, 2.0),
-                                       -10 ** r.uniform(1.5, 3.0)])),
-    "epsilon": lambda r: repr(r.uniform(0.0, 0.4)),
     "c1": lambda r: repr(r.uniform(1.0, 2.0)),
     "c2": lambda r: repr(r.uniform(1.0, 2.0)),
     "c3": lambda r: repr(r.uniform(1.0, 2.0)),
@@ -802,7 +797,7 @@ def test_negative_seed_refused_before_work(tmp_path, monkeypatch, capsys,
 
 def test_ergodic_kgrid_cap_admits_its_boundary():
     # the weights share the cap with the orbit to 2^jmax, 2^20 by default
-    orbit = ergodic.ORBIT_BYTES_PER_PRIME * primes.pi_bound(2.0 ** 20)
+    orbit = expsum.BYTES_PER_PRIME * primes.pi_bound(2.0 ** 20)
     top = int((cli._MEMORY_CAP - orbit) // ergodic.WEIGHT_BYTES_PER_K) - 1
     assert top == 37575223
     assert cli.parse_config(["ergodic", "--kgrid", f"10,{top}"])["kgrid"][-1] == top
@@ -1168,7 +1163,6 @@ def test_report_embeds_config_and_version(tmp_path):
     assert head[0].startswith("# primeorbits 0.")
     assert "c=1.2" in head[1]
     assert "kind=pure" in head[1]
-    assert "epsilon=0.08333333333333333" in head[1]
 
 
 def test_rows_identical_across_threads(tmp_path):

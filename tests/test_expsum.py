@@ -32,16 +32,12 @@ def test_chi_bound():
     assert abs(expsum.chi_bound(1.2) - (8 - 6 * 1.2) / 45) < 1e-12
     with pytest.raises(ValueError):
         expsum.chi_bound(1.5)  # 8 - 6c < 0, no saving left
-    with pytest.raises(ValueError):
-        expsum.chi_bound(1.2, theta1=0.578)
 
 
 def test_normalizer():
     n = 1e4
     want = n * math.exp(-math.log(n) ** (1 / 3 - expsum.EPSILON))
     assert abs(expsum.normalizer(n) - want) < 1e-9
-    with pytest.raises(ValueError):
-        expsum.normalizer(10.0, epsilon=0.5)
 
 
 def test_guarded_floor_exact_integers():
@@ -96,8 +92,9 @@ def test_guarded_floor_exact_route_stops_at_k5():
     fl, bad = expsum.guarded_floor(pure_power(1 + 1 / 32),
                                    np.array([2 ** 32, 3 ** 32]))
     assert fl.tolist() == [2 ** 33, 3 ** 33] and bad == 0
-    assert expsum._integer_values(pure_power(1.1), np.array([4.0, 9.0]),
-                                  np.array([4.59, 11.21])) is None
+    idx, values = expsum._integer_values(pure_power(1.1), np.array([4.0, 9.0]),
+                                         np.array([4.59, 11.21]))
+    assert idx.size == values.size == 0
 
 
 @pytest.mark.parametrize("c", [1.1, 1.2, 1.5, 1.99])
