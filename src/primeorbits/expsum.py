@@ -526,9 +526,36 @@ def transform_length(full: int) -> int:
 # slow factor on Legendre modes of degree < 17 from 17 Gauss-Legendre
 # nodes per panel and integrate the oscillation against each mode exactly
 _NODES_PER_PANEL = 17
-_GL_U, _GL_W = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
+# the nodes and weights of np.polynomial.legendre.leggauss(17), written
+# out so that no run imports numpy.polynomial (a test compares the bits)
+_GL_U = np.array([
+    -0.9905754753144174, -0.9506755217687677, -0.8802391537269859,
+    -0.7815140038968014, -0.6576711592166907, -0.5126905370864769,
+    -0.3512317634538763, -0.17848418149584785, 0.0, 0.17848418149584785,
+    0.3512317634538763, 0.5126905370864769, 0.6576711592166907,
+    0.7815140038968014, 0.8802391537269859, 0.9506755217687677,
+    0.9905754753144174])
+_GL_W = np.array([
+    0.02414830286854758, 0.05545952937398796, 0.08503614831717912,
+    0.11188384719340397, 0.1351363684685255, 0.15404576107681026,
+    0.1680041021564499, 0.17656270536699253, 0.17944647035620653,
+    0.17656270536699253, 0.1680041021564499, 0.15404576107681026,
+    0.1351363684685255, 0.11188384719340397, 0.08503614831717912,
+    0.05545952937398796, 0.02414830286854758])
+
+
+def _legendre_values(x: np.ndarray, deg: int) -> np.ndarray:
+    """P_k(x_j) as (x.size, deg + 1): legvander's forward three-term
+    recurrence, in its operations and layout, so bit for bit its table."""
+    v = np.empty((deg + 1, x.size))
+    v[0], v[1] = 1.0, x
+    for i in range(2, deg + 1):
+        v[i] = (v[i - 1] * x * (2 * i - 1) - v[i - 2] * (i - 1)) / i
+    return v.T
+
+
 # P_k(v_j) table reused by every projection
-_LEG_VALS = np.polynomial.legendre.legvander(_GL_U, _NODES_PER_PANEL - 1)
+_LEG_VALS = _legendre_values(_GL_U, _NODES_PER_PANEL - 1)
 _PROJ = _GL_W[:, None] * _LEG_VALS * (2.0 * np.arange(_NODES_PER_PANEL) + 1.0) / 2.0
 _K_RANGE = np.arange(_NODES_PER_PANEL)
 _MOMENT_PHASE = 2.0 * (1j ** _K_RANGE)

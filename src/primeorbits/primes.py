@@ -7,6 +7,14 @@ combined in segment order, which keeps every derived quantity identical
 whatever the worker count.  Only primes_upto's cache calls sieve_range;
 prime powers, Lambda ranges and spf tables read that cache, so a run
 sieves once.
+
+The cache also keeps, frozen, the sum of log p over each whole CHUNK of
+the prime table: the first level of pairwise_sum's tree over the logs.
+chebyshev_theta(n) adds the kept sums of the whole chunks below n and
+the one sum of the partial tail by halving_sum, the tree bit for bit, so
+a theta or psi call takes the logarithm of fewer than CHUNK primes.  A
+call past the kept sums extends them over the whole current table, a
+_BLOCK of logs at a time.
 """
 
 from __future__ import annotations
@@ -74,6 +82,10 @@ def sieve_range(lo: int, hi: int, threads: int = 1) -> np.ndarray:
 
 # -- cached global table ---------------------------------------------------
 
+# primes_upto's table, and from the first theta that needs them the kept
+# chunk sums of log p under "theta".  The sums depend on the primes alone,
+# which every table holds in the same order, so a cache reset to an empty
+# table may keep them
 _cache: dict = {"hi": 0, "primes": np.empty(0, dtype=np.int64)}
 
 
@@ -105,16 +117,32 @@ def prime_count(n: int) -> int:
     return int(primes_upto(n).size)
 
 
+def _theta_chunks(count: int) -> np.ndarray:
+    """The sums of log p over the first `count` whole CHUNKs of the prime
+    table, from the kept ones.  Past them the kept sums are extended over
+    every whole chunk of the table, the logs made a _BLOCK at a time;
+    _BLOCK is a multiple of CHUNK, so they are chunk_sums of the whole."""
+    kept = _cache.get("theta", np.empty(0))
+    if kept.size < count:
+        table = _cache["primes"]
+        start, stop = kept.size * CHUNK, table.size - table.size % CHUNK
+        sums = np.empty(stop // CHUNK)
+        sums[:kept.size] = kept
+        for lo, hi in chunked(stop - start, _BLOCK):
+            sums[(start + lo) // CHUNK:(start + hi) // CHUNK] = chunk_sums(
+                np.log(table[start + lo:start + hi].astype(np.float64)))
+        sums.flags.writeable = False
+        _cache["theta"] = kept = sums
+    return kept[:count]
+
+
 def chebyshev_theta(n: float) -> float:
-    """Sum of log p over primes p <= n by pairwise_sum's tree, the logs
-    made a block at a time; _BLOCK is a multiple of CHUNK, so the chunk
-    sums are those of the whole."""
+    """Sum of log p over primes p <= n by pairwise_sum's tree: the kept
+    sums of the whole chunks, then the sum of the partial tail."""
     p = primes_upto(int(n))
-    sums = np.empty(-(-p.size // CHUNK))
-    for lo, hi in chunked(p.size, _BLOCK):
-        sums[lo // CHUNK:-(-hi // CHUNK)] = chunk_sums(
-            np.log(p[lo:hi].astype(np.float64)))
-    return float(halving_sum(sums))
+    whole = p.size // CHUNK
+    tail = chunk_sums(np.log(p[whole * CHUNK:].astype(np.float64)))
+    return float(halving_sum(np.concatenate([_theta_chunks(whole), tail])))
 
 
 def _int_root(n: int, k: int) -> int:

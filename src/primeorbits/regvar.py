@@ -374,13 +374,17 @@ class InverseHandle:
     each block is built once per function.  phi and phi' depend on y
     alone: the same y gives the same bits whatever else a call asks for
     and however the prefix grew.  At and below h(x0), phi(y) = x0 and
-    phi'(y) = 1/h'(x0) exactly.  A nan or +-inf y is refused.
+    phi'(y) = 1/h'(x0) exactly.  A nan or +-inf y is refused, and so,
+    before any block is built, is a y above h(2**53) for every kind but
+    the pure power: no floor of h is taken past 2**53, and the blocks up
+    to y = 1e300 would be about a thousand.
     """
 
     def __init__(self, h: RegVarFunction):
         self.h = h
         self._ylo = h.value(h.x0)          # h(x0): phi is clamped at and below it
         self._d1_lo = 1.0 / h.d1(h.x0)     # phi' there
+        self._yhi = h.value(2.0 ** 53)     # largest y an interpolant takes
         self._j0 = math.frexp(self._ylo)[1] - 1
         self._top = self._j0 - 1           # no block yet
         self._edges, self._scales, self._shifts = np.empty((3, 0))
@@ -470,7 +474,11 @@ class InverseHandle:
         out[...] = clamp
         tail = y[above]
         if tail.size:
-            top = int(np.frexp(tail[-1] if big else tail.max())[1]) - 1
+            ymax = tail[-1] if big else tail.max()
+            if ymax > self._yhi:
+                raise ValueError(f"y={ymax:g} above h(2^53)={self._yhi:g}: "
+                                 "the inverse is not interpolated there")
+            top = int(np.frexp(ymax)[1]) - 1
             if top > self._top:
                 self._build(top)
             scales, shifts, coef = self._scales, self._shifts, self._coef

@@ -27,9 +27,10 @@ Sci. Comput. 41 (2019) C479-C504):
   pi / (M half).  At gamma = n step every panel carrier is an M-th root of
   unity, so G there is half e^{i pi n (1 - P) / M} sum_k 2 i^k
   j_k(n pi / M) D_k[n mod M], with D = the unscaled inverse FFT of the
-  coefficients over the panels (_panel_transform): one transform of
-  length M per Legendre order.  The orders whose moments stay below
-  2^-60 at every tap (|j_k(x)| <= x^k / (2k+1)!!) are left out.
+  coefficients over the panels (_panel_transform): one inverse FFT of
+  length M along each row of the (orders, M) array, in a single call.
+  The orders whose moments stay below 2^-60 at every tap
+  (|j_k(x)| <= x^k / (2k+1)!!) are left out.
 - Interpolation.  G(gamma) = sum over the 16 grid points n within 8 of
   gamma / step of ES(gamma / step - n) Gc(n step), with the kernel
   ES(x) = exp(beta (sqrt(1 - (x/8)^2) - 1)), beta = 2.30 * 16, and Gc the
@@ -37,14 +38,22 @@ Sci. Comput. 41 (2019) C479-C504):
   are projected, by Psi(s) = int ES(x) cos(pi s x) dx, the kernel's
   Fourier transform at the node's offset s = (u - u_c) / (M half), which
   |s| <= P / M <= 1/2 bounds.  1 / Psi is a shipped polynomial in 4 s^2
-  (_PSI_INV).  -gamma has the same weights on the mirrored taps.
+  (_PSI_INV).  The 16 weights of a zero depend only on
+  f = frac(gamma / step); as FINUFFT does, they are read off fitted
+  piecewise polynomials rather than exp and sqrt: per tap a degree-16
+  Chebyshev series in rho = 2 f - 1 (_ES_CHEB, fitted to 40-digit
+  values), so a chunk's weights are the Chebyshev rows T_k(rho) by their
+  three-term recurrence times one 17 x 16 matrix.  They are within
+  4.1e-16 of ES, where exp and sqrt in double are within 3.0e-15.
+  -gamma has the same weights on the mirrored taps.
 - Sum.  The zeros are taken in chunks of at most _ZERO_CHUNK whose taps
   span at most _GRID_CHUNK + 16 grid points.  Each chunk spreads
   e^{i gamma u_c} ES(gamma / step - n) onto its grid points (one
   bincount), and the spread meets Gc at n and, conjugated, at -n.
 
 Cost: about 17 M log M for the transforms, 17 per grid point up to
-T / step, and 2 x 16 per zero, against 68 P per zero for a GEMM over
+T / step, and per zero one exponential, 17 Chebyshev rows, a 17 x 16
+product and 2 x 16 spread weights, against 68 P per zero for a GEMM over
 panels x zeros.  Against the direct kernel (one exponential per panel
 and zero, the oracle in tests/test_zeta.py) the measured deviation is at
 most 6.2e-13 of the normalizer.  Memory: D takes 16 bytes per kept order
@@ -88,6 +97,64 @@ _PSI_INV = np.array([
     0.0014707489372466148, 0.00037241234178012, 0.00010773570097934666,
     8.280631449204674e-06, 1.3176719999245368e-05, -2.513072378249698e-06,
     9.504172401672527e-07])
+# ES at the 16 taps of a zero, ES(x_i), x_i = (f + 7 - i) / 8 for
+# f = frac(gamma / step), as degree-16 Chebyshev series in rho = 2 f - 1:
+# row i holds tap i's coefficients of T_0 ... T_16, the interpolant at
+# the 17 Chebyshev nodes from 40-digit values (a test re-derives it).
+# Evaluated in double it is within 4.1e-16 absolute of ES, where exp and
+# sqrt in double are within 3.0e-15.  Taps 0 to 7:
+_ES_CHEB = np.array([
+    [1.117062460229303e-09, -1.977940522057531e-09, 1.373830579337337e-09,
+     -7.505580443814597e-10, 3.237040510687795e-10, -1.1064029529512372e-10,
+     3.006403691584762e-11, -6.502587328524181e-12, 1.1169483196436364e-12,
+     -1.5107434783590497e-13, 1.575826926609293e-14, -1.2095018217419833e-15,
+     5.728807592621336e-17, -1.758087234974968e-18, -1.0426278551494878e-18,
+     -5.573414918870647e-19, -2.8381036373454654e-19],
+    [9.868978960156682e-07, -1.5878218807725724e-06, 8.606967650728245e-07,
+     -3.3030435963002207e-07, 9.316371818198092e-08, -1.9775959141712117e-08,
+     3.192443921560915e-09, -3.8995250864436476e-10, 3.4941639407143274e-11,
+     -2.0776293693819924e-12, 4.8613279956469295e-14, 4.365792099042474e-15,
+     -5.245362616912097e-16, 2.1533872898472145e-17, 2.8125860166221184e-19,
+     -7.522061365807774e-20, 2.9791984451690124e-21],
+    [9.688556525146744e-05, -0.00013754957234795396, 5.786261391250765e-05,
+     -1.601176841910322e-05, 3.0758231715093316e-06, -4.170993555558019e-07,
+     3.885537835111827e-08, -2.1615244897404983e-09, 1.6064025228537596e-11,
+     8.614127844754423e-12, -7.250065697793499e-13, 1.7086543526651508e-14,
+     1.3700259832558217e-15, -1.2257868309672644e-16, 2.0405421013768735e-18,
+     2.1712440843725274e-19, -1.2892065285698777e-20],
+    [0.0027129075622052633, -0.003256184805271195, 0.001031304961778804,
+     -0.0001985486521159713, 2.3982422005680806e-05, -1.645858895054663e-06,
+     2.1195993965777356e-08, 7.288823995176071e-09, -6.631740745094743e-10,
+     1.312889101602694e-11, 1.7196194782447038e-12, -1.3068126366894563e-13,
+     6.786855820692665e-16, 3.2923768689516035e-16, -1.3461613747656094e-17,
+     -3.177726758804261e-19, 3.764208244923817e-20],
+    [0.03107330781540723, -0.029722310282433915, 0.0065996269762569875,
+     -0.0007618094880221551, 3.374993083243386e-05, 2.4090295526433632e-06,
+     -4.0143122164188135e-07, 1.4025760683369452e-08, 1.0227126270036673e-09,
+     -1.049934194366047e-10, 8.532983728478776e-13, 2.974320547411299e-13,
+     -1.222981935488013e-14, -4.041890795137067e-16, 3.9461315144916616e-17,
+     -7.152454956066273e-20, -7.723216359208571e-20],
+    [0.17403002330129178, -0.12095713884358891, 0.015582218294995114,
+     -0.00036704881119516635, -0.00011020446340897949, 1.008292219078847e-05,
+     1.0201884983983885e-07, -5.511182882826851e-08, 1.6851319896392284e-09,
+     1.52480852601607e-10, -1.0081761962926665e-11, -2.0054865237692032e-13,
+     3.194925683245592e-14, -1.545419297289796e-16, -6.943071645776377e-17,
+     1.4720342799223633e-18, 1.114473605839055e-19],
+    [0.525514693752586, -0.22155376090969614, 0.004696016497739964,
+     0.002327923962153065, -0.00015981326420912089, -1.0009691386457588e-05,
+     1.2398570549281163e-06, 1.5813667448968224e-08, -5.565944545402608e-09,
+     5.009166105652792e-11, 1.7340944916749045e-11, -4.068930183604619e-13,
+     -4.0501902871485846e-14, 1.4650801702876661e-15, 7.364975173234726e-17,
+     -3.695359501164289e-18, -1.0574352157186444e-19],
+    [0.9024037566447086, -0.12749003383551766, -0.027967891415278442,
+     0.0021515111223771874, 0.0002091160641859618, -1.7589173624425964e-05,
+     -1.003718563286964e-06, 9.328209223697484e-08, 3.4691512742806963e-09,
+     -3.613640184887625e-10, -9.171503684642626e-12, 1.0910992666390808e-12,
+     1.9197693634420742e-14, -2.675297292728626e-15, -3.239057104106862e-17,
+     5.479855567783765e-18, 4.4193608921400376e-20],
+])
+# ES is even, so tap 15 - i at rho is tap i at -rho
+_ES_CHEB = np.vstack([_ES_CHEB, _ES_CHEB[::-1] * (-1.0) ** np.arange(17)])
 # moments j_k below this at every grid point are left out of the sum
 _MOMENT_FLOOR = 2.0 ** -60
 # panels projected at a time (_panel_transform): the temporaries of their
@@ -299,9 +366,22 @@ def _panel_transform(h: RegVarFunction, xi: float, beta: float, c0: float,
         f = np.exp(beta * u + 2j * np.pi * xi * h.value(np.exp(u)))
         f *= corr
         d[:, lo:lo + j.size] = (f @ _PROJ[:, :kept]).T
-    for row in d:
-        np.fft.ifft(row, norm="forward", out=row)
+    np.fft.ifft(d, axis=1, norm="forward", out=d)
     return d
+
+
+def _es_weights(offset: np.ndarray) -> np.ndarray:
+    """ES at the 16 taps of each zero, (zeros, taps), from offset =
+    gamma / step - (its first tap) = frac(gamma / step) + 7: T_k(rho) by
+    the three-term recurrence, then one product with _ES_CHEB."""
+    rho = 2.0 * offset - (_ES_TAPS - 1)
+    t = np.empty((_ES_CHEB.shape[1], rho.size))
+    t[0], t[1] = 1.0, rho
+    rho *= 2.0
+    for k in range(1, t.shape[0] - 1):  # T_{k+1} = 2 rho T_k - T_{k-1}
+        np.multiply(rho, t[k], out=t[k + 1])
+        t[k + 1] -= t[k - 1]
+    return t.T @ _ES_CHEB.T
 
 
 def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
@@ -354,8 +434,7 @@ def zero_osc_sum(h: RegVarFunction, t: float, xi: float, T: float,
         # a[n] sums e^{i gamma u_c} ES(gamma / step - n) over the zeros
         # whose taps hold n; the taps of -gamma are those of gamma mirrored,
         # with the same weights, so conj(a) spreads e^{-i gamma u_c}
-        x = ((y - first)[:, None] - taps) * (2.0 / W)
-        w = np.exp(_ES_BETA * (np.sqrt(1.0 - x * x) - 1.0))
+        w = _es_weights(y - first)
         e = np.exp(1j * (gs * u_c))
         at = ((first - first[0])[:, None] + taps).ravel()
         a = (np.bincount(at, (w * e.real[:, None]).ravel(), n.size)

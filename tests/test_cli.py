@@ -958,7 +958,8 @@ def test_readme_commands_leave_numpy_ma_out(tmp_path):
     # modules no README command needs, each costly at its first import:
     # numpy.ma about 13 ms, numpy.random 5-6 MB and 16-23 ms (the seeded
     # draws use the random module), concurrent.futures about 0.4 MB (the
-    # sieve's pool, only for --threads > 1)
+    # sieve's pool, only for --threads > 1), numpy.polynomial 3-5 ms (the
+    # Gauss-Legendre tables are literals)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -976,7 +977,7 @@ def test_readme_commands_leave_numpy_ma_out(tmp_path):
         "        ['regvar-check', '--check']]\n"
         "for i, argv in enumerate(runs):\n"
         f"    assert cli.main(argv + ['--out', r'{tmp_path}/r%d' % i]) == 0\n"
-        "print([m for m in ['numpy.ma', 'numpy.random',\n"
+        "print([m for m in ['numpy.ma', 'numpy.random', 'numpy.polynomial',\n"
         "                   'concurrent.futures'] if m in sys.modules])\n")
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)

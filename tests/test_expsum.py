@@ -309,6 +309,17 @@ def test_legendre_moments_match_mpmath(sign):
     assert np.abs(got.real - want).max() <= 1e-15
 
 
+def test_gauss_legendre_tables_are_numpys_bit_for_bit():
+    # the shipped nodes and weights, and the recurrence's P_k(v_j), in the
+    # layout legvander returns, which _PROJ's products inherit
+    u, w = np.polynomial.legendre.leggauss(17)
+    v = np.polynomial.legendre.legvander(u, 16)
+    assert expsum._GL_U.tobytes() == u.tobytes()
+    assert expsum._GL_W.tobytes() == w.tobytes()
+    assert expsum._LEG_VALS.tobytes() == v.tobytes()
+    assert expsum._LEG_VALS.strides == v.strides
+
+
 def test_legendre_moments_at_zero_are_exact():
     got = expsum.legendre_moments(np.array([0.0, -0.0]))
     assert np.array_equal(got, np.tile(np.eye(17)[0] * 2.0 + 0j, (2, 1)))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -78,6 +79,47 @@ def test_prime_count_classics():
     assert prime_count(10) == 4
     assert prime_count(10**4) == 1229
     assert prime_count(10**6) == 78498
+
+
+def _theta_by_pairwise_sum(n: int) -> float:
+    p = sieve_range(0, n + 1)
+    return pairwise_sum(np.log(p.astype(np.float64)))
+
+
+def _psi_by_pairwise_sum(n: int) -> float:
+    # theta(n) + theta(n^(1/2)) + theta(n^(1/3)) + ..., added in that order
+    total = _theta_by_pairwise_sum(n) if n >= 2 else 0.0
+    for k in range(2, max(n, 1).bit_length()):
+        r = int(n ** (1.0 / k)) + 1
+        while r ** k > n:
+            r -= 1
+        total += _theta_by_pairwise_sum(r)
+    return total
+
+
+def test_theta_and_psi_from_kept_chunk_sums_are_the_tree(monkeypatch):
+    # from an empty cache: n = 1000 needs no whole chunk and keeps none,
+    # 7e5 grows the table and keeps every whole chunk of it, a larger n
+    # grows both, a smaller one reads a prefix; n comes in shuffled order,
+    # at the primes that end and start chunks (index 4095, 4096, ...) and
+    # below 2
+    monkeypatch.setattr(primes, "_cache",
+                        {"hi": 0, "primes": np.empty(0, dtype=np.int64)})
+    edges = sieve_range(0, 200_000)[[4094, 4095, 4096, 8191, 8192, 16383, 16384]]
+    rng = random.Random(48)
+    ns = [int(p) + d for p in edges for d in (-1, 0, 1)]
+    ns += [rng.randrange(2, 3_000_000) for _ in range(20)] + [-3, 0, 1, 2, 3]
+    rng.shuffle(ns)
+    kept = []
+    for n in [1000, 700_000] + ns + [100]:
+        assert chebyshev_theta(n) == _theta_by_pairwise_sum(n), n
+        kept.append(primes._cache.get("theta", np.empty(0)).size)
+    assert kept[0] == 0
+    assert kept[1] == primes_upto(700_000).size // 4096 == 13
+    assert kept == sorted(kept) and kept[-1] >= prime_count(max(ns)) // 4096
+    assert not primes._cache["theta"].flags.writeable
+    for n in ns[:10] + [-3, 1, 2, 4, 2_999_999]:
+        assert chebyshev_psi(n) == _psi_by_pairwise_sum(n), n
 
 
 def test_primes_upto_cache_consistency():
@@ -169,7 +211,8 @@ def test_chebyshev_psi_below_two_is_zero(n):
 
 @pytest.mark.parametrize("n", [1, 2, 100, 10 ** 5, 10 ** 6])
 def test_chebyshev_theta_is_pairwise_sum_of_the_logs(n):
-    # the logs are made a block at a time, the tree is the whole array's
+    # the whole chunks' sums are kept, the tail's made per call; the tree
+    # is the whole array's
     p = primes_upto(n)
     assert chebyshev_theta(n) == pairwise_sum(np.log(p.astype(np.float64)))
 

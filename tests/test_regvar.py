@@ -191,6 +191,24 @@ def test_inverse_doubling(h):
     assert np.all(ratio <= d + 1e-12)
 
 
+@pytest.mark.parametrize("h", [log_power(1.15), exp_log(1.1),
+                               iterated_log(1.2)], ids=lambda h: h.kind)
+def test_inverse_refuses_y_above_h_of_2_to_53(h):
+    # a far point once built every block below it (991 for log_power(1.15)
+    # at 1e300); the refusal comes first, on both routes, while y =
+    # h(2^53) itself still answers
+    phi = InverseHandle(h)
+    for y in (1e300, np.array([1e3, 1e300]), np.append(np.full(5000, 1e3), 1e300)):
+        for f in (phi.value, phi.d1):
+            with pytest.raises(ValueError, match="above h"):
+                f(y)
+    assert phi.blocks_built == 0
+    top = h.value(2.0 ** 53)
+    assert abs(phi.value(top) / 2.0 ** 53 - 1.0) < 1e-12
+    assert abs(phi.d1(top) * h.d1(2.0 ** 53) - 1.0) < 1e-10
+    assert InverseHandle(pure_power(1.15)).d1(1e300) > 0.0
+
+
 def test_inverse_below_range_clamps():
     h = log_power(1.15, a=0.5)
     phi = InverseHandle(h)

@@ -363,6 +363,53 @@ def test_psi_inverse_coefficients_rederived_by_quadrature():
     assert worst <= 1e-16
 
 
+def test_es_chebyshev_coefficients_rederived_from_40_digit_values():
+    # tap i of a zero at frac(gamma / step) = f sits at x = (f + 7 - i) / 8;
+    # its ES values at the 17 Chebyshev nodes of rho = 2 f - 1, 40 digits,
+    # give the interpolant's coefficients, which _es_weights evaluates
+    # within 5e-16 of ES (exp and sqrt in double: 3.0e-15)
+    W, n = zeta._ES_TAPS, zeta._ES_CHEB.shape[1]
+    with mp.workdps(40):
+        beta = mp.mpf(zeta._ES_BETA)
+
+        def es(x):
+            return mp.exp(beta * (mp.sqrt(1 - x * x) - 1))
+
+        half = mp.mpf(1) / 2
+        nodes = [mp.cos(mp.pi * (k + half) / n) for k in range(n)]
+        worst = 0
+        for tap, row in enumerate(zeta._ES_CHEB):
+            vals = [es(((r + 1) / 2 + 7 - tap) * 2 / W) for r in nodes]
+            want = [2 * mp.fsum(v * mp.cos(mp.pi * j * (k + half) / n)
+                                for k, v in enumerate(vals)) / n
+                    for j in range(n)]
+            want[0] /= 2
+            worst = max(worst, max(abs(mp.mpf(c) - w) for c, w in zip(row, want)))
+        assert worst <= 1e-16
+        offset = np.linspace(7.0, 8.0, 41)[:-1] + 1 / 97
+        got = zeta._es_weights(offset)
+        err = max(abs(mp.mpf(got[i, tap]) - es((mp.mpf(v) - tap) * 2 / W))
+                  for i, v in enumerate(offset) for tap in range(W))
+    assert err <= 5e-16
+
+
+def test_panel_transform_is_the_per_row_inverse_fft(monkeypatch):
+    # one inverse FFT over axis 1 against one per row, at the zeros
+    # benchmark's largest request (7483 panels, 15360 grid points)
+    t, panels = 1e5, 7483
+    xi = _xi_for_panels(H11, t, panels)
+    c0, half, P = zeta._osc_panels(H11, t, xi)
+    M = expsum.transform_length(2 * P)
+    assert (P, M) == (panels, 15360)
+    got = zeta._panel_transform(H11, xi, 0.5, c0, half, P, M, 8)
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda d, axis, norm, out: d)
+    want = zeta._panel_transform(H11, xi, 0.5, c0, half, P, M, 8)
+    for row in want:
+        ifft(row, norm="forward", out=row)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_zero_osc_sum_memory_below_carrier_matrix():
     # the direct kernel holds a P x Z complex carrier matrix and its
     # conjugate; the factored one stays under half of one such matrix
