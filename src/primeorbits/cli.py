@@ -1,14 +1,15 @@
 """Command line surface: reproducible experiment runs over the library.
 
 Each subcommand evaluates one family of quantities on a configured grid
-and emits a columnar text report ('#'-prefixed header, one row per line)
-plus a JSON mirror of the same schema.  _SUBCOMMANDS holds one record
-per subcommand: its keys with their parser and default (_COMMON: those
-of every subcommand), its plan and its runner; any other key is a usage
-error.  A flat key=value config file can seed any run and flags override
-it.  Every key with a default is filled in, so the '# config:' header
-and the mirror's "config" are the configuration the run used.  --check
-also tests the subject's acceptance thresholds and exits 2 on violation.
+and emits a columnar text report ('#'-prefixed header, one row per line),
+on stdout or, with --out, to that file plus a JSON mirror of the same
+schema at <out>.json.  _SUBCOMMANDS holds one record per subcommand: its
+keys with their parser and default (_COMMON: those of every subcommand),
+its plan and its runner; each record has its own argparse subparser
+holding exactly those keys, so any other key is argparse's usage error.
+Every key with a default is filled in, so the '# config:' header and the
+mirror's "config" are the configuration the run used.  --check also
+tests the subject's acceptance thresholds and exits 2 on violation.
 
 Every size key goes through one bounded integer parser, as every float
 key goes through one finite-float parser, so each run's one memory plan
@@ -18,6 +19,7 @@ key goes through one finite-float parser, so each run's one memory plan
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -114,8 +116,6 @@ _THREAD_CAP = 64
 # key -> (parser of the raw string, default); None: absent unless given
 _COMMON = {
     "out": (str, None),
-    "format": (_checked(str, lambda v: v in {"text", "json"},
-                        "must be text or json"), "text"),
     "threads": (_checked(int, lambda v: 1 <= v <= _THREAD_CAP,
                          f"must be in [1, {_THREAD_CAP}]"), 1),
     "check": (lambda raw: raw.lower() in {"1", "true", "yes", "on"}, False),
@@ -124,11 +124,11 @@ _COMMON = {
 _SHAPE = {"a": (_finite, None), "b": (_finite, None), "depth": (int, None)}
 
 
-def _set(cfg: dict, keys: dict, key: str, raw: str, where: str) -> None:
+def _set(cfg: dict, keys: dict, key: str, raw: str) -> None:
     try:
         cfg[key] = keys[key][0](raw)
     except ValueError as exc:
-        raise ValueError(f"{where}{key}={raw}: {exc}") from None
+        raise ValueError(f"{key}={raw}: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,49 +140,33 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def parse_config(argv: list[str]) -> dict:
-    """Flags plus optional key=value file -> validated effective config."""
+@functools.cache
+def _parser() -> _Parser:
+    """One subparser per record, holding _COMMON's keys and the record's
+    as raw strings.  No flag abbreviates: --x would read as expsum's --xi."""
     parser = _Parser(
-        prog="primeorbits",
+        prog="primeorbits", allow_abbrev=False,
         description="experiments over prime-orbit exponential sums")
-    parser.add_argument("subcommand", choices=sorted(_SUBCOMMANDS))
-    parser.add_argument("--config", help="flat key=value file; flags override")
-    for key in sorted(set(_COMMON).union(
-            *(record.keys for record in _SUBCOMMANDS.values()))):
-        flag = "--" + key.replace("_", "-")
-        if key == "check":
-            parser.add_argument(flag, action="store_const", const="on")
-        else:
-            parser.add_argument(flag)
-    args = vars(parser.parse_args(argv))
-    sub = args.pop("subcommand")
-    cfg: dict = {"subcommand": sub}
-    keys = {**_COMMON, **_SUBCOMMANDS[sub].keys}
+    subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    for sub, record in _SUBCOMMANDS.items():
+        subparser = subparsers.add_parser(sub, allow_abbrev=False)
+        for key in sorted({**_COMMON, **record.keys}):
+            flag = "--" + key.replace("_", "-")
+            if key == "check":
+                subparser.add_argument(flag, action="store_const", const="on")
+            else:
+                subparser.add_argument(flag)
+    return parser
 
-    file_path = args.pop("config")
-    if file_path:
-        with open(file_path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{file_path}:{lineno}: expected key=value")
-                key, val = (part.strip() for part in line.split("=", 1))
-                key = key.replace("-", "_")
-                if key not in keys:
-                    raise ValueError(f"{file_path}:{lineno}: unknown key "
-                                     f"{key!r} for {sub}")
-                _set(cfg, keys, key, val, f"{file_path}:{lineno}: ")
 
-    for key, val in args.items():
-        if val is None:
-            continue
-        if key not in keys:
-            raise ValueError(f"flag --{key.replace('_', '-')} not valid "
-                             f"for {sub}")
-        _set(cfg, keys, key, val, "")
-
+def parse_config(argv: list[str]) -> dict:
+    """Flags -> validated effective config."""
+    args = vars(_parser().parse_args(argv))
+    cfg: dict = {"subcommand": args.pop("subcommand")}
+    keys = {**_COMMON, **_SUBCOMMANDS[cfg["subcommand"]].keys}
+    for key, raw in args.items():
+        if raw is not None:
+            _set(cfg, keys, key, raw)
     for key, (_, default) in keys.items():
         if default is not None:
             cfg.setdefault(key, default)
@@ -248,20 +232,14 @@ def render_json(cfg: dict, columns: list[str], rows: list[list],
 
 def _emit(cfg: dict, columns, rows, notes) -> None:
     text = render_text(cfg, columns, rows, notes)
-    mirror = render_json(cfg, columns, rows, notes)
-    if cfg["format"] == "json":
-        text, mirror = mirror, text
-        mirror_ext = ".txt"
-    else:
-        mirror_ext = ".json"
     out = cfg.get("out")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-        with open(out + mirror_ext, "w") as fh:
-            fh.write(mirror)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    with open(out, "w") as fh:
+        fh.write(text)
+    with open(out + ".json", "w") as fh:
+        fh.write(render_json(cfg, columns, rows, notes))
 
 
 # -- subcommand bodies -------------------------------------------------------

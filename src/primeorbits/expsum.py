@@ -6,7 +6,10 @@ The three sums of interest, all at frequency xi in [-1/2, 1/2):
     von Mangoldt sum sum over n <= N of Lambda(n) * e(floor(h(n)) * xi)
     approximant      sum over n <= h(N) of phi'(n) * e(n * xi)
 
-with e(x) = exp(2*pi*i*x) and phi the compositional inverse of h.
+with e(x) = exp(2*pi*i*x) and phi the compositional inverse of h.  Any
+finite xi is taken: all three are 1-periodic in xi, so each first
+reduces xi by its nearest integer, exactly (math.remainder), which keeps
+every xi in [-1/2, 1/2] bit for bit.
 
 Floors are guarded: a double evaluation is accepted only when its
 fractional part is inside (1e-9, 1 - 1e-9); the few values outside the
@@ -273,29 +276,37 @@ def _phase_sum(weight, n: np.ndarray, xis,
     return [complex(halving_sum(row[:first])) for row in sums]
 
 
+def _mod1(xis) -> list[float]:
+    """Each xi minus its nearest integer, exactly: the phases of the prime
+    and von Mangoldt sums have integer arguments, so the sums are
+    1-periodic in xi, and |xi| <= 1/2 is kept bit for bit."""
+    return [math.remainder(float(xi), 1.0) for xi in xis]
+
+
 def prime_floor_sum(h: RegVarFunction, N: float, xi,
                     work: SumWork | None = None) -> ExpSumResult:
     """Log-weighted exponential sum over primes up to N.
 
     xi is one frequency or a 1-d array of them; for an array, value is
     the complex array of the sums, each bit for bit the one-frequency
-    value, and the floors, the log p and the digits are made once.
+    value, and the floors, the log p and the digits are made once.  Each
+    xi is first reduced by its nearest integer, exactly (_mod1).
     """
     p, fl = prime_floors(h, N, work)
     xis = np.asarray(xi, dtype=np.float64)
     value = _phase_sum(lambda lo, hi: np.log(p[lo:hi].astype(np.float64)),
-                       fl, xis.reshape(-1), work)
+                       fl, _mod1(xis.reshape(-1)), work)
     if xis.ndim == 0:
         return ExpSumResult(value[0], int(p.size))
     return ExpSumResult(np.array(value), int(p.size))
 
 
 def von_mangoldt_sum(h: RegVarFunction, N: float, xi: float) -> ExpSumResult:
-    """Same sum with Lambda weights over all n <= N."""
+    """Same sum with Lambda weights over all n <= N, xi reduced as there."""
     N = int(N)
     n, w = primes.prime_powers(0, N + 1)
     fl, _ = guarded_floor(h, n)
-    value = _phase_sum(lambda lo, hi: w[lo:hi], fl, [xi])[0]
+    value = _phase_sum(lambda lo, hi: w[lo:hi], fl, _mod1([xi]))[0]
     return ExpSumResult(value, int(n.size))
 
 

@@ -21,12 +21,6 @@ from primeorbits import cli, ergodic, expsum, primes, vaughan, waring, zeta
 from primeorbits.regvar import InverseHandle, RegVarFunction, pure_power
 
 
-def write_config(tmp_path, text: str):
-    p = tmp_path / "run.cfg"
-    p.write_text(text)
-    return p
-
-
 # ----------------------------------------------------------------- parsing
 
 def test_parse_happy_path():
@@ -37,17 +31,8 @@ def test_parse_happy_path():
     assert cfg["N"] == [10000]
     assert cfg["xi"] == ["0"]
     # defaults fill in
-    assert cfg["format"] == "text"
     assert cfg["threads"] == 1
     assert cfg["kind"] == "pure"
-
-
-def test_flag_overrides_config_file(tmp_path):
-    p = write_config(tmp_path, "N = 1000\n# comment line\n\nxi = zero\n")
-    cfg = cli.parse_config(["expsum", "--config", str(p), "--N", "2000",
-                            "--c", "1.2"])
-    assert cfg["N"] == [2000]
-    assert cfg["xi"] == ["zero"]
 
 
 def test_c_out_of_range():
@@ -55,51 +40,42 @@ def test_c_out_of_range():
         cli.parse_config(["expsum", "--c", "2.5"])
 
 
-def test_unknown_config_key_reports_line(tmp_path):
-    p = write_config(tmp_path, "# header\nweird = 1\n")
-    with pytest.raises(ValueError, match="unknown key 'weird'") as exc:
-        cli.parse_config(["expsum", "--config", str(p), "--c", "1.2"])
-    assert ":2:" in str(exc.value)
-
-
-def test_config_file_requires_key_value(tmp_path):
-    p = write_config(tmp_path, "just a line\n")
-    with pytest.raises(ValueError, match="expected key=value"):
-        cli.parse_config(["expsum", "--config", str(p)])
-
-
 def test_flag_wrong_subcommand():
-    with pytest.raises(ValueError, match="not valid"):
-        cli.parse_config(["waring", "--N", "5"])
+    # another record's key is refused like any unknown one, and no flag
+    # abbreviates: --x (explicit's) is not expsum's --xi
+    for argv in (["waring", "--N", "5"], ["expsum", "--c", "1.2", "--x", "5"],
+                 ["vaughan-check", "--n", "5"], ["expsum", "--thread", "5"]):
+        with pytest.raises(ValueError,
+                           match=f"^unrecognized arguments: {argv[-2]} 5$"):
+            cli.parse_config(argv)
 
 
 # keys no runner of that subcommand reads: each is a usage error.
 # epsilon and theta1 are no subcommand's keys: the saving's epsilon is
-# expsum.EPSILON and theta1 is theta1_default(c)
+# expsum.EPSILON and theta1 is theta1_default(c); nor are format and
+# config: a report is text, with its JSON mirror at <out>.json
 _UNREAD = [("expsum", "seed"), ("waring", "seed"), ("explicit", "seed"),
            ("regvar-check", "seed"), ("ergodic", "epsilon"),
            ("explicit", "epsilon"), ("vaughan-check", "epsilon"),
            ("regvar-check", "epsilon"), ("expsum", "epsilon"),
-           ("waring", "epsilon"), ("expsum", "theta1"), ("waring", "theta1")]
+           ("waring", "epsilon"), ("expsum", "theta1"), ("waring", "theta1"),
+           ("expsum", "format"), ("ergodic", "config")]
 _SMALL = {"expsum": ["--c", "1.2", "--N", "1000", "--xi", "zero"]}
 
 
 @pytest.mark.parametrize("sub, key", _UNREAD)
-def test_unread_key_exits_one(tmp_path, capsys, sub, key):
-    value = {"epsilon": "0.1", "theta1": "0.5"}.get(key, "3")
+def test_unread_key_exits_one(tmp_path, monkeypatch, capsys, sub, key):
+    # refused by the subcommand's own parser, before any sieve
+    value = {"epsilon": "0.1", "theta1": "0.5", "format": "json",
+             "config": "run.cfg"}.get(key, "3")
+    calls = _sieve_calls(monkeypatch)
     out = tmp_path / "r.txt"
     assert cli.main([sub, *_SMALL.get(sub, []), f"--{key}", value,
                      "--out", str(out)]) == 1
-    if any(key in record.keys for record in cli._SUBCOMMANDS.values()):
-        assert f"--{key} not valid for {sub}" in capsys.readouterr().err
-    else:
-        assert (f"unrecognized arguments: --{key} {value}"
-                in capsys.readouterr().err)
-    p = write_config(tmp_path, f"# a run\n{key} = {value}\n")
-    assert cli.main([sub, *_SMALL.get(sub, []), "--config", str(p),
-                     "--out", str(out)]) == 1
-    assert f":2: unknown key {key!r} for {sub}" in capsys.readouterr().err
-    assert not out.exists()
+    assert (f"error: unrecognized arguments: --{key} {value}\n"
+            in capsys.readouterr().err)
+    assert calls == []
+    assert not out.exists() and not (tmp_path / "r.txt.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -121,10 +97,9 @@ def test_shape_keys_reach_the_function():
     assert (h.kind, h.c, h.a, h.b) == ("explog", 1.15, 0.2, 0.4)
 
 
-def test_bad_value_names_its_key_and_line(tmp_path):
-    p = write_config(tmp_path, "c = 1.2\nN = 10,abc\n")
-    with pytest.raises(ValueError, match=r":2: N=10,abc: invalid literal"):
-        cli.parse_config(["expsum", "--config", str(p)])
+def test_bad_value_names_its_key_and_line():
+    with pytest.raises(ValueError, match=r"^N=10,abc: invalid literal"):
+        cli.parse_config(["expsum", "--c", "1.2", "--N", "10,abc"])
 
 
 def _config_line(cfg: dict) -> dict:
@@ -137,13 +112,12 @@ def _config_line(cfg: dict) -> dict:
 def test_header_shows_effective_defaults():
     got = _config_line(cli.parse_config(["expsum", "--c", "1.2"]))
     assert got == {"N": "[10000,100000]", "c": "1.2", "check": "False",
-                   "format": "text", "kind": "pure", "threads": "1",
+                   "kind": "pure", "threads": "1",
                    "xi": "['zero','halfcut','cut']"}
     got = _config_line(cli.parse_config(["ergodic"]))
-    assert got == {"c": "1.1", "check": "False", "format": "text",
-                   "jmax": "20", "jmin": "10", "kgrid": "[10,100,1000]",
-                   "kind": "pure", "seed": "0", "start": "0.35",
-                   "threads": "1"}
+    assert got == {"c": "1.1", "check": "False", "jmax": "20", "jmin": "10",
+                   "kgrid": "[10,100,1000]", "kind": "pure", "seed": "0",
+                   "start": "0.35", "threads": "1"}
 
 
 # one small run of each subcommand
@@ -198,18 +172,12 @@ def test_grid_must_ascend():
 def test_epsilon_and_threads_validation():
     with pytest.raises(ValueError, match="threads"):
         cli.parse_config(["expsum", "--c", "1.2", "--threads", "0"])
-    with pytest.raises(ValueError, match="format"):
-        cli.parse_config(["expsum", "--c", "1.2", "--format", "csv"])
 
 
 # ------------------------------------------------------------------ running
 
 def test_main_error_exit_code():
     assert cli.main(["expsum", "--c", "2.5"]) == 1
-
-
-def test_main_missing_config_file():
-    assert cli.main(["expsum", "--config", "/nonexistent/xyz.cfg"]) == 1
 
 
 def test_explicit_empty_zero_file(tmp_path):
@@ -642,6 +610,21 @@ def test_numeric_xi_tokens_still_run():
     assert cfg["xi"] == ["zero", "-0.25", "1e-3"]
 
 
+@pytest.mark.parametrize("xi", ["1e308", "-2e300"])
+def test_huge_xi_prints_the_zero_rows(capsys, xi):
+    # every double this large is an integer, and each sum is 1-periodic in
+    # xi, so the rows are xi = 0's but for the xi column
+    rows = {}
+    for tok in (xi, "zero"):
+        assert cli.main(["expsum", "--c", "1.2", "--N", "10000,20000",
+                         f"--xi={tok}"]) == 0
+        rows[tok] = [line.split() for line in capsys.readouterr().out
+                     .splitlines() if not line.startswith("#")]
+    assert [float(row[1]) for row in rows[xi]] == [float(xi)] * 2
+    assert ([row[:1] + row[2:] for row in rows[xi]]
+            == [row[:1] + row[2:] for row in rows["zero"]])
+
+
 def _grid_token(rng, draw) -> str:
     """One to three entries from draw(), ascending, the last sometimes
     repeated: equal ends."""
@@ -658,7 +641,6 @@ def _log_int(rng, lo: float, hi: float) -> int:
 # so 2^k - 1, 2^k and 2^k + 1 straddle it.  cases stays small: nothing
 # bounds its time yet
 _DRAW = {
-    "format": lambda r: r.choice(["text", "json"]),
     "threads": lambda r: r.choice(["1", "2"]),
     "kind": lambda r: r.choice(["pure", "logpow", "explog", "itlog"]),
     "c": lambda r: repr(r.uniform(1.0, 2.0)),
@@ -685,14 +667,7 @@ _DRAW = {
     "v": lambda r: _grid_token(r, lambda: 10 ** r.uniform(-0.5, 2.0)),
     "cases": lambda r: str(r.randint(0, 4)),
 }
-_EDGES = ["nan", "inf", "-inf", "-0", "1e300", str(2 ** 63)]
-
-
-def _data_values(out: str, fmt: str) -> list[list]:
-    if fmt == "json":
-        return json.loads(out)["rows"]
-    return [line.split() for line in out.splitlines()
-            if not line.startswith("#")]
+_EDGES = ["nan", "inf", "-inf", "-0", "1e300", "1.7e308", str(2 ** 63)]
 
 
 def test_every_request_runs_to_finite_rows_or_is_refused(monkeypatch,
@@ -740,8 +715,8 @@ def test_every_request_runs_to_finite_rows_or_is_refused(monkeypatch,
             if code == 1:
                 assert calls == [] and out == "", argv
                 continue
-            fmt = "json" if "--format=json" in argv else "text"
-            for row in _data_values(out, fmt):
+            for row in (line.split() for line in out.splitlines()
+                        if not line.startswith("#")):
                 for i, value in enumerate(row):
                     if (row[0], i) == ("split", 1):
                         continue
@@ -827,6 +802,30 @@ def test_help_exits_zero(capsys):
         cli.main(["--help"])
     assert done.value.code == 0
     assert "usage: primeorbits" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sub", cli._SUBCOMMANDS)
+def test_subcommand_help_lists_its_keys(capsys, sub):
+    # each record's subparser holds _COMMON's keys and its own, no other
+    with pytest.raises(SystemExit) as done:
+        cli.main([sub, "--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: primeorbits {sub} ")
+    keys = {**cli._COMMON, **cli._SUBCOMMANDS[sub].keys}
+    assert set(re.findall(r"--[\w-]+", out)) == {
+        "--help", *("--" + key.replace("_", "-") for key in keys)}
+
+
+def test_parser_is_built_once(monkeypatch):
+    # parse_config reuses one parser: no subparser is added after the first
+    cli.parse_config(["regvar-check"])
+    added = []
+    monkeypatch.setattr(cli._Parser, "add_argument",
+                        lambda self, *a, **k: added.append(a))
+    for argv in _SMALL_RUNS:
+        cli.parse_config(argv)
+    assert added == []
 
 
 def test_ergodic_jmax_caps_admit_their_boundary():
@@ -1112,10 +1111,10 @@ def test_stdout_when_no_out(capsys):
 
 # ------------------------------------------------------------------ reports
 
-def run_expsum(tmp_path, name: str, fmt: str = "text", threads: int = 1):
+def run_expsum(tmp_path, name: str, threads: int = 1):
     out = tmp_path / name
     code = cli.main(["expsum", "--c", "1.2", "--N", "1000,4000",
-                     "--xi", "zero,halfcut,cut", "--format", fmt,
+                     "--xi", "zero,halfcut,cut",
                      "--threads", str(threads), "--out", str(out)])
     assert code == 0
     return out
@@ -1148,14 +1147,6 @@ def test_json_mirror_schema(tmp_path):
                 assert tok == str(v)
             else:
                 assert isinstance(v, float) and float(tok) == v
-
-
-def test_json_format_swaps_mirror(tmp_path):
-    out = run_expsum(tmp_path, "run.json", fmt="json")
-    payload = json.loads(out.read_text())
-    assert payload["subcommand"] == "expsum"
-    mirror = (tmp_path / "run.json.txt").read_text()
-    assert mirror.startswith("# primeorbits")
 
 
 def test_report_embeds_config_and_version(tmp_path):

@@ -148,6 +148,27 @@ def test_prime_floor_sum_conjugation():
     assert a == np.conj(b)
 
 
+def test_prime_sums_are_one_periodic_bit_for_bit():
+    # xi + k is exact for these xi, and xi is reduced by its nearest
+    # integer first, so every shift gives the same bits; scalar and array.
+    # (A half-integer goes to +-1/2 by ties-to-even: conjugate sums.)
+    xis = [0.0, 0.3125, -0.4375, round(0.1234 * 2 ** 40) / 2 ** 40]
+    want = expsum.prime_floor_sum(H12, 5000, np.array(xis)).value
+    for k in (1, -1, 3, -3):
+        shifted = [xi + k for xi in xis]
+        assert [xi - k for xi in shifted] == xis
+        assert np.array_equal(
+            expsum.prime_floor_sum(H12, 5000, np.array(shifted)).value, want)
+        for xi, w in zip(shifted, want):
+            assert expsum.prime_floor_sum(H12, 5000, xi).value == w
+        assert (expsum.von_mangoldt_sum(H12, 2000, xis[-1] + k).value
+                == expsum.von_mangoldt_sum(H12, 2000, xis[-1]).value)
+    # past about 1.3e300 the unreduced phase's split of xi overflowed to nan
+    assert (expsum.prime_floor_sum(H12, 5000, 1e308).value
+            == expsum.prime_floor_sum(H12, 5000, -2e300).value
+            == expsum.prime_floor_sum(H12, 5000, 0.0).value)
+
+
 def test_von_mangoldt_sum_zero_xi():
     got = expsum.von_mangoldt_sum(H12, 10, 0.0).value
     assert abs(got - chebyshev_psi(10)) < 1e-12

@@ -1,9 +1,11 @@
 """Every module of the package and of the tests reads each name it imports,
 every top-level name of the package is read somewhere: in src,
 perfbench or scripts, or, for the listed test-only names, in tests
-alone, and every field of a package class is read as an attribute."""
+alone, and every field, method and property of a package class is read
+as an attribute."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -117,32 +119,87 @@ def test_no_unread_top_level_names():
     assert set(_unread_names(program, names)) == _TEST_ONLY
 
 
-def _unread_fields(sources: dict[str, str], package: set[str]) -> list[str]:
-    """Annotated fields of the package's classes whose name no attribute
-    or dotted-name string in any source reads; a plain name does not
-    count, since a field is only read off its record."""
+def _members(source: str):
+    """(class name, member name, is a method) for each annotated field and
+    each method or property but the dunders of the source's classes."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)):
+                    yield node.name, stmt.target.id, False
+                elif (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not (stmt.name.startswith("__")
+                               and stmt.name.endswith("__"))):
+                    yield node.name, stmt.name, True
+
+
+def _library_hook(path: str, cls: str, name: str) -> bool:
+    """Whether a package class's method overrides one of a base outside the
+    package, which that base calls (cli._Parser.error, argparse's)."""
+    if not path.startswith("src/primeorbits/"):
+        return False
+    module = importlib.import_module("primeorbits." + Path(path).stem)
+    klass = getattr(module, cls, None)
+    return klass is not None and any(
+        name in vars(base) for base in klass.__mro__[1:]
+        if not base.__module__.startswith("primeorbits"))
+
+
+def _unread_members(sources: dict[str, str], package: set[str],
+                    methods: bool) -> list[str]:
+    """Fields (or, with methods, methods and properties) of the package's
+    classes whose name no attribute or dotted-name string in any source
+    reads; a plain name does not count, since a member is only read off
+    its record.  A method that overrides a library base's is read there."""
     reads = set().union(*(_reads(ast.parse(text), names=False)
                           for text in sources.values()))
-    return [f"{path}: {node.name}.{stmt.target.id}" for path in sorted(package)
-            for node in ast.walk(ast.parse(sources[path]))
-            if isinstance(node, ast.ClassDef)
-            for stmt in node.body
-            if isinstance(stmt, ast.AnnAssign)
-            and isinstance(stmt.target, ast.Name)
-            and stmt.target.id not in reads]
+    return [f"{path}: {cls}.{name}" for path in sorted(package)
+            for cls, name, is_method in _members(sources[path])
+            if is_method == methods and name not in reads
+            and not (methods and _library_hook(path, cls, name))]
 
 
-def test_no_unread_record_fields():
-    assert _unread_fields(
-        {"m.py": "class R:\n    a: int\n    b: int\n    c: int = 0\n"
-                 "    def f(self):\n        return self.a\n",
-         "t.py": "b = 1\nprint(b, 'r.c')\n"}, {"m.py"}) == ["m.py: R.b"]
-    # this file is left out: its toy sources' names ('m.py') read no record
+def _member_sources() -> tuple[dict[str, str], set[str]]:
+    """Every source but this file, whose toy sources' names ('m.py') read
+    no record, and the package's paths among them."""
     package = sorted((_ROOT / "src" / "primeorbits").glob("*.py"))
     files = [*package,
              *(p for d in ("tests", "perfbench", "scripts")
                for p in (_ROOT / d).glob("*.py")
                if p != Path(__file__).resolve())]
     sources = {str(p.relative_to(_ROOT)): p.read_text() for p in files}
-    names = {str(p.relative_to(_ROOT)) for p in package}
-    assert _unread_fields(sources, names) == []
+    return sources, {str(p.relative_to(_ROOT)) for p in package}
+
+
+def test_no_unread_record_fields():
+    assert _unread_members(
+        {"m.py": "class R:\n    a: int\n    b: int\n    c: int = 0\n"
+                 "    def f(self):\n        return self.a\n",
+         "t.py": "b = 1\nprint(b, 'r.c')\n"}, {"m.py"}, False) == ["m.py: R.b"]
+    assert _unread_members(*_member_sources(), False) == []
+
+
+# methods that only tests read: criterion 08 reads the trend predicate
+# that the ergodic report no longer runs
+_TEST_ONLY_METHODS = {"src/primeorbits/ergodic.py: OscillationReport.trend_violations"}
+
+
+def test_no_unread_methods():
+    # every method and property but the dunders is read off some object;
+    # one that no src, perfbench or scripts source reads is listed above
+    toy = ("class R:\n    def __len__(self):\n        return 0\n"
+           "    def f(self):\n        return self.g()\n"
+           "    def g(self):\n        return 1\n"
+           "    @property\n    def p(self):\n        return 2\n"
+           "    def q(self):\n        return 3\n")
+    assert _unread_members({"m.py": toy, "t.py": "q = 1\nprint(R().p)\n"},
+                           {"m.py"}, True) == ["m.py: R.f", "m.py: R.q"]
+    assert _library_hook("src/primeorbits/cli.py", "_Parser", "error")
+    assert not _library_hook("src/primeorbits/ergodic.py", "OscillationReport",
+                             "trend_violations")
+    sources, names = _member_sources()
+    assert _unread_members(sources, names, True) == []
+    program = {path: text for path, text in sources.items()
+               if not path.startswith("tests")}
+    assert set(_unread_members(program, names, True)) == _TEST_ONLY_METHODS
